@@ -454,7 +454,6 @@ def optimize_constant(
     p: float,
     knobs: Iterable[str] = (),
     budget: int = 2048,
-    seed: int = 0,
 ) -> Certificate:
     """Search the chain's free parameters for the smallest certified constant.
 
@@ -472,8 +471,7 @@ def optimize_constant(
     Every candidate is re-validated through the full step chain before
     acceptance.  The search is a deterministic coarse grid with local
     refinement; ties break lexicographically on (constant, rho, w), so the
-    result does not depend on evaluation order or on the seed (recorded for
-    interface stability only).
+    result does not depend on evaluation order.
     """
     knob_set = frozenset(knobs)
     unknown = knob_set - frozenset(_KNOBS)

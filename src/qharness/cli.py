@@ -21,7 +21,8 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -256,13 +257,14 @@ def _jsonify(obj):
     return obj
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, writer: Callable[[str], Any]) -> None:
+    """Run ``writer`` on a temporary file beside ``path``, then rename it onto ``path``."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".qharness-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        writer(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,7 +299,7 @@ def _emit(config: RunConfig, results: dict, csv_rows: tuple[list[str], list[list
     if config.out is None:
         sys.stdout.write(payload.decode())
     else:
-        _atomic_write(config.out, payload)
+        _atomic_write(config.out, lambda tmp: Path(tmp).write_bytes(payload))
 
 
 def _sidecar(config: RunConfig, started: float) -> None:
@@ -343,17 +345,7 @@ def _run_simulate(config: RunConfig) -> int:
         writer = simulate.ensemble_to_csv
     else:
         raise ValueError(f"simulate format must be qhe|csv, got {config.format!r}")
-    d = os.path.dirname(os.path.abspath(config.out))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qharness-")
-    os.close(fd)
-    try:
-        writer(ens, tmp)
-        os.replace(tmp, config.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(config.out, lambda tmp: writer(ens, tmp))
     return 0
 
 
@@ -401,7 +393,7 @@ def _run_verify(config: RunConfig) -> int:
     ):
         checks.append(_check(f"backward-quadratic-{label}", coef, pred, se_c, 3.0))
 
-    lotv = np.array([core.var_backward(p, s, t, float(x)).value for x in ens.paths[:, ti]])
+    lotv = core.var_backward(p, s, t, ens.paths[:, ti]).value
     checks.append(
         _check("law-of-total-variance-backward", float(lotv.mean()), s * (t - s) / t,
                float(lotv.std(ddof=1) / math.sqrt(lotv.size)), 4.0)
@@ -516,9 +508,7 @@ def _run_certificate(config: RunConfig) -> int:
 def _run_optimize(config: RunConfig) -> int:
     cfg = config.params
     knobs = [k.strip() for k in str(cfg["knobs"]).split(",") if k.strip()]
-    cert = certs.optimize_constant(
-        float(cfg["p"]), knobs, budget=int(cfg["budget"]), seed=config.seed
-    )
+    cert = certs.optimize_constant(float(cfg["p"]), knobs, budget=int(cfg["budget"]))
     results = {"knobs": knobs, "budget": int(cfg["budget"])}
     results.update(cert.to_json_dict())
     _emit(config, results)

@@ -11,6 +11,9 @@ tolerances are applied and nothing is clamped.  A formula that evaluates to
 a negative "variance" is returned with ``admissible=False`` instead of being
 silently truncated, so downstream verification can see the inadmissible
 parameter/state combination.
+
+State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
+elementwise; the scalar times are validated once per call.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class HarnessParams:
 
 
 class Variance(NamedTuple):
-    """An evaluated conditional variance plus an admissibility flag."""
+    """An evaluated conditional variance plus an admissibility flag (arrays for array states)."""
 
     value: float
     admissible: bool

@@ -140,44 +140,38 @@ def estimate_conditional(
         edges = np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
     assign = np.clip(np.searchsorted(edges[:-1], cond, side="right") - 1, 0, edges.size - 2)
 
+    # a stable sort keeps each bin's values in path order, so every per-bin
+    # reduction below sums the same values in the same order as a bin mask
+    nb = edges.size - 1
+    count = np.bincount(assign, minlength=nb)
+    order = np.argsort(assign, kind="stable")
+    cond, target = cond[order], target[order]
     slope = 1.0 if direction == "forward" else s / t
     resid_sq = (target - slope * cond) ** 2
 
-    nb = edges.size - 1
-    count = np.zeros(nb, dtype=np.int64)
     x_mean = np.zeros(nb)
     mean = np.zeros(nb)
     var = np.zeros(nb)
     se_mean = np.zeros(nb)
     se_var = np.zeros(nb)
-    for b in range(nb):
-        sel = assign == b
-        n = int(np.count_nonzero(sel))
-        count[b] = n
-        if n == 0:
-            continue
-        x_mean[b] = cond[sel].mean()
-        y = target[sel]
+    stops = np.cumsum(count)
+    for b in np.flatnonzero(count):
+        n = int(count[b])
+        sl = slice(stops[b] - n, stops[b])
+        x_mean[b] = cond[sl].mean()
+        y = target[sl]
         mean[b] = y.mean()
-        r2 = resid_sq[sel]
+        r2 = resid_sq[sl]
         var[b] = r2.mean()
         if n > 1:
             se_mean[b] = y.std(ddof=1) / math.sqrt(n)
             se_var[b] = r2.std(ddof=1) / math.sqrt(n)
 
     p = known_params(e.kind)
-    pred_mean = np.zeros(nb)
-    pred_var = np.zeros(nb)
-    for b in range(nb):
-        if count[b] == 0:
-            continue
-        x = float(x_mean[b])
-        if direction == "forward":
-            pred_mean[b] = core.one_sided_mean("forward", s, t, x)
-            pred_var[b] = core.var_forward(p, s, t, x).value
-        else:
-            pred_mean[b] = core.one_sided_mean("backward", s, t, x)
-            pred_var[b] = core.var_backward(p, s, t, x).value
+    var_fn = core.var_forward if direction == "forward" else core.var_backward
+    filled = count > 0
+    pred_mean = np.where(filled, core.one_sided_mean(direction, s, t, x_mean), 0.0)
+    pred_var = np.where(filled, var_fn(p, s, t, x_mean).value, 0.0)
 
     confident = count >= MIN_BIN_COUNT
     return BinnedConditional(

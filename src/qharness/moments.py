@@ -108,10 +108,10 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     (1+gamma) (t+tau)(1+t*sigma) ((eta*tau+theta)(eta+theta*sigma) + (1-sigma*tau)^2)
     divided by 1-(2+gamma)*sigma*tau.  Identically zero on gamma = -1.
 
-    The identity against ``hankel3`` of the actual marginal moments is asserted
-    at t = 1 only; at other t the two routes disagree for the Wiener marginal
-    (2t vs 2t^3), so callers should treat the general-t value as the printed
-    expression, not as the determinant.
+    This is the printed expression, not the determinant itself: for the four
+    simulated kinds, ``hankel3(exact_marginal_moments(kind, t))`` equals
+    ``t**2 * hankel3_closed_form(known_params(kind), t)`` to 1e-15 at every
+    t, so the two agree at t = 1 only (Wiener: 2t against 2t^3).
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -161,7 +161,10 @@ def pmax_certified(sigma: float, tau: float = 1.0) -> float:
 
 
 def pfail_upper(sigma: float, tau: float = 1.0) -> float:
-    """Order 2 + 1/sqrt(sigma*tau) at which moments may already fail to exist."""
+    """Order 2 + 1/sqrt(sigma*tau) at which moments may already fail to exist.
+
+    ``classify_moment_region`` uses 2 + 1/(sigma*tau), without the root; unresolved.
+    """
     st = _check_sigma_tau(sigma, tau)
     if st == 0.0:
         return math.inf
@@ -186,7 +189,10 @@ class MomentRegion:
 
 
 def classify_moment_region(p: HarnessParams) -> MomentRegion:
-    """Classify (sigma, tau, gamma) into the conjectured moment regions."""
+    """Classify (sigma, tau, gamma) into the conjectured moment regions.
+
+    Its bound 2 + 1/(sigma*tau) differs from ``pfail_upper``'s 2 + 1/sqrt(sigma*tau).
+    """
     st = _check_sigma_tau(p.sigma, p.tau)
     root = 2.0 * math.sqrt(st)
     in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)

@@ -14,6 +14,7 @@ bit-identical regardless of how many worker threads assemble it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -246,6 +247,7 @@ def save_ensemble(e: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
+    """Read a container; a file shorter than its header's shape is a ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -258,10 +260,12 @@ def load_ensemble(path) -> Ensemble:
         except IndexError:
             raise ValueError(f"{path}: unknown kind code {code}") from None
         kind = ProcessKind(name, q if name == "pascal" else None)
-        grid = np.frombuffer(fh.read(8 * n_times), dtype="<f8").copy()
-        paths = np.frombuffer(fh.read(8 * n_paths * n_times), dtype="<f8").copy()
-        if paths.size != n_paths * n_times:
-            raise ValueError(f"{path}: truncated path matrix")
+        need = _HEADER.size + 8 * n_times * (n_paths + 1)
+        size = os.fstat(fh.fileno()).st_size
+        if size < need:
+            raise ValueError(f"{path}: truncated container: {size} bytes, header needs {need}")
+        grid = np.fromfile(fh, dtype="<f8", count=n_times)
+        paths = np.fromfile(fh, dtype="<f8", count=n_paths * n_times)
     return Ensemble(kind=kind, grid=grid, paths=paths.reshape(n_paths, n_times), seed=seed)
 
 

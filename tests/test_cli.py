@@ -186,6 +186,20 @@ class TestSimulateAndVerify:
                  "--paths", "100", "--seed", "0", "--out", str(ens_path)])
         assert run_cli(["verify", str(ens_path), "--s", "0.6", "--t", "1.0"]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "tails"])
+    def test_forged_header_exits_two(self, tmp_path, capsys, command):
+        ens_path = tmp_path / "w.qhe"
+        run_cli(["simulate", "--process", "wiener", "--grid", "0.5,1.0",
+                 "--paths", "100", "--seed", "0", "--out", str(ens_path)])
+        raw = bytearray(ens_path.read_bytes())
+        raw[24:32] = (2**62).to_bytes(8, "little")  # n_paths field of the header
+        ens_path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = run_cli([command, str(ens_path), "--s", "0.5", "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "truncated" in err
+
 
 class TestMomentsCommand:
     def test_two_point_at_gamma_minus_one(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qharness.core import (
     HarnessParams,
+    Variance,
     covariance,
     double_mean,
     double_var,
@@ -195,3 +197,39 @@ class TestDoubleVar:
         # bridge count N_u - N_s = 2 thinned at probability 1/2: variance 1/2
         res = double_var(POISSON, 0.5, 1.0, 1.5, 0.0, 1.0)
         assert res.value == pytest.approx(0.5)
+
+
+# Parameters whose variance brackets go negative at some states, so the
+# admissible flag is exercised in both values.
+SIGNED = HarnessParams(3.0, 3.0, 1.0, 1.0, -0.5)
+STATES = [-4.0, -2.6, -1.5, -1.0, -0.4, 0.0, 0.3, 1.0, 2.5, 7.0]
+X_U = [3.0, -2.0, 0.5, 1.0, -1.0, 0.0, 4.0, -3.5, 2.0, -0.3]
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x, y: one_sided_mean("forward", 0.5, 1.5, x),
+        lambda x, y: one_sided_mean("backward", 0.5, 1.5, x),
+        lambda x, y: var_forward(SIGNED, 0.5, 1.5, x),
+        lambda x, y: var_backward(SIGNED, 0.5, 1.5, x),
+        lambda x, y: double_mean(0.5, 1.0, 2.0, x, y),
+        lambda x, y: double_var(SIGNED, 0.5, 1.0, 2.0, x, y),
+    ],
+    ids=["mean_forward", "mean_backward", "var_forward", "var_backward",
+         "double_mean", "double_var"],
+)
+def test_array_state_matches_scalar_calls(evaluate):
+    scalar = [evaluate(x, y) for x, y in zip(STATES, X_U)]
+    vector = evaluate(np.array(STATES), np.array(X_U))
+    if isinstance(vector, Variance):
+        flags = [v.admissible for v in scalar]
+        assert all(type(f) is bool for f in flags)
+        assert True in flags and False in flags
+        assert vector.admissible.dtype == bool
+        assert np.array_equal(vector.admissible, flags)
+        scalar = [v.value for v in scalar]
+        vector = vector.value
+    assert all(type(v) is float for v in scalar)
+    assert isinstance(vector, np.ndarray) and vector.shape == (len(STATES),)
+    assert np.array_equal(vector, scalar)

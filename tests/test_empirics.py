@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qharness import core
 from qharness.certificates import make_certificate
 from qharness.core import var_backward
 from qharness.empirics import (
+    MIN_BIN_COUNT,
     BinnedConditional,
     TailCurve,
     check_tail_recursion,
@@ -44,6 +46,45 @@ def synthetic_binned(coeffs, xs, se=0.0):
     )
 
 
+def masked_reference(e, s_index, t_index, n_bins, direction):
+    """Per-bin boolean-mask estimate with one scalar closed-form call per bin."""
+    s, t = float(e.grid[s_index]), float(e.grid[t_index])
+    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
+    cond, target = (xs, xt) if direction == "forward" else (xt, xs)
+    uniq = np.unique(cond)
+    if uniq.size <= n_bins:
+        edges = np.append(uniq, uniq[-1])
+    else:
+        edges = np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
+    assign = np.clip(np.searchsorted(edges[:-1], cond, side="right") - 1, 0, edges.size - 2)
+    slope = 1.0 if direction == "forward" else s / t
+    resid_sq = (target - slope * cond) ** 2
+    p = known_params(e.kind)
+    var_fn = core.var_forward if direction == "forward" else core.var_backward
+    nb = edges.size - 1
+    cols = {k: np.zeros(nb) for k in
+            ("x_mean", "mean", "var", "se_mean", "se_var", "pred_mean", "pred_var")}
+    count = np.zeros(nb, dtype=np.int64)
+    for b in range(nb):
+        sel = assign == b
+        n = int(np.count_nonzero(sel))
+        count[b] = n
+        if n == 0:
+            continue
+        cols["x_mean"][b] = cond[sel].mean()
+        y, r2 = target[sel], resid_sq[sel]
+        cols["mean"][b] = y.mean()
+        cols["var"][b] = r2.mean()
+        if n > 1:
+            cols["se_mean"][b] = y.std(ddof=1) / math.sqrt(n)
+            cols["se_var"][b] = r2.std(ddof=1) / math.sqrt(n)
+        x = float(cols["x_mean"][b])
+        cols["pred_mean"][b] = core.one_sided_mean(direction, s, t, x)
+        cols["pred_var"][b] = var_fn(p, s, t, x).value
+    return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count,
+                confident=count >= MIN_BIN_COUNT)
+
+
 class TestEstimateConditional:
     def test_wiener_forward_flat_variance(self, wiener_ens):
         b = estimate_conditional(wiener_ens, 1, 3, 20, "forward")
@@ -68,6 +109,16 @@ class TestEstimateConditional:
     def test_counts_partition_paths(self, poisson_ens):
         b = estimate_conditional(poisson_ens, 1, 3, 40, "backward")
         assert b.count.sum() == poisson_ens.n_paths
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("n_bins", [10, 40])
+    def test_matches_masked_reference(self, all_ensembles, kind, direction, n_bins):
+        e = all_ensembles[kind]
+        b = estimate_conditional(e, 1, 3, n_bins, direction)
+        ref = masked_reference(e, 1, 3, n_bins, direction)
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(b, name), expected), name
 
     def test_degenerate_conditioning_rejected(self):
         paths = np.tile([[1.0, 2.0]], (100, 1))

@@ -14,6 +14,7 @@ from qharness.moments import (
     pmax_certified,
     two_point_from_moments,
 )
+from qharness.simulate import ProcessKind, exact_marginal_moments, known_params
 
 
 def hankel3_cofactor(m: MomentVector) -> float:
@@ -96,6 +97,18 @@ class TestClosedForm:
         assert hankel3_closed_form(p, t) == pytest.approx(2.0 * t)
         det = hankel3(MomentVector(1, 0, t, 0, 3 * t * t))
         assert det == pytest.approx(2.0 * t**3, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "kind",
+        [ProcessKind("wiener"), ProcessKind("poisson"), ProcessKind("gamma"),
+         ProcessKind("pascal", 0.5)],
+        ids=lambda k: k.name,
+    )
+    def test_determinant_is_t_squared_times_closed_form(self, kind, t):
+        det = hankel3(exact_marginal_moments(kind, t))
+        closed = hankel3_closed_form(known_params(kind), t)
+        assert det == pytest.approx(t * t * closed, rel=1e-15)
 
     def test_vanishing_denominator_rejected(self):
         p = HarnessParams(0.0, 0.0, 1.0, 0.5, 0.0)  # 1 - (2+0)*0.5 = 0
