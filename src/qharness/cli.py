@@ -7,8 +7,8 @@ are written atomically, embed {tool version, config echo, seed} and carry no
 timestamps, so equal configs give byte-identical outputs; a ``<out>.log``
 sidecar records wall-clock info instead.
 
-Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-or I/O error.
+Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage,
+I/O or any other error (one ``qharness <cmd>: error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -258,12 +258,16 @@ def _jsonify(obj):
 
 
 def _atomic_write(path: str, writer: Callable[[str], Any]) -> None:
-    """Run ``writer`` on a temporary file beside ``path``, then rename it onto ``path``."""
+    """Run ``writer`` on a temporary file beside ``path``, then rename it onto ``path``
+    with the mode a plain ``open`` gives (0o666 less the umask), not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".qharness-")
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -528,8 +532,9 @@ def _run_tails(config: RunConfig) -> int:
         x = np.abs(ens.paths[:, ti])
         if normalize:
             x = x / math.sqrt(float(ens.grid[ti]))
-        lo = max(float(np.quantile(x, 0.5)), 1e-9)
-        hi = max(float(np.quantile(x, 0.995)), lo * 2.0)
+        median, top = np.quantile(x, [0.5, 0.995]).tolist()
+        lo = max(median, 1e-9)
+        hi = max(top, lo * 2.0)
         thresholds = np.geomspace(lo, hi, 50)
 
     curve = empirics.tail_curve(ens, si, ti, thresholds, normalize=normalize)
@@ -576,10 +581,13 @@ def run(config: RunConfig) -> int:
     started = time.monotonic()
     try:
         code = _HANDLERS[config.command](config)
+        _sidecar(config, started)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"qharness {config.command}: error: {exc}", file=sys.stderr)
         return 2
-    _sidecar(config, started)
+    except Exception as exc:  # an internal fault still ends in one line and exit 2
+        print(f"qharness {config.command}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -131,19 +131,27 @@ def estimate_conditional(
     xt = e.paths[:, t_index]
     cond, target = (xs, xt) if direction == "forward" else (xt, xs)
 
-    uniq = np.unique(cond)
-    if uniq.size < 2:
+    # one sort serves the distinct values, the quantile edges and the bin
+    # counts; it is freed before the gathers below to keep peak memory flat
+    srt = np.sort(cond)
+    distinct = np.concatenate(([True], srt[1:] != srt[:-1]))
+    n_uniq = int(np.count_nonzero(distinct))
+    if n_uniq < 2:
         raise ValueError("conditioning variable is degenerate (constant)")
-    if uniq.size <= n_bins:
-        edges = np.append(uniq, uniq[-1])
+    if n_uniq <= n_bins:
+        edges = np.append(srt[distinct], srt[-1])
     else:
-        edges = np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
-    assign = np.clip(np.searchsorted(edges[:-1], cond, side="right") - 1, 0, edges.size - 2)
-
-    # a stable sort keeps each bin's values in path order, so every per-bin
-    # reduction below sums the same values in the same order as a bin mask
+        edges = np.unique(np.quantile(srt, np.linspace(0.0, 1.0, n_bins + 1)))
     nb = edges.size - 1
-    count = np.bincount(assign, minlength=nb)
+    starts = np.searchsorted(srt, edges[:-1], side="left")
+    count = np.diff(starts, append=srt.size)
+    del srt
+
+    # a value's bin is the number of interior edges at or below it; a stable
+    # sort keeps each bin's values in path order, so every per-bin reduction
+    # below sums the same values in the same order as a bin mask (numpy
+    # radix-sorts the narrow label types, with the same permutation)
+    assign = np.searchsorted(edges[1:-1], cond, side="right").astype(np.min_scalar_type(nb - 1))
     order = np.argsort(assign, kind="stable")
     cond, target = cond[order], target[order]
     slope = 1.0 if direction == "forward" else s / t
@@ -154,10 +162,9 @@ def estimate_conditional(
     var = np.zeros(nb)
     se_mean = np.zeros(nb)
     se_var = np.zeros(nb)
-    stops = np.cumsum(count)
     for b in np.flatnonzero(count):
         n = int(count[b])
-        sl = slice(stops[b] - n, stops[b])
+        sl = slice(starts[b], starts[b] + n)
         x_mean[b] = cond[sl].mean()
         y = target[sl]
         mean[b] = y.mean()
@@ -468,8 +475,8 @@ def hill_tail_index(samples, k: int) -> HillEstimate:
     n = x.size
     if k < 1 or k >= n / 2:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
-    x = np.sort(x)[::-1]
-    top = x[: k + 1]
+    # only the top k+1 order statistics are needed: partition, then sort those
+    top = np.sort(np.partition(x, n - k - 1)[n - k - 1 :])[::-1]
     if top[-1] <= 0.0:
         raise ValueError("top-k order statistics must be positive")
     logs = np.log(top)

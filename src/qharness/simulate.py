@@ -270,10 +270,19 @@ def load_ensemble(path) -> Ensemble:
 
 
 def ensemble_to_csv(e: Ensemble, path) -> None:
-    """CSV export: path_id, then one column per grid time."""
+    """CSV export: path_id, then one column per grid time.
+
+    Written one block of BLOCK_PATHS rows at a time (bounded memory); within
+    a block each distinct value is formatted once, keyed on its bit pattern,
+    so -0.0 and 0.0 keep their own text.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ",".join(f"t_{t!r}" for t in e.grid.tolist())
         fh.write(f"path_id,{cols}\n")
-        for i in range(e.n_paths):
-            row = ",".join(repr(v) for v in e.paths[i].tolist())
-            fh.write(f"{i},{row}\n")
+        for lo in range(0, e.n_paths, BLOCK_PATHS):
+            block = e.paths[lo : lo + BLOCK_PATHS]
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = list(map(repr, bits.view(np.float64).tolist()))
+            cells = map(text.__getitem__, inverse.ravel().tolist())
+            rows = map(",".join, zip(*[cells] * e.n_times))
+            fh.writelines(map("{},{}\n".format, range(lo, lo + len(block)), rows))

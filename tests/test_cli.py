@@ -1,8 +1,12 @@
 import json
+import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from qharness import cli
 from qharness.cli import RunConfig, main, parse_args
 from qharness.simulate import load_ensemble
 
@@ -253,7 +257,61 @@ class TestOptimizeCommand:
         assert res["valid"] is True and res["constant"] < 128.0
 
 
+class TestErrorContract:
+    def test_unexpected_exception_exits_two(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "moments", broken)
+        code = run_cli(["moments"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "qharness moments: error: RuntimeError: handler broke\n"
+
+    def test_unwritable_sidecar_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        (tmp_path / "m.json.log").mkdir()
+        code = run_cli(["moments", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("qharness moments: error: ") and err.count("\n") == 1
+
+
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)])
+    def test_artifacts_honour_umask(self, tmp_path, umask, mode):
+        ens_path, report = tmp_path / "w.qhe", tmp_path / "verify.json"
+        old = os.umask(umask)
+        try:
+            run_cli(["simulate", "--process", "wiener", "--grid", "0.5,1.0",
+                     "--paths", "2000", "--seed", "0", "--out", str(ens_path)])
+            run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0",
+                     "--bins", "10", "--out", str(report)])
+        finally:
+            os.umask(old)
+        for path in (ens_path, report):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+
 class TestTailsCommand:
+    @pytest.mark.parametrize("process", ["gamma", "pascal"])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_threshold_ladder_matches_two_quantile_calls(self, tmp_path, process, raw):
+        ens_path, out = tmp_path / "e.qhe", tmp_path / "tails.json"
+        run_cli(["simulate", "--process", process, "--grid", "0.25,0.5",
+                 "--paths", "30001", "--seed", "9", "--out", str(ens_path)])
+        code = run_cli(["tails", str(ens_path), "--s", "0.25", "--t", "0.5", "--out", str(out)]
+                       + (["--raw"] if raw else []))
+        assert code == 0
+        ens = load_ensemble(ens_path)
+        x = np.abs(ens.paths[:, 1])
+        if not raw:
+            x = x / math.sqrt(0.5)
+        lo = max(float(np.quantile(x, 0.5)), 1e-9)
+        hi = max(float(np.quantile(x, 0.995)), lo * 2.0)
+        got = json.loads(out.read_text())["results"]["thresholds"]
+        assert got == np.geomspace(lo, hi, 50).tolist()
+
     def test_tail_report(self, tmp_path):
         ens_path = tmp_path / "g.qhe"
         run_cli(["simulate", "--process", "gamma", "--grid", "0.5,1.0",

@@ -120,6 +120,20 @@ class TestEstimateConditional:
         for name, expected in ref.items():
             assert np.array_equal(getattr(b, name), expected), name
 
+    @pytest.mark.parametrize("kind", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("n_bins", [5, 300, 400])
+    def test_narrow_labels_match_masked_reference(self, all_ensembles, kind, n_bins):
+        # 5 bins label with uint8, 300 and 400 quantile bins with uint16; at 5
+        # bins the poisson lattice has more values than bins, so duplicate
+        # quantile edges collapse
+        e = all_ensembles[kind]
+        b = estimate_conditional(e, 1, 3, n_bins, "backward")
+        ref = masked_reference(e, 1, 3, n_bins, "backward")
+        if kind == "poisson" and n_bins == 5:
+            assert b.n_bins < n_bins
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(b, name), expected), name
+
     def test_degenerate_conditioning_rejected(self):
         paths = np.tile([[1.0, 2.0]], (100, 1))
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
@@ -281,6 +295,32 @@ class TestHill:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             hill_tail_index(np.arange(1.0, 100.0), 50)
+
+
+def full_sort_hill(samples, k):
+    """Hill estimate from a full descending sort of |samples|."""
+    x = np.sort(np.abs(np.asarray(samples, dtype=np.float64).ravel()))[::-1]
+    logs = np.log(x[: k + 1])
+    alpha = 1.0 / float(np.mean(logs[:k]) - logs[k])
+    half = 1.96 / math.sqrt(k)
+    return alpha, alpha * (1.0 - half), alpha * (1.0 + half)
+
+
+class TestHillMatchesFullSort:
+    @pytest.mark.parametrize("k", [1, 7, 333, 1000, 20_000, 49_999])
+    def test_heavy_tails(self, k):
+        # at k = 333 and 20000 the Cauchy estimate depends on the order of
+        # the top k logs in the mean, so an unsorted top-k would fail here
+        rng = np.random.default_rng(0)
+        for samples in (rng.standard_cauchy(100_000), -rng.pareto(2.5, 100_000)):
+            est = hill_tail_index(samples, k)
+            assert (est.alpha, est.ci_low, est.ci_high) == full_sort_hill(samples, k)
+
+    @pytest.mark.parametrize("k", [3, 500])
+    def test_lattice_with_ties(self, pascal_ens, k):
+        samples = pascal_ens.paths[:, 3]
+        est = hill_tail_index(samples, k)
+        assert (est.alpha, est.ci_low, est.ci_high) == full_sort_hill(samples, k)
 
 
 class TestCovarianceHelper:

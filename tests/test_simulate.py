@@ -228,6 +228,34 @@ class TestContainer:
         assert int(first[0]) == 0 and float(first[1]) == e.paths[0, 0]
 
 
+def row_loop_csv(e: Ensemble, path) -> None:
+    """CSV export with one repr per cell, written row by row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        cols = ",".join(f"t_{t!r}" for t in e.grid.tolist())
+        fh.write(f"path_id,{cols}\n")
+        for i in range(e.n_paths):
+            row = ",".join(repr(v) for v in e.paths[i].tolist())
+            fh.write(f"{i},{row}\n")
+
+
+class TestCsvMatchesRowLoop:
+    @pytest.mark.parametrize("name", ["pascal", "gamma"])
+    def test_sampled(self, tmp_path, name):
+        e = sample_ensemble(kind_of(name), GRID, 20_000, seed=13)
+        ensemble_to_csv(e, tmp_path / "new.csv")
+        row_loop_csv(e, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_signed_zeros_keep_their_text(self, tmp_path):
+        paths = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -1.5], [0.0, 0.0, 1e-300]])
+        e = Ensemble(kind_of("wiener"), np.array([0.25, 0.5, 1.0]), paths, seed=0)
+        ensemble_to_csv(e, tmp_path / "new.csv")
+        row_loop_csv(e, tmp_path / "ref.csv")
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert text.splitlines()[2] == "1,-0.0,0.0,-1.5"
+
+
 class TestEnsembleValidation:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
