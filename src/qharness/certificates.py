@@ -22,8 +22,13 @@ with delta = 2*sqrt(sigma*tau), so the chain certifies a constant c with
 The printed chain gives c = 240.  This module makes every inequality of the
 chain explicit and machine-checkable, evaluates the sharp variants (exact
 K^(p+1) instead of the rounded bound 2e^2, the exact split admissibility
-instead of the 1/64 margin), and searches the chain's free parameters for
-the smallest constant the same proof structure supports.
+instead of the 1/64 margin), and finds the smallest constant the same proof
+structure supports.  That constant is max(contraction(rho), margin(rho)), a
+function of rho alone, and its minimiser has a closed form (see
+``optimize_constant``): the stationary point 1 - rho* = 1/((p+1) +
+sqrt((p+1)^2 + 1)) of the contraction term, or, under the 1/64 margin, the
+crossing rho_x = 2/(1 + 8^(1/(p+1))) of the two terms.  As p -> inf the
+optimum tends to 256/ln 8 (1/64 margin) and 32e (exact margin).
 
 Certificate semantics: the certified ``constant`` is computed in closed
 form; the recorded inequality steps are evaluated at a witness
@@ -47,6 +52,7 @@ __all__ = [
     "TailBound",
     "LiftCheck",
     "Certificate",
+    "SearchStats",
     "rho_for_order",
     "k_factor",
     "embedding",
@@ -259,10 +265,7 @@ def integrability_constant(mode: str, p: float) -> float:
         raise ValueError(f"mode must be one of {_CONTRACTION_RULES}, got {mode!r}")
     if not (p > 1.0):
         raise ValueError(f"need p > 1, got {p}")
-    if mode == "paper":
-        return 240.0
-    k = k_factor(rho_for_order(p))
-    return max(16.0 * k ** (p + 1.0), 128.0)
+    return _constant_closed_form(p, None, None, "margin-64", mode)
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,11 @@ def _constant_closed_form(
     if contraction_rule == "paper":
         c_contr = 240.0
     else:
-        c_contr = 16.0 * w_boost * k ** (p + 1.0) / denom
+        try:
+            k_pow = k ** (p + 1.0)
+        except OverflowError:
+            raise ValueError(f"K^(p+1) overflows at p={p}, rho={r}") from None
+        c_contr = 16.0 * w_boost * k_pow / denom
 
     if margin_rule == "margin-64":
         c_margin = 128.0 / denom
@@ -450,12 +457,22 @@ def replay_certificate(cert: Certificate) -> Certificate:
 _KNOBS = ("exact-k", "exact-margin", "rho", "split")
 
 
+@dataclass
+class SearchStats:
+    """What one ``optimize_constant`` call spent: certificates evaluated, and
+    whether the budget cut off a candidate."""
+
+    evaluations: int = 0
+    budget_exhausted: bool = False
+
+
 def optimize_constant(
     p: float,
     knobs: Iterable[str] = (),
     budget: int = 2048,
+    stats: SearchStats | None = None,
 ) -> Certificate:
-    """Search the chain's free parameters for the smallest certified constant.
+    """Smallest certified constant over the chain's free parameters.
 
     Knobs:
       exact-k      evaluate the contraction with the exact K^(p+1)
@@ -463,15 +480,27 @@ def optimize_constant(
       rho          free the correlation from the order-tied default
       split        free the overlap-split weight (<= 1/sqrt(2))
 
-    rho/split only take effect together with exact-k: the printed contraction
-    bound is tied to the default choices, so without exact-k those knobs
-    cannot move the constant.
+    rho only takes effect together with exact-k: the printed contraction
+    bound is tied to the default choices, so without exact-k it cannot move
+    the constant.  An empty knob set reproduces the printed certificate
+    (constant 240).
 
-    An empty knob set reproduces the printed certificate (constant 240).
-    Every candidate is re-validated through the full step chain before
-    acceptance.  The search is a deterministic coarse grid with local
-    refinement; ties break lexicographically on (constant, rho, w), so the
-    result does not depend on evaluation order.
+    With exact-k the constant is max(C(rho), M(rho)), where the contraction
+    term C(rho) = 16*K^(p+1)/((1-rho)(p+1)) is log-convex on (1/2, 1) with
+    its one stationary point at 1 - rho* = 1/((p+1) + sqrt((p+1)^2 + 1)).
+    The 1/64 margin M(rho) = 128/((1-rho)(p+1)) increases in rho and meets C
+    where 16*K^(p+1) = 128, at rho_x = 2/(1 + 8^(1/(p+1))), so the optimum
+    is rho* or rho_x.  Under the exact margin C/M = 4(2-rho)^(p-1) rho^(2-p)
+    exceeds 1 for every p > 1, so the optimum is rho*.  The split weight w
+    enters only through q = 4*delta/(w^2 (1-rho)), which decreases in w, and
+    w <= 1/sqrt(2) is forced: the split knob resolves to that boundary
+    (``split_w=None``) without a search.
+
+    The tied default is evaluated first, then rho* (and rho_x under the 1/64
+    margin), each through ``make_certificate``, so every result carries its
+    full step chain.  ``budget`` caps these evaluations; the smallest valid
+    certificate wins, ties broken on (constant, rho).  When ``stats`` is
+    given, the evaluations used are recorded in it.
     """
     knob_set = frozenset(knobs)
     unknown = knob_set - frozenset(_KNOBS)
@@ -479,77 +508,29 @@ def optimize_constant(
         raise ValueError(f"unknown knobs: {sorted(unknown)}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    stats = SearchStats() if stats is None else stats
 
     contraction_rule = "exact" if "exact-k" in knob_set else "paper"
     margin_rule = "margin-exact" if "exact-margin" in knob_set else "margin-64"
-    free_rho = "rho" in knob_set and contraction_rule == "exact"
-    free_split = "split" in knob_set and contraction_rule == "exact"
+    rhos: list[float | None] = [None]
+    if "rho" in knob_set and contraction_rule == "exact":
+        rhos.append(1.0 - 1.0 / ((p + 1.0) + math.hypot(p + 1.0, 1.0)))
+        if margin_rule == "margin-64":
+            rhos.append(2.0 / (1.0 + 8.0 ** (1.0 / (p + 1.0))))
 
-    evaluations = 0
-
-    def candidate(rho: float | None, w: float | None) -> Certificate | None:
-        nonlocal evaluations
-        if evaluations >= budget:
-            return None
-        evaluations += 1
-        try:
-            return make_certificate(
-                p, contraction_rule=contraction_rule, margin_rule=margin_rule,
-                rho=rho, split_w=w,
-            )
-        except ValueError:
-            return None
-
-    def keyed(cert: Certificate) -> tuple:
-        w = DEFAULT_SPLIT if cert.split_w is None else cert.split_w
-        return (cert.constant, cert.chain.rho, w)
-
-    best = candidate(None, None)
-    if not knob_set:
-        return best
-
-    def consider(rho: float | None, w: float | None) -> None:
-        nonlocal best
-        cert = candidate(rho, w)
-        if cert is not None and cert.valid:
-            if best is None or not best.valid or keyed(cert) < keyed(best):
-                best = cert
-
-    rho_grid = [None]
-    if free_rho:
-        rho_grid += [0.52 + i * (0.478 / 40.0) for i in range(41)]
-    w_grid = [None]
-    if free_split:
-        w_grid += [0.15 + i * ((DEFAULT_SPLIT - 0.15) / 20.0) for i in range(20)]
-
-    for r in rho_grid:
-        for w in w_grid:
-            consider(r, w)
-
-    if free_rho or free_split:
-        rho_span = 0.478 / 40.0
-        w_span = (DEFAULT_SPLIT - 0.15) / 20.0
-        for _ in range(4):
-            b_rho = best.chain.rho
-            b_w = DEFAULT_SPLIT if best.split_w is None else best.split_w
-            rhos = [None]
-            if free_rho:
-                rhos += [
-                    min(0.99995, max(0.5005, b_rho + f * rho_span))
-                    for f in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0)
-                ]
-            ws = [None]
-            if free_split:
-                ws += [
-                    min(DEFAULT_SPLIT, max(0.02, b_w + f * w_span))
-                    for f in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0)
-                ]
-            for r in rhos:
-                for w in ws:
-                    consider(r, w)
-            rho_span *= 0.25
-            w_span *= 0.25
-
+    best = None
+    for rho in rhos:
+        if stats.evaluations >= budget:
+            stats.budget_exhausted = True
+            break
+        stats.evaluations += 1
+        cert = make_certificate(
+            p, contraction_rule=contraction_rule, margin_rule=margin_rule, rho=rho
+        )
+        if best is None or cert.valid and (
+            not best.valid or (cert.constant, cert.chain.rho) < (best.constant, best.chain.rho)
+        ):
+            best = cert
     return best
 
 

@@ -62,6 +62,8 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     format: str = "json"
+    # extra key=value fields a handler adds to the <out>.log line (never the artifact)
+    log_fields: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -172,13 +174,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "optimize",
-        help="search the chain's free parameters (rho, split weight, margin "
-        "rule) for the smallest certified integrability constant",
+        help="smallest certified integrability constant over the chain's free "
+        "parameters (rho, split weight, margin rule), solved in closed form",
     )
     p.add_argument("--p", type=float, default=None, help="moment order to lift past")
     p.add_argument("--knobs", default=None,
-                   help="comma-separated subset of exact-k,exact-margin,rho,split")
-    p.add_argument("--budget", type=int, default=None, help="candidate evaluation budget")
+                   help="comma-separated subset of exact-k,exact-margin,rho,split "
+                   "(default exact-k); rho adds the closed-form optimal rho, split "
+                   "always resolves to the boundary w = 1/sqrt(2)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on certificate evaluations (at most 3 are needed; "
+                   "default 2048); the <out>.log line reports the evaluations used")
     add_common(p)
 
     p = sub.add_parser(
@@ -192,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=None,
                    help="comma-separated ascending thresholds (default: data-driven ladder)")
     p.add_argument("--k", type=int, default=None,
-                   help="Hill order-statistics count (default n//100)")
+                   help="Hill order-statistics count, 1 <= k < n/2 (default n//100)")
     p.add_argument("--raw", action="store_true", default=None,
                    help="skip the X_s/sqrt(s), X_t/sqrt(t) standardization")
     add_common(p)
@@ -312,7 +318,9 @@ def _sidecar(config: RunConfig, started: float) -> None:
     line = (
         f"command={config.command} out={config.out} "
         f"wall_clock={time.strftime('%Y-%m-%dT%H:%M:%S%z')} "
-        f"elapsed_s={time.monotonic() - started:.3f}\n"
+        f"elapsed_s={time.monotonic() - started:.3f}"
+        + "".join(f" {k}={json.dumps(v)}" for k, v in config.log_fields.items())
+        + "\n"
     )
     with open(config.out + ".log", "a", encoding="utf-8") as fh:
         fh.write(line)
@@ -512,8 +520,12 @@ def _run_certificate(config: RunConfig) -> int:
 def _run_optimize(config: RunConfig) -> int:
     cfg = config.params
     knobs = [k.strip() for k in str(cfg["knobs"]).split(",") if k.strip()]
-    cert = certs.optimize_constant(float(cfg["p"]), knobs, budget=int(cfg["budget"]))
-    results = {"knobs": knobs, "budget": int(cfg["budget"])}
+    budget = int(cfg["budget"])
+    stats = certs.SearchStats()
+    cert = certs.optimize_constant(float(cfg["p"]), knobs, budget=budget, stats=stats)
+    config.log_fields.update(evaluations=stats.evaluations, budget=budget,
+                             budget_exhausted=stats.budget_exhausted)
+    results = {"knobs": knobs, "budget": budget}
     results.update(cert.to_json_dict())
     _emit(config, results)
     return 0 if cert.valid else 1
@@ -525,6 +537,12 @@ def _run_tails(config: RunConfig) -> int:
     si = ens.time_index(float(cfg["s"]))
     ti = ens.time_index(float(cfg["t"]))
     normalize = not bool(cfg.get("raw"))
+    if cfg.get("k") is not None:
+        k = int(cfg["k"])
+        if not (1 <= k < ens.n_paths / 2):
+            raise ValueError(f"--k must satisfy 1 <= k < n/2 = {ens.n_paths / 2}, got {k}")
+    else:
+        k = max(1, ens.n_paths // 100)
 
     if cfg.get("thresholds") is not None:
         thresholds = np.array(_float_list(cfg["thresholds"]))
@@ -539,7 +557,6 @@ def _run_tails(config: RunConfig) -> int:
 
     curve = empirics.tail_curve(ens, si, ti, thresholds, normalize=normalize)
     samples = ens.paths[:, ti]
-    k = int(cfg["k"]) if cfg.get("k") is not None else max(1, ens.n_paths // 100)
     hill_info: dict[str, Any]
     try:
         hill = empirics.hill_tail_index(samples, k)

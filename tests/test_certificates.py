@@ -9,6 +9,8 @@ from qharness.certificates import (
     Certificate,
     ChainParams,
     DEFAULT_SPLIT,
+    SearchStats,
+    _constant_closed_form,
     embedding,
     integrability_constant,
     k_factor,
@@ -20,6 +22,10 @@ from qharness.certificates import (
     rho_for_order,
     tail_recursion_coeffs,
 )
+
+# the optimize knob sets of the benchmark's analytic sweep
+KNOB_SETS = ("exact-k", "exact-k,rho", "exact-k,exact-margin,rho",
+             "exact-k,exact-margin,rho,split")
 
 orders = st.floats(min_value=1.01, max_value=500.0)
 
@@ -249,6 +255,72 @@ class TestOptimizer:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError):
             optimize_constant(4.0, ["turbo"])
+
+
+class TestExactOptimum:
+    """The closed-form optimum: rho* or the margin crossing rho_x."""
+
+    @pytest.mark.parametrize("p", [3.0, 8.0, 32.0, 128.0])
+    @pytest.mark.parametrize("margin_rule, knobs", [
+        ("margin-64", ["exact-k", "rho"]),
+        ("margin-exact", ["exact-k", "exact-margin", "rho"]),
+    ])
+    def test_not_above_dense_scan(self, p, margin_rule, knobs):
+        cert = optimize_constant(p, knobs)
+        scan = min(
+            _constant_closed_form(p, float(r), None, margin_rule, "exact")
+            for r in np.linspace(0.5, 1.0, 100_001)[1:-1]
+        )
+        assert cert.valid and replay_certificate(cert) == cert
+        assert cert.constant <= scan * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("knobs, limit", [
+        (["exact-k", "rho"], 256.0 / math.log(8.0)),
+        (["exact-k", "exact-margin", "rho"], 32.0 * math.e),
+    ])
+    def test_large_order_limit(self, knobs, limit):
+        cert = optimize_constant(1e6, knobs)
+        assert cert.valid
+        assert cert.constant == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1000.0, 1e6])
+    @pytest.mark.parametrize("knobs", KNOB_SETS)
+    def test_large_order_valid(self, p, knobs):
+        cert = optimize_constant(p, knobs.split(","))
+        assert cert.valid and replay_certificate(cert) == cert
+        assert cert.constant <= integrability_constant("exact", p) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("knobs", [[], ["exact-k", "rho"]])
+    def test_order_at_most_one_rejected(self, knobs):
+        with pytest.raises(ValueError, match="need p > 1"):
+            optimize_constant(0.5, knobs)
+
+    def test_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match=r"p=1000\.0, rho=0\.52"):
+            make_certificate(1000.0, contraction_rule="exact", rho=0.52)
+
+    @pytest.mark.parametrize("p", [4.0, 8.0, 128.0])
+    @pytest.mark.parametrize("knobs", KNOB_SETS)
+    def test_split_knob_changes_nothing(self, p, knobs):
+        base = knobs.split(",")
+        freed = optimize_constant(p, base + ["split"])
+        assert freed == optimize_constant(p, [k for k in base if k != "split"])
+        assert freed.split_w is None
+
+    @pytest.mark.parametrize("knobs, evaluations", [
+        ([], 1), (["exact-k"], 1), (["exact-k", "exact-margin", "rho"], 2),
+        (["exact-k", "rho"], 3),
+    ])
+    def test_evaluations_counted(self, knobs, evaluations):
+        stats = SearchStats()
+        optimize_constant(16.0, knobs, stats=stats)
+        assert stats == SearchStats(evaluations, False)
+
+    def test_budget_one_returns_tied(self):
+        stats = SearchStats()
+        cert = optimize_constant(16.0, ["exact-k", "rho"], budget=1, stats=stats)
+        assert cert == make_certificate(16.0, contraction_rule="exact")
+        assert stats == SearchStats(1, True)
 
 
 class TestLadder:

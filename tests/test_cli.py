@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qharness import cli
+from qharness.certificates import make_certificate
 from qharness.cli import RunConfig, main, parse_args
 from qharness.simulate import load_ensemble
 
@@ -256,6 +257,30 @@ class TestOptimizeCommand:
         res = json.loads(out.read_text())["results"]
         assert res["valid"] is True and res["constant"] < 128.0
 
+    @pytest.mark.parametrize("p", ["1000", "1e6"])
+    def test_large_order_exits_zero(self, tmp_path, p):
+        out = tmp_path / "opt.json"
+        code = run_cli(["optimize", "--p", p, "--knobs", "exact-k,rho", "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        k = 2.0 / (1.0 - 1.0 / (float(p) + 1.0)) - 1.0
+        assert res["valid"] is True
+        assert res["constant"] <= max(16.0 * k ** (float(p) + 1.0), 128.0)
+
+    @pytest.mark.parametrize("budget, tied, tail", [
+        ("1", True, "evaluations=1 budget=1 budget_exhausted=true"),
+        ("2048", False, "evaluations=3 budget=2048 budget_exhausted=false"),
+    ])
+    def test_sidecar_reports_evaluations(self, tmp_path, budget, tied, tail):
+        out = tmp_path / "opt.json"
+        code = run_cli(["optimize", "--p", "16", "--knobs", "exact-k,rho",
+                        "--budget", budget, "--out", str(out)])
+        assert code == 0
+        assert (tmp_path / "opt.json.log").read_text().endswith(f" {tail}\n")
+        res = json.loads(out.read_text())["results"]
+        want = make_certificate(16.0, contraction_rule="exact").to_json_dict()
+        assert ({k: res[k] for k in want} == want) is tied
+
 
 class TestErrorContract:
     def test_unexpected_exception_exits_two(self, monkeypatch, capsys):
@@ -325,6 +350,18 @@ class TestTailsCommand:
         assert all(0 <= v <= 2 for v in res["n_values"])
         assert np.all(np.diff(res["n_values"]) <= 0)
         assert "alpha" in res["hill"]
+
+    @pytest.mark.parametrize("k", ["0", "-5", "2500", "999999"])
+    def test_out_of_range_k_exits_two(self, tmp_path, capsys, k):
+        ens_path, out = tmp_path / "w.qhe", tmp_path / "tails.json"
+        run_cli(["simulate", "--process", "wiener", "--grid", "0.5,1.0",
+                 "--paths", "5000", "--seed", "3", "--out", str(ens_path)])
+        capsys.readouterr()
+        code = run_cli(["tails", str(ens_path), "--s", "0.5", "--t", "1.0", "--k", k,
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("qharness tails: error: ") and err.count("\n") == 1
 
     def test_csv_format(self, tmp_path):
         ens_path = tmp_path / "w.qhe"
