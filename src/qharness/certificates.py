@@ -66,7 +66,8 @@ __all__ = [
 ]
 
 # Weight of the overlap-event threshold (1-rho)*w*sqrt(Y^2+t^2).  The event
-# split requires w <= 1/sqrt(2); the default is that boundary value.
+# split requires w <= 1/sqrt(2) and q decreases in w, so the chain pins w at
+# that boundary.
 DEFAULT_SPLIT = math.sqrt(0.5)
 
 # Witness nudge: inequality steps are recorded just inside the certified range.
@@ -154,20 +155,19 @@ class TailBound:
     steps: tuple[Step, ...]
 
 
-def tail_recursion_coeffs(
-    chain: ChainParams,
-    *,
-    split_w: float | None = None,
-    margin_rule: str = "margin-64",
-) -> TailBound:
+def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64") -> TailBound:
     """Explicit (c1, c2, q) with the hypothesis checks that certify them.
 
-    With overlap-split weight w (default 1/sqrt(2)) and escape-split
-    coefficient a:
+    With u = 1 - rho, the overlap-split weight pinned at w = 1/sqrt(2) and
+    escape-split coefficient a:
 
-        c1 = 2A/(w^2 (1-rho)^2) + 2A/(1-rho)^4
-        c2 = 2B/(w^2 (1-rho)^2) + B/(a (1-rho)^2)
-        q  = 4*delta/(w^2 (1-rho))          (= 8*delta/(1-rho) at default w)
+        c1 = 4A/u^2 + 2A/u^4
+        c2 = 4B/u^2 + B/(a u^2)
+        q  = 8*delta/u
+
+    For a general weight w the first terms read 2A/(w^2 u^2), 2B/(w^2 u^2)
+    and q = 4*delta/(w^2 u); q decreases in w and the event split needs
+    w <= 1/sqrt(2), so the boundary is the only weight worth using.
 
     The two-stage bookkeeping is the standard one: the escape events spill
     at most (1/2) N(Kt), which is absorbed and the remaining coefficients
@@ -184,9 +184,6 @@ def tail_recursion_coeffs(
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if A < 0.0 or B < 0.0:
         raise ValueError("A and B must be >= 0")
-    w = DEFAULT_SPLIT if split_w is None else split_w
-    if not (0.0 < w <= DEFAULT_SPLIT):
-        raise ValueError(f"split weight must lie in (0, 1/sqrt(2)], got {w}")
 
     u = 1.0 - rho
     a_max = rho * rho * u / (2.0 - rho)
@@ -210,10 +207,9 @@ def tail_recursion_coeffs(
     steps.append(Step("split-admissible", a_sq, a_max * a_max, a_sq <= a_max * a_max))
     steps.append(Step("quadratic-absorption", prod, 0.5 * a_sq, prod <= 0.5 * a_sq))
 
-    w2 = 0.5 if split_w is None else w * w
-    c1 = 2.0 * A / (w2 * u * u) + 2.0 * A / u**4
-    c2 = 2.0 * B / (w2 * u * u) + (0.0 if B == 0.0 else B / (a * u * u))
-    q = 4.0 * delta / (w2 * u)
+    c1 = 4.0 * A / (u * u) + 2.0 * A / u**4
+    c2 = 4.0 * B / (u * u) + (0.0 if B == 0.0 else B / (a * u * u))
+    q = 8.0 * delta / u
 
     failed = next((s.name for s in steps if not s.passed), None)
     return TailBound(c1, c2, q, a, failed is None, failed, tuple(steps))
@@ -259,13 +255,14 @@ def integrability_constant(mode: str, p: float) -> float:
     paper mode returns the printed 240 for every p.  exact mode evaluates the
     chain's two binding inequalities sharply at the default rho = 1 - 1/(p+1):
     max(16*K^(p+1), 128), the second term coming from the delta-margin
-    requirement 2*sqrt(sigma*tau) < (1-rho)/64.
+    requirement 2*sqrt(sigma*tau) < (1-rho)/64 (both divided by the rounded
+    (1-rho)(p+1) once it drifts from 1, from p = 4229 on).
     """
     if mode not in _CONTRACTION_RULES:
         raise ValueError(f"mode must be one of {_CONTRACTION_RULES}, got {mode!r}")
     if not (p > 1.0):
         raise ValueError(f"need p > 1, got {p}")
-    return _constant_closed_form(p, None, None, "margin-64", mode)
+    return _constant_closed_form(p, None, "margin-64", mode)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,6 @@ class Certificate:
     steps: tuple[Step, ...]
     delta_rule: str = "margin-64"
     contraction_rule: str = "paper"
-    split_w: float | None = None
     rho_tied: bool = True
 
     def to_json_dict(self) -> dict:
@@ -293,7 +289,7 @@ class Certificate:
             "delta": self.chain.delta,
             "delta_rule": self.delta_rule,
             "contraction_rule": self.contraction_rule,
-            "split_w": self.split_w,
+            "split_w": None,  # the weight is pinned at DEFAULT_SPLIT; key kept for the layout
             "K": self.chain.K,
             "A": self.chain.A,
             "B": self.chain.B,
@@ -328,28 +324,27 @@ class Certificate:
             steps=steps,
             delta_rule=d["delta_rule"],
             contraction_rule=d["contraction_rule"],
-            split_w=d["split_w"],
             rho_tied=d["rho_tied"],
         )
 
 
 def _constant_closed_form(
-    p: float,
-    rho: float | None,
-    split_w: float | None,
-    margin_rule: str,
-    contraction_rule: str,
+    p: float, rho: float | None, margin_rule: str, contraction_rule: str
 ) -> float:
     """Certified constant max(contraction part, margin part), in closed form.
 
-    When rho is tied to the order ((1-rho)(p+1) = 1) and the split weight is
-    the default, the algebraically simplified expressions are used so the
-    headline constants come out bit-exact.
+    When rho is tied to the order, (1-rho)(p+1) = 1 algebraically and the
+    simplified expressions make the headline constants come out bit-exact.
+    The steps use the rounded rho, though, whose error in 1-rho grows with p;
+    once the rounded product falls more than 2^-42 below 1 (a quarter of the
+    witness nudge; first at p = 4229) it is divided out, so the witness
+    stays inside every step.
     """
     r = rho_for_order(p) if rho is None else rho
     k = k_factor(r)
-    denom = 1.0 if rho is None else (1.0 - r) * (p + 1.0)
-    w_boost = 1.0 if split_w is None else 0.5 / (split_w * split_w)
+    denom = (1.0 - r) * (p + 1.0)
+    if rho is None and denom >= 1.0 - 2.0**-42:
+        denom = 1.0
 
     if contraction_rule == "paper":
         c_contr = 240.0
@@ -358,7 +353,7 @@ def _constant_closed_form(
             k_pow = k ** (p + 1.0)
         except OverflowError:
             raise ValueError(f"K^(p+1) overflows at p={p}, rho={r}") from None
-        c_contr = 16.0 * w_boost * k_pow / denom
+        c_contr = 16.0 * k_pow / denom
 
     if margin_rule == "margin-64":
         c_margin = 128.0 / denom
@@ -374,43 +369,38 @@ def make_certificate(
     contraction_rule: str = "paper",
     margin_rule: str = "margin-64",
     rho: float | None = None,
-    split_w: float | None = None,
     A: float = 1.0,
     B: float = 1.0,
     delta: float | None = None,
 ) -> Certificate:
     """Build and validate a certificate for lifting moments past order p.
 
-    rho/split_w default to the order-tied choices (pass explicit values only
+    rho defaults to the order-tied 1 - 1/(p+1) (pass an explicit value only
     together with exact contraction; the printed contraction bound is only
-    valid for the defaults).  When ``delta`` is given, the chain is checked at
+    valid for the default).  When ``delta`` is given, the chain is checked at
     that value (e.g. delta = 0 for an exactly-correlated Gaussian pair);
     otherwise the steps are recorded at the witness just inside the certified
     range of the returned constant.
     """
     if not (p > 1.0):
         raise ValueError(f"need p > 1, got {p}")
-    if margin_rule not in _MARGIN_RULES:
-        raise ValueError(f"margin_rule must be one of {_MARGIN_RULES}, got {margin_rule!r}")
     if contraction_rule not in _CONTRACTION_RULES:
         raise ValueError(
             f"contraction_rule must be one of {_CONTRACTION_RULES}, got {contraction_rule!r}"
         )
-    if contraction_rule == "paper" and (rho is not None or split_w is not None):
-        raise ValueError(
-            "the printed contraction bound applies only to the default rho and split weight"
-        )
+    if contraction_rule == "paper" and rho is not None:
+        raise ValueError("the printed contraction bound applies only to the default rho")
 
     r = rho_for_order(p) if rho is None else rho
     if not (0.0 < r < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {r}")
     k = k_factor(r)
-    constant = _constant_closed_form(p, rho, split_w, margin_rule, contraction_rule)
+    constant = _constant_closed_form(p, rho, margin_rule, contraction_rule)
     if delta is None:
         delta = (2.0 / (constant * (p + 1.0))) * _WITNESS
 
     chain = ChainParams(p=p, rho=r, delta=delta, K=k, A=A, B=B)
-    tb = tail_recursion_coeffs(chain, split_w=split_w, margin_rule=margin_rule)
+    tb = tail_recursion_coeffs(chain, margin_rule=margin_rule)
 
     if contraction_rule == "paper":
         contr_value = 120.0 * delta * (p + 1.0)
@@ -431,7 +421,6 @@ def make_certificate(
         steps=steps,
         delta_rule=margin_rule,
         contraction_rule=contraction_rule,
-        split_w=split_w,
         rho_tied=rho is None,
     )
 
@@ -447,7 +436,6 @@ def replay_certificate(cert: Certificate) -> Certificate:
         contraction_rule=cert.contraction_rule,
         margin_rule=cert.delta_rule,
         rho=None if cert.rho_tied else cert.chain.rho,
-        split_w=cert.split_w,
         A=cert.chain.A,
         B=cert.chain.B,
         delta=cert.chain.delta,
@@ -472,13 +460,13 @@ def optimize_constant(
     budget: int = 2048,
     stats: SearchStats | None = None,
 ) -> Certificate:
-    """Smallest certified constant over the chain's free parameters.
+    """Smallest certified constant over the chain's one free parameter, rho.
 
     Knobs:
       exact-k      evaluate the contraction with the exact K^(p+1)
       exact-margin use the exact split-admissibility margin instead of 1/64
       rho          free the correlation from the order-tied default
-      split        free the overlap-split weight (<= 1/sqrt(2))
+      split        accepted and without effect (the split weight is pinned)
 
     rho only takes effect together with exact-k: the printed contraction
     bound is tied to the default choices, so without exact-k it cannot move
@@ -491,10 +479,9 @@ def optimize_constant(
     The 1/64 margin M(rho) = 128/((1-rho)(p+1)) increases in rho and meets C
     where 16*K^(p+1) = 128, at rho_x = 2/(1 + 8^(1/(p+1))), so the optimum
     is rho* or rho_x.  Under the exact margin C/M = 4(2-rho)^(p-1) rho^(2-p)
-    exceeds 1 for every p > 1, so the optimum is rho*.  The split weight w
-    enters only through q = 4*delta/(w^2 (1-rho)), which decreases in w, and
-    w <= 1/sqrt(2) is forced: the split knob resolves to that boundary
-    (``split_w=None``) without a search.
+    exceeds 1 for every p > 1, so the optimum is rho*.  The split weight
+    is not a parameter: ``tail_recursion_coeffs`` pins it at its boundary
+    1/sqrt(2), where q is smallest.
 
     The tied default is evaluated first, then rho* (and rho_x under the 1/64
     margin), each through ``make_certificate``, so every result carries its

@@ -32,14 +32,20 @@ from . import certificates as certs
 SUBCOMMANDS = ("simulate", "verify", "moments", "hankel", "certificate", "optimize", "tails")
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "simulate": {"seed": 0, "format": "qhe", "pascal_q": 0.5, "workers": 1},
-    "verify": {"seed": 0, "format": "json", "bins": 40},
-    "moments": {"seed": 0, "format": "json", "eta": 0.0, "theta": 0.0, "sigma": 0.0,
+    "simulate": {"seed": 0, "pascal_q": 0.5, "workers": 1},
+    "verify": {"seed": 0, "bins": 40},
+    "moments": {"seed": 0, "eta": 0.0, "theta": 0.0, "sigma": 0.0,
                 "tau": 0.0, "gamma": 1.0, "t": 1.0},
-    "hankel": {"seed": 0, "format": "json"},
-    "certificate": {"seed": 0, "format": "json", "mode": "paper"},
-    "optimize": {"seed": 0, "format": "json", "budget": 2048, "knobs": "exact-k"},
-    "tails": {"seed": 0, "format": "json", "raw": False},
+    "hankel": {"seed": 0},
+    "certificate": {"seed": 0, "mode": "paper"},
+    "optimize": {"seed": 0, "budget": 2048, "knobs": "exact-k"},
+    "tails": {"seed": 0, "raw": False},
+}
+
+# the artifact formats each subcommand writes; the first is the default
+_FORMATS: dict[str, tuple[str, ...]] = {
+    "simulate": ("qhe", "csv"), "verify": ("json", "csv"), "tails": ("json", "csv"),
+    **{c: ("json",) for c in ("moments", "hankel", "certificate", "optimize")},
 }
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
@@ -108,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file with the same keys as the flags; explicit flags override")
         p.add_argument("--seed", type=int, default=None, help="seed recorded in every artifact")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", default=None, help="output format")
+        p.add_argument("--format", default=None,
+                       help="output format: qhe|csv (simulate), json|csv (verify, "
+                       "tails), json (the others)")
 
     p = sub.add_parser(
         "simulate",
@@ -175,13 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "optimize",
         help="smallest certified integrability constant over the chain's free "
-        "parameters (rho, split weight, margin rule), solved in closed form",
+        "parameter rho and margin rule, solved in closed form",
     )
     p.add_argument("--p", type=float, default=None, help="moment order to lift past")
     p.add_argument("--knobs", default=None,
                    help="comma-separated subset of exact-k,exact-margin,rho,split "
-                   "(default exact-k); rho adds the closed-form optimal rho, split "
-                   "always resolves to the boundary w = 1/sqrt(2)")
+                   "(default exact-k); rho adds the closed-form optimal rho; split "
+                   "is accepted and has no effect (the split weight is pinned at "
+                   "1/sqrt(2))")
     p.add_argument("--budget", type=int, default=None,
                    help="cap on certificate evaluations (at most 3 are needed; "
                    "default 2048); the <out>.log line reports the evaluations used")
@@ -234,7 +243,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error(f"{ns.command}: missing required flags: {', '.join(missing)}")
 
     out = merged.pop("out", None)
-    fmt = merged.pop("format")
+    formats = _FORMATS[ns.command]
+    fmt = merged.pop("format", formats[0])
+    if fmt not in formats:
+        raise ValueError(f"{ns.command}: --format must be {'|'.join(formats)}, got {fmt!r}")
     seed = int(merged.pop("seed"))
     merged["seed"] = seed
     return RunConfig(command=ns.command, params=merged, seed=seed, out=out, format=fmt)
@@ -283,7 +295,7 @@ def _atomic_write(path: str, writer: Callable[[str], Any]) -> None:
 
 
 def _emit(config: RunConfig, results: dict, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
-    """Write (or print) the artifact; JSON unless format=csv and rows exist."""
+    """Write (or print) the artifact as CSV rows when format=csv, else as JSON."""
     artifact = {
         "version": __version__,
         "command": config.command,
@@ -291,7 +303,7 @@ def _emit(config: RunConfig, results: dict, csv_rows: tuple[list[str], list[list
         "config": _jsonify(config.params),
         "results": _jsonify(results),
     }
-    if config.format == "csv" and csv_rows is not None:
+    if config.format == "csv":
         header, rows = csv_rows
         lines = [
             f"# version={__version__}",
@@ -349,14 +361,7 @@ def _run_simulate(config: RunConfig) -> int:
     ens = simulate.sample_ensemble(
         kind, grid, int(cfg["paths"]), config.seed, n_workers=int(cfg["workers"])
     )
-    if config.out is None:
-        raise ValueError("simulate requires --out")
-    if config.format == "qhe":
-        writer = simulate.save_ensemble
-    elif config.format == "csv":
-        writer = simulate.ensemble_to_csv
-    else:
-        raise ValueError(f"simulate format must be qhe|csv, got {config.format!r}")
+    writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
     _atomic_write(config.out, lambda tmp: writer(ens, tmp))
     return 0
 

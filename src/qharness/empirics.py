@@ -96,6 +96,29 @@ class BinnedConditional:
         return out
 
 
+def _check_pair(e: Ensemble, s_index: int, t_index: int) -> None:
+    if not (0 <= s_index < t_index < e.n_times):
+        raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
+
+
+def _oriented(e: Ensemble, s_index: int, t_index: int, direction: str):
+    """(s, t, conditioning column, target column, mean slope) of the pair.
+
+    forward conditions X_t on X_s (slope 1 for a martingale); backward
+    conditions X_s on X_t (slope s/t).
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward|backward, got {direction!r}")
+    _check_pair(e, s_index, t_index)
+    s = float(e.grid[s_index])
+    t = float(e.grid[t_index])
+    xs = e.paths[:, s_index]
+    xt = e.paths[:, t_index]
+    if direction == "forward":
+        return s, t, xs, xt, 1.0
+    return s, t, xt, xs, s / t
+
+
 def estimate_conditional(
     e: Ensemble,
     s_index: int,
@@ -118,18 +141,9 @@ def estimate_conditional(
     (lattice marginals), each value becomes its own bin; otherwise duplicate
     quantile edges are collapsed, so fewer than n_bins bins may come back.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward|backward, got {direction!r}")
+    s, t, cond, target, slope = _oriented(e, s_index, t_index, direction)
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
-    if not (0 <= s_index < t_index < e.n_times):
-        raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
-
-    s = float(e.grid[s_index])
-    t = float(e.grid[t_index])
-    xs = e.paths[:, s_index]
-    xt = e.paths[:, t_index]
-    cond, target = (xs, xt) if direction == "forward" else (xt, xs)
 
     # one sort serves the distinct values, the quantile edges and the bin
     # counts; it is freed before the gathers below to keep peak memory flat
@@ -154,7 +168,6 @@ def estimate_conditional(
     assign = np.searchsorted(edges[1:-1], cond, side="right").astype(np.min_scalar_type(nb - 1))
     order = np.argsort(assign, kind="stable")
     cond, target = cond[order], target[order]
-    slope = 1.0 if direction == "forward" else s / t
     resid_sq = (target - slope * cond) ** 2
 
     x_mean = np.zeros(nb)
@@ -267,17 +280,7 @@ def conditional_mean_slope(e: Ensemble, s_index: int, t_index: int, direction: s
     forward regresses X_t on X_s (slope 1 for a martingale); backward
     regresses X_s on X_t (slope s/t).
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward|backward, got {direction!r}")
-    if not (0 <= s_index < t_index < e.n_times):
-        raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
-    xs = e.paths[:, s_index]
-    xt = e.paths[:, t_index]
-    s = float(e.grid[s_index])
-    t = float(e.grid[t_index])
-    x, y = (xs, xt) if direction == "forward" else (xt, xs)
-    predicted = 1.0 if direction == "forward" else s / t
-
+    _, _, x, y, predicted = _oriented(e, s_index, t_index, direction)
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(np.sum(xc * xc))
@@ -335,8 +338,7 @@ def tail_curve(
         raise ValueError("thresholds must be a non-empty 1-d sequence")
     if not np.all(thresholds > 0) or not np.all(np.diff(thresholds) > 0):
         raise ValueError("thresholds must be ascending and positive")
-    if not (0 <= s_index < t_index < e.n_times):
-        raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
+    _check_pair(e, s_index, t_index)
     x = np.abs(e.paths[:, s_index])
     y = np.abs(e.paths[:, t_index])
     if normalize:

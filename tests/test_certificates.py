@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qharness.certificates import (
     Certificate,
     ChainParams,
-    DEFAULT_SPLIT,
     SearchStats,
     _constant_closed_form,
     embedding,
@@ -28,6 +27,25 @@ KNOB_SETS = ("exact-k", "exact-k,rho", "exact-k,exact-margin,rho",
              "exact-k,exact-margin,rho,split")
 
 orders = st.floats(min_value=1.01, max_value=500.0)
+
+# a certificate recorded when the split weight was a parameter, at w = 0.5
+SPLIT_HALF_JSON = (
+    '{"p": 6.0, "rho": 0.9, "rho_tied": false, "delta": 0.0015340121072459818, '
+    '"delta_rule": "margin-64", "contraction_rule": "exact", "split_w": 0.5, '
+    '"K": 1.2222222222222223, "A": 1.0, "B": 1.0, "c1": 20800.00000000002, '
+    '"c2": 6817.96079032393, "q": 0.24544193715935714, "constant": 186.2529535226224, '
+    '"valid": true, "failed_step": null, "steps": ['
+    '{"name": "rho-lower", "lhs": 0.5, "rhs": 0.9, "pass": true}, '
+    '{"name": "rho-upper", "lhs": 0.9, "rhs": 1.0, "pass": true}, '
+    '{"name": "delta-nonnegative", "lhs": 0.0, "rhs": 0.0015340121072459818, "pass": true}, '
+    '{"name": "delta-margin", "lhs": 0.0015340121072459818, "rhs": 0.0015624999999999997, '
+    '"pass": true}, '
+    '{"name": "split-admissible", "lhs": 0.0002761221793042767, "rhs": 0.005422314049586775, '
+    '"pass": true}, '
+    '{"name": "quadratic-absorption", "lhs": 0.00013806108965213834, '
+    '"rhs": 0.00013806108965213834, "pass": true}, '
+    '{"name": "contraction", "lhs": 0.9999999999990905, "rhs": 1.0, "pass": true}]}'
+)
 
 
 class TestRhoAndK:
@@ -113,6 +131,28 @@ class TestTailRecursionCoeffs:
         tb = tail_recursion_coeffs(chain)
         assert not tb.valid and tb.failed_step == "rho-lower"
 
+    @pytest.mark.parametrize("rho, delta, a_big, b_lin", [
+        (0.75, 0.001, 1.0, 1.0), (0.8, 0.001, 2.5, 0.7), (0.9, 0.0015, 1.0, 1.0),
+        (0.999, 1e-6, 0.3, 0.0),
+    ])
+    def test_pinned_weight_bit_identical_to_general_form(self, rho, delta, a_big, b_lin):
+        # the general-weight expressions at w^2 = 1/2, written as before the
+        # weight was pinned: halving is exact, so the values agree bit for bit
+        chain = ChainParams(p=4.0, rho=rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
+        tb = tail_recursion_coeffs(chain)
+        u, w2 = 1.0 - rho, 0.5
+        assert tb.c1 == 2.0 * a_big / (w2 * u * u) + 2.0 * a_big / u**4
+        assert tb.c2 == 2.0 * b_lin / (w2 * u * u) + (
+            0.0 if b_lin == 0.0 else b_lin / (tb.a_split * u * u))
+        assert tb.q == 4.0 * delta / (w2 * u)
+
+    def test_unknown_margin_rule_rejected(self):
+        chain = ChainParams(p=3.0, rho=0.75, delta=0.001, K=k_factor(0.75))
+        with pytest.raises(ValueError, match="margin_rule must be one of"):
+            tail_recursion_coeffs(chain, margin_rule="margin-32")
+        with pytest.raises(ValueError, match="margin_rule must be one of"):
+            make_certificate(4.0, contraction_rule="exact", margin_rule="margin-32")
+
 
 class TestMomentLift:
     def test_printed_condition_pass(self):
@@ -194,10 +234,36 @@ class TestCertificates:
             {"contraction_rule": "paper"},
             {"contraction_rule": "exact"},
             {"contraction_rule": "exact", "margin_rule": "margin-exact"},
-            {"contraction_rule": "exact", "rho": 0.9, "split_w": 0.5},
+            {"contraction_rule": "exact", "rho": 0.9},
         ):
             cert = make_certificate(6.0, **kwargs)
             assert replay_certificate(cert) == cert
+
+    def test_recorded_split_weight_does_not_replay(self):
+        # the weight is no longer a parameter: a certificate recorded at
+        # w = 0.5 replays at the pinned w = 1/sqrt(2) and must not match
+        recorded = Certificate.from_json_dict(json.loads(SPLIT_HALF_JSON))
+        replayed = replay_certificate(recorded)
+        assert replayed != recorded
+        assert recorded.c1 == pytest.approx(20800.0) and replayed.c1 == pytest.approx(20400.0)
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    @pytest.mark.parametrize("p", [16399.0, 1e5, 1e7, 1e8, 1e10, 1e12, 1e15])
+    def test_tied_valid_at_large_orders(self, p, mode):
+        # the rounded 1-rho of the tied rho drifts from 1/(p+1) as p grows;
+        # the constant must follow it so that the witness stays inside
+        cert = make_certificate(p, contraction_rule=mode)
+        assert cert.valid, cert.failed_step
+        assert replay_certificate(cert) == cert
+
+    def test_tied_valid_for_every_integer_order(self):
+        invalid = [
+            (p, mode)
+            for p in range(2, 20_001)
+            for mode in ("paper", "exact")
+            if not make_certificate(float(p), contraction_rule=mode).valid
+        ]
+        assert invalid == []
 
     def test_paper_rule_requires_default_rho(self):
         with pytest.raises(ValueError):
@@ -244,8 +310,7 @@ class TestOptimizer:
         tied = optimize_constant(8.0, ["exact-k", "exact-margin", "rho"])
         freed = optimize_constant(8.0, ["exact-k", "exact-margin", "rho", "split"])
         assert freed.constant <= tied.constant + 1e-9
-        w = freed.split_w if freed.split_w is not None else DEFAULT_SPLIT
-        assert w == pytest.approx(DEFAULT_SPLIT, abs=1e-6)
+        assert freed.to_json_dict()["split_w"] is None
 
     def test_deterministic(self):
         a = optimize_constant(5.0, ["exact-k", "exact-margin", "rho", "split"])
@@ -268,7 +333,7 @@ class TestExactOptimum:
     def test_not_above_dense_scan(self, p, margin_rule, knobs):
         cert = optimize_constant(p, knobs)
         scan = min(
-            _constant_closed_form(p, float(r), None, margin_rule, "exact")
+            _constant_closed_form(p, float(r), margin_rule, "exact")
             for r in np.linspace(0.5, 1.0, 100_001)[1:-1]
         )
         assert cert.valid and replay_certificate(cert) == cert
@@ -305,7 +370,7 @@ class TestExactOptimum:
         base = knobs.split(",")
         freed = optimize_constant(p, base + ["split"])
         assert freed == optimize_constant(p, [k for k in base if k != "split"])
-        assert freed.split_w is None
+        assert freed.to_json_dict()["split_w"] is None
 
     @pytest.mark.parametrize("knobs, evaluations", [
         ([], 1), (["exact-k"], 1), (["exact-k", "exact-margin", "rho"], 2),

@@ -128,6 +128,68 @@ class TestCertificateCommand:
         assert code == 1
         assert json.loads(out.read_text())["results"]["valid"] is False
 
+    @pytest.mark.parametrize("p", ["16399", "1e12"])
+    def test_large_tied_order_exits_zero(self, tmp_path, p):
+        out = tmp_path / "cert.json"
+        assert run_cli(["certificate", "--p", p, "--mode", "exact", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["valid"] is True and res["split_w"] is None
+
+
+class TestFormatContract:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "e.qhe", "--s", "0.5", "--t", "1.0", "--format", "yaml"],
+        ["tails", "e.qhe", "--s", "0.5", "--t", "1.0", "--format", "qhe"],
+        ["certificate", "--p", "4", "--format", "csv"],
+        ["optimize", "--p", "4", "--format", "csv"],
+        ["moments", "--format", "csv"],
+        ["hankel", "--moments", "1,0,1,0,3", "--format", "csv"],
+        ["simulate", "--process", "wiener", "--grid", "0.5,1.0", "--paths", "100",
+         "--format", "yaml"],
+        ["simulate", "--process", "wiener", "--grid", "0.5,1.0", "--paths", "100",
+         "--format", "json"],
+    ])
+    def test_unsupported_format_exits_two_before_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        def forbidden(config):
+            raise AssertionError("handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], forbidden)
+        out = tmp_path / "artifact"
+        code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("qharness: error: ") and err.count("\n") == 1
+        assert "--format" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_format_checked(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"format": "yaml"}))
+        code = run_cli(["certificate", "--p", "4", "--config", str(cfg_file)])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, formats", [
+        ("simulate", ("qhe", "csv")), ("verify", ("json", "csv")), ("tails", ("json", "csv")),
+        ("moments", ("json",)), ("hankel", ("json",)), ("certificate", ("json",)),
+        ("optimize", ("json",)),
+    ])
+    def test_default_format_is_first_accepted(self, command, formats):
+        argv = {
+            "simulate": ["simulate", "--process", "wiener", "--grid", "1", "--paths", "1",
+                         "--out", "e.qhe"],
+            "verify": ["verify", "e.qhe", "--s", "0.5", "--t", "1"],
+            "tails": ["tails", "e.qhe", "--s", "0.5", "--t", "1"],
+            "moments": ["moments"],
+            "hankel": ["hankel", "--moments", "1,0,1,0,3"],
+            "certificate": ["certificate", "--p", "4"],
+            "optimize": ["optimize", "--p", "4"],
+        }[command]
+        assert parse_args(argv).format == formats[0]
+        for fmt in formats:
+            assert parse_args(argv + ["--format", fmt]).format == fmt
+
 
 class TestSimulateAndVerify:
     def test_simulate_then_verify(self, tmp_path):
