@@ -23,12 +23,13 @@ The printed chain gives c = 240.  This module makes every inequality of the
 chain explicit and machine-checkable, evaluates the sharp variants (exact
 K^(p+1) instead of the rounded bound 2e^2, the exact split admissibility
 instead of the 1/64 margin), and finds the smallest constant the same proof
-structure supports.  That constant is max(contraction(rho), margin(rho)), a
-function of rho alone, and its minimiser has a closed form (see
-``optimize_constant``): the stationary point 1 - rho* = 1/((p+1) +
-sqrt((p+1)^2 + 1)) of the contraction term, or, under the 1/64 margin, the
-crossing rho_x = 2/(1 + 8^(1/(p+1))) of the two terms.  As p -> inf the
-optimum tends to 256/ln 8 (1/64 margin) and 32e (exact margin).
+structure supports.  That constant is max(contraction, margin), a function
+of u = 1 - rho alone, and its minimiser has a closed form (see
+``optimize_constant``): the stationary point u* = 1/((p+1) + sqrt((p+1)^2 + 1))
+of the contraction term, or, under the 1/64 margin, the crossing
+u_x = tanh(ln(8)/(2(p+1))) of the two terms; as p -> inf the optimum tends to
+256/ln 8 (1/64 margin) and 32e (exact margin).  The chain carries u, not rho:
+rho rounds away the digits of u that K^(p+1) amplifies p-fold.
 
 Certificate semantics: the certified ``constant`` is computed in closed
 form; the recorded inequality steps are evaluated at a witness
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "DEFAULT_SPLIT",
     "ChainParams",
     "Step",
     "TailBound",
@@ -64,11 +64,6 @@ __all__ = [
     "optimize_constant",
     "ladder",
 ]
-
-# Weight of the overlap-event threshold (1-rho)*w*sqrt(Y^2+t^2).  The event
-# split requires w <= 1/sqrt(2) and q decreases in w, so the chain pins w at
-# that boundary.
-DEFAULT_SPLIT = math.sqrt(0.5)
 
 # Witness nudge: inequality steps are recorded just inside the certified range.
 _WITNESS = 1.0 - 2.0**-40
@@ -120,12 +115,12 @@ def embedding(sigma: float, tau: float, rho: float) -> Embedding:
 class ChainParams:
     """Free parameters of one pass through the chain.
 
-    delta is the quadratic tail coefficient, K the tail-scaling factor, and
-    A, B the affine coefficients of the conditional second-moment bound.
+    u = 1 - rho carries the correlation, delta is the quadratic tail
+    coefficient, K the tail-scaling factor, and A, B the affine coefficients.
     """
 
     p: float
-    rho: float
+    u: float
     delta: float
     K: float
     A: float = 1.0
@@ -174,18 +169,18 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     doubled.  The escape-split coefficient is a = sqrt(2*delta*rho*(1-rho))
     for delta > 0 (absorption ratio exactly 1/2); at delta = 0 that choice
     degenerates, so the maximal admissible a_max = rho^2(1-rho)/(2-rho) is
-    used instead, keeping c2 finite.  Hypothesis violations yield
-    ``valid=False`` with the first failing step recorded.
+    used instead, keeping c2 finite.  Hypothesis violations yield ``valid=False``
+    with the first failing step recorded; c1 or c2 beyond floats is a ValueError.
     """
     if margin_rule not in _MARGIN_RULES:
         raise ValueError(f"margin_rule must be one of {_MARGIN_RULES}, got {margin_rule!r}")
-    rho, delta, A, B = chain.rho, chain.delta, chain.A, chain.B
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    u, delta, A, B = chain.u, chain.delta, chain.A, chain.B
+    if not (0.0 < u < 1.0):
+        raise ValueError(f"u = 1 - rho must lie in (0, 1), got {u}")
     if A < 0.0 or B < 0.0:
         raise ValueError("A and B must be >= 0")
 
-    u = 1.0 - rho
+    rho = 1.0 - u
     a_max = rho * rho * u / (2.0 - rho)
     # The split coefficient is compared in squared form: a^2 = 2*delta*rho*u
     # exactly, so the absorption ratio delta*rho*u / (a^2/2) is exactly 1 and
@@ -196,7 +191,7 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
 
     steps = [
         Step("rho-lower", 0.5, rho, 0.5 < rho),
-        Step("rho-upper", rho, 1.0, rho < 1.0),
+        Step("rho-upper", 0.0, u, 0.0 < u),
         Step("delta-nonnegative", 0.0, delta, 0.0 <= delta),
     ]
     if margin_rule == "margin-64":
@@ -207,8 +202,13 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     steps.append(Step("split-admissible", a_sq, a_max * a_max, a_sq <= a_max * a_max))
     steps.append(Step("quadratic-absorption", prod, 0.5 * a_sq, prod <= 0.5 * a_sq))
 
-    c1 = 4.0 * A / (u * u) + 2.0 * A / u**4
-    c2 = 4.0 * B / (u * u) + (0.0 if B == 0.0 else B / (a * u * u))
+    try:
+        c1 = 4.0 * A / (u * u) + 2.0 * A / u**4
+        c2 = 4.0 * B / (u * u) + (0.0 if B == 0.0 else B / (a * u * u))
+    except ZeroDivisionError:  # u**4 or a*u*u underflowed to 0
+        c1 = c2 = math.inf
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError(f"c1 or c2 leaves the float range at p={chain.p}, u={u}")
     q = 8.0 * delta / u
 
     failed = next((s.name for s in steps if not s.passed), None)
@@ -227,6 +227,19 @@ class LiftCheck:
     mode: str
 
 
+def _k_power(u: float, p: float) -> tuple[float, float]:
+    """K = 1 + x, x = 2u/(1-u), and K^(p+1), restoring the exact rounding error
+    d = x - (k-1) of k = 1 + x that k^(p+1) alone would amplify p-fold (where k
+    is exact, d = 0 and this is k^(p+1)).  Overflow is a ValueError naming p."""
+    x = 2.0 * u / (1.0 - u)
+    k = 1.0 + x
+    d = x - (k - 1.0)
+    try:
+        return k, k ** (p + 1.0) * math.exp((p + 1.0) * math.log1p(d / k))
+    except OverflowError:
+        raise ValueError(f"K^(p+1) overflows at p={p}, rho={1.0 - u}") from None
+
+
 def moment_lift_check(p: float, delta: float, mode: str = "paper") -> LiftCheck:
     """Test the contraction that lifts moments of order p to order p+1.
 
@@ -239,11 +252,11 @@ def moment_lift_check(p: float, delta: float, mode: str = "paper") -> LiftCheck:
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     rho = rho_for_order(p)
-    k = k_factor(rho)
+    k, k_pow = _k_power(1.0 / (p + 1.0), p)
     if mode == "paper":
         coeff = 120.0 * (p + 1.0)
     else:
-        coeff = 8.0 * (p + 1.0) * k ** (p + 1.0)
+        coeff = 8.0 * (p + 1.0) * k_pow
     value = coeff * delta
     return LiftCheck(value < 1.0, value, coeff, rho, k, mode)
 
@@ -253,15 +266,10 @@ def integrability_constant(mode: str, p: float) -> float:
     whenever (p+1)*sqrt(sigma*tau) <= 1/c.
 
     paper mode returns the printed 240 for every p.  exact mode evaluates the
-    chain's two binding inequalities sharply at the default rho = 1 - 1/(p+1):
-    max(16*K^(p+1), 128), the second term coming from the delta-margin
-    requirement 2*sqrt(sigma*tau) < (1-rho)/64 (both divided by the rounded
-    (1-rho)(p+1) once it drifts from 1, from p = 4229 on).
+    chain's two binding inequalities sharply at the default u = 1/(p+1):
+    max(16*K^(p+1), 128) = 128 for p >= 2, the second term coming from the
+    delta-margin requirement 2*sqrt(sigma*tau) < u/64.
     """
-    if mode not in _CONTRACTION_RULES:
-        raise ValueError(f"mode must be one of {_CONTRACTION_RULES}, got {mode!r}")
-    if not (p > 1.0):
-        raise ValueError(f"need p > 1, got {p}")
     return _constant_closed_form(p, None, "margin-64", mode)
 
 
@@ -284,12 +292,13 @@ class Certificate:
     def to_json_dict(self) -> dict:
         return {
             "p": self.chain.p,
-            "rho": self.chain.rho,
+            "rho": 1.0 - self.chain.u,
+            "u": self.chain.u,
             "rho_tied": self.rho_tied,
             "delta": self.chain.delta,
             "delta_rule": self.delta_rule,
             "contraction_rule": self.contraction_rule,
-            "split_w": None,  # the weight is pinned at DEFAULT_SPLIT; key kept for the layout
+            "split_w": None,  # the weight is pinned at 1/sqrt(2); key kept for the layout
             "K": self.chain.K,
             "A": self.chain.A,
             "B": self.chain.B,
@@ -307,9 +316,9 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Certificate":
-        chain = ChainParams(
-            p=d["p"], rho=d["rho"], delta=d["delta"], K=d["K"], A=d["A"], B=d["B"]
-        )
+        # certificates recorded before u was written carry rho alone
+        u = d["u"] if "u" in d else 1.0 - d["rho"]
+        chain = ChainParams(p=d["p"], u=u, delta=d["delta"], K=d["K"], A=d["A"], B=d["B"])
         steps = tuple(
             Step(s["name"], s["lhs"], s["rhs"], s["pass"]) for s in d["steps"]
         )
@@ -329,31 +338,31 @@ class Certificate:
 
 
 def _constant_closed_form(
-    p: float, rho: float | None, margin_rule: str, contraction_rule: str
+    p: float, u: float | None, margin_rule: str, contraction_rule: str
 ) -> float:
     """Certified constant max(contraction part, margin part), in closed form.
 
-    When rho is tied to the order, (1-rho)(p+1) = 1 algebraically and the
-    simplified expressions make the headline constants come out bit-exact.
-    The steps use the rounded rho, though, whose error in 1-rho grows with p;
-    once the rounded product falls more than 2^-42 below 1 (a quarter of the
-    witness nudge; first at p = 4229) it is divided out, so the witness
-    stays inside every step.
+    Both parts carry the denominator u(p+1), which is 1 at the tied
+    u = 1/(p+1): the headline constants come out bit-exact at every order.
     """
-    r = rho_for_order(p) if rho is None else rho
-    k = k_factor(r)
-    denom = (1.0 - r) * (p + 1.0)
-    if rho is None and denom >= 1.0 - 2.0**-42:
-        denom = 1.0
+    if not (p > 1.0):
+        raise ValueError(f"need p > 1, got {p}")
+    if contraction_rule not in _CONTRACTION_RULES:
+        raise ValueError(
+            f"contraction_rule must be one of {_CONTRACTION_RULES}, got {contraction_rule!r}"
+        )
+    if u is None:
+        u, denom = 1.0 / (p + 1.0), 1.0
+    elif 0.0 < u < 1.0:
+        denom = u * (p + 1.0)
+    else:
+        raise ValueError(f"u = 1 - rho must lie in (0, 1), got {u}")
+    r = 1.0 - u
 
     if contraction_rule == "paper":
         c_contr = 240.0
     else:
-        try:
-            k_pow = k ** (p + 1.0)
-        except OverflowError:
-            raise ValueError(f"K^(p+1) overflows at p={p}, rho={r}") from None
-        c_contr = 16.0 * k_pow / denom
+        c_contr = 16.0 * _k_power(u, p)[1] / denom
 
     if margin_rule == "margin-64":
         c_margin = 128.0 / denom
@@ -368,44 +377,36 @@ def make_certificate(
     *,
     contraction_rule: str = "paper",
     margin_rule: str = "margin-64",
-    rho: float | None = None,
+    u: float | None = None,
     A: float = 1.0,
     B: float = 1.0,
     delta: float | None = None,
 ) -> Certificate:
     """Build and validate a certificate for lifting moments past order p.
 
-    rho defaults to the order-tied 1 - 1/(p+1) (pass an explicit value only
-    together with exact contraction; the printed contraction bound is only
-    valid for the default).  When ``delta`` is given, the chain is checked at
-    that value (e.g. delta = 0 for an exactly-correlated Gaussian pair);
-    otherwise the steps are recorded at the witness just inside the certified
-    range of the returned constant.
+    u = 1 - rho defaults to the order-tied 1/(p+1) (pass an explicit value,
+    exact for rho in [1/2, 1], only with exact contraction; the printed bound
+    is only valid for the default).  When ``delta`` is given, the chain is
+    checked at that value (e.g. delta = 0 for an exactly-correlated Gaussian
+    pair); otherwise the steps are recorded at the witness just inside the
+    certified range.  A ValueError names p when K^(p+1), c1 or c2 overflows.
     """
-    if not (p > 1.0):
-        raise ValueError(f"need p > 1, got {p}")
-    if contraction_rule not in _CONTRACTION_RULES:
-        raise ValueError(
-            f"contraction_rule must be one of {_CONTRACTION_RULES}, got {contraction_rule!r}"
-        )
-    if contraction_rule == "paper" and rho is not None:
+    if contraction_rule == "paper" and u is not None:
         raise ValueError("the printed contraction bound applies only to the default rho")
 
-    r = rho_for_order(p) if rho is None else rho
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {r}")
-    k = k_factor(r)
-    constant = _constant_closed_form(p, rho, margin_rule, contraction_rule)
+    constant = _constant_closed_form(p, u, margin_rule, contraction_rule)
+    chain_u = 1.0 / (p + 1.0) if u is None else u
+    k, k_pow = _k_power(chain_u, p)
     if delta is None:
         delta = (2.0 / (constant * (p + 1.0))) * _WITNESS
 
-    chain = ChainParams(p=p, rho=r, delta=delta, K=k, A=A, B=B)
+    chain = ChainParams(p=p, u=chain_u, delta=delta, K=k, A=A, B=B)
     tb = tail_recursion_coeffs(chain, margin_rule=margin_rule)
 
     if contraction_rule == "paper":
         contr_value = 120.0 * delta * (p + 1.0)
     else:
-        contr_value = tb.q * k ** (p + 1.0)
+        contr_value = tb.q * k_pow
     contr = Step("contraction", contr_value, 1.0, contr_value < 1.0)
 
     steps = tb.steps + (contr,)
@@ -421,7 +422,7 @@ def make_certificate(
         steps=steps,
         delta_rule=margin_rule,
         contraction_rule=contraction_rule,
-        rho_tied=rho is None,
+        rho_tied=u is None,
     )
 
 
@@ -435,7 +436,7 @@ def replay_certificate(cert: Certificate) -> Certificate:
         cert.chain.p,
         contraction_rule=cert.contraction_rule,
         margin_rule=cert.delta_rule,
-        rho=None if cert.rho_tied else cert.chain.rho,
+        u=None if cert.rho_tied else cert.chain.u,
         A=cert.chain.A,
         B=cert.chain.B,
         delta=cert.chain.delta,
@@ -473,17 +474,17 @@ def optimize_constant(
     the constant.  An empty knob set reproduces the printed certificate
     (constant 240).
 
-    With exact-k the constant is max(C(rho), M(rho)), where the contraction
-    term C(rho) = 16*K^(p+1)/((1-rho)(p+1)) is log-convex on (1/2, 1) with
-    its one stationary point at 1 - rho* = 1/((p+1) + sqrt((p+1)^2 + 1)).
-    The 1/64 margin M(rho) = 128/((1-rho)(p+1)) increases in rho and meets C
-    where 16*K^(p+1) = 128, at rho_x = 2/(1 + 8^(1/(p+1))), so the optimum
-    is rho* or rho_x.  Under the exact margin C/M = 4(2-rho)^(p-1) rho^(2-p)
-    exceeds 1 for every p > 1, so the optimum is rho*.  The split weight
-    is not a parameter: ``tail_recursion_coeffs`` pins it at its boundary
-    1/sqrt(2), where q is smallest.
+    With exact-k the constant is max(C(u), M(u)) in u = 1 - rho, where the
+    contraction term C(u) = 16*K^(p+1)/(u(p+1)) is log-convex on (0, 1/2)
+    with its one stationary point at u* = 1/((p+1) + sqrt((p+1)^2 + 1)).
+    The 1/64 margin M(u) = 128/(u(p+1)) decreases in u and meets C where
+    K = 8^(1/(p+1)), at u_x = tanh(ln(8)/(2(p+1))) (u = (K-1)/(K+1) =
+    tanh(ln(K)/2)), so the optimum is u* or u_x.  Under the exact margin
+    C/M = 4(2-rho)^(p-1) rho^(2-p) exceeds 1 for every p > 1, so the optimum
+    is u*.  The split weight is not a parameter: ``tail_recursion_coeffs``
+    pins it at its boundary 1/sqrt(2), where q is smallest.
 
-    The tied default is evaluated first, then rho* (and rho_x under the 1/64
+    The tied default is evaluated first, then u* (and u_x under the 1/64
     margin), each through ``make_certificate``, so every result carries its
     full step chain.  ``budget`` caps these evaluations; the smallest valid
     certificate wins, ties broken on (constant, rho).  When ``stats`` is
@@ -499,23 +500,23 @@ def optimize_constant(
 
     contraction_rule = "exact" if "exact-k" in knob_set else "paper"
     margin_rule = "margin-exact" if "exact-margin" in knob_set else "margin-64"
-    rhos: list[float | None] = [None]
+    us: list[float | None] = [None]
     if "rho" in knob_set and contraction_rule == "exact":
-        rhos.append(1.0 - 1.0 / ((p + 1.0) + math.hypot(p + 1.0, 1.0)))
+        us.append(1.0 / ((p + 1.0) + math.hypot(p + 1.0, 1.0)))
         if margin_rule == "margin-64":
-            rhos.append(2.0 / (1.0 + 8.0 ** (1.0 / (p + 1.0))))
+            us.append(math.tanh(math.log(8.0) / (2.0 * (p + 1.0))))
 
     best = None
-    for rho in rhos:
+    for u in us:
         if stats.evaluations >= budget:
             stats.budget_exhausted = True
             break
         stats.evaluations += 1
         cert = make_certificate(
-            p, contraction_rule=contraction_rule, margin_rule=margin_rule, rho=rho
+            p, contraction_rule=contraction_rule, margin_rule=margin_rule, u=u
         )
         if best is None or cert.valid and (
-            not best.valid or (cert.constant, cert.chain.rho) < (best.constant, best.chain.rho)
+            not best.valid or (cert.constant, -cert.chain.u) < (best.constant, -best.chain.u)
         ):
             best = cert
     return best

@@ -604,7 +604,7 @@ def run(config: RunConfig) -> int:
     try:
         code = _HANDLERS[config.command](config)
         _sidecar(config, started)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"qharness {config.command}: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal fault still ends in one line and exit 2
@@ -619,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"qharness: error: {exc}", file=sys.stderr)
         return 2
     return run(config)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .certificates import Certificate, k_factor
+from .certificates import Certificate
 from .simulate import Ensemble, known_params
 
 __all__ = [
@@ -388,10 +388,9 @@ def _binomial_se(n_value: float, n_samples: int | None) -> float:
 def check_tail_recursion(
     tc: TailCurve,
     cert: Certificate,
-    rho: float,
     se_multiplier: float = 3.0,
 ) -> TailBoundReport:
-    """Check N(Kt) <= (c1/t^2 + c2/t + q) N(t) on the curve, K = 2/rho - 1.
+    """Check N(Kt) <= (c1/t^2 + c2/t + q) N(t) on the curve, K = ``cert.chain.K``.
 
     N(Kt) is log-linearly interpolated in log-threshold between curve points.
     Each threshold passes when the violation does not exceed
@@ -404,7 +403,7 @@ def check_tail_recursion(
             f"certificate is invalid (failed step: {cert.failed_step}); "
             "its coefficients certify nothing"
         )
-    k = k_factor(rho)
+    k = cert.chain.K
     th = tc.thresholds
     nv = tc.n_values
     log_t = np.log(th)

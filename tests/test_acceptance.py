@@ -204,10 +204,10 @@ def test_criterion_6_tail_recursion_soundness():
     thresholds = np.geomspace(0.05, 8.0, 50)
     for rho in (0.6, 0.75, 0.9):
         cert = make_certificate(
-            3.0, contraction_rule="exact", rho=rho, A=1.0 - rho * rho, B=0.0, delta=0.0
+            3.0, contraction_rule="exact", u=1 - rho, A=1.0 - rho * rho, B=0.0, delta=0.0
         )
         curve = gaussian_pair_tail_curve(thresholds)
-        rep = check_tail_recursion(curve, cert, rho)
+        rep = check_tail_recursion(curve, cert)
         violations = sum(1 for r in rep.rows if r.violation > 0.0)
         ok &= cert.valid and rep.passed and violations == 0
         details.append(f"rho={rho}: {len(rep.rows)} thresholds, {violations} violations")

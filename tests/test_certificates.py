@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,20 +100,20 @@ class TestEmbedding:
 
 class TestTailRecursionCoeffs:
     def test_q_value(self):
-        chain = ChainParams(p=3.0, rho=0.75, delta=0.001, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=k_factor(0.75))
         tb = tail_recursion_coeffs(chain)
         assert tb.q == pytest.approx(0.032)
         assert tb.valid
 
     def test_zero_delta(self):
-        chain = ChainParams(p=3.0, rho=0.75, delta=0.0, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.0, K=k_factor(0.75))
         tb = tail_recursion_coeffs(chain)
         assert tb.q == 0.0 and tb.valid
         assert math.isfinite(tb.c1) and math.isfinite(tb.c2)
 
     def test_margin_boundary_invalid(self):
         rho = 0.75
-        chain = ChainParams(p=3.0, rho=rho, delta=(1 - rho) / 64, K=k_factor(rho))
+        chain = ChainParams(p=3.0, u=1 - rho, delta=(1 - rho) / 64, K=k_factor(rho))
         tb = tail_recursion_coeffs(chain)
         assert not tb.valid and tb.failed_step == "delta-margin"
 
@@ -119,7 +121,7 @@ class TestTailRecursionCoeffs:
         a_big, b_lin = 2.5, 0.7
         rho, delta = 0.8, 0.001
         u = 1.0 - rho
-        chain = ChainParams(p=4.0, rho=rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
+        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
         tb = tail_recursion_coeffs(chain)
         assert tb.c1 == pytest.approx(4 * a_big / u**2 + 2 * a_big / u**4, rel=1e-12)
         a_split = math.sqrt(2 * delta * rho * u)
@@ -127,7 +129,7 @@ class TestTailRecursionCoeffs:
         assert tb.q == pytest.approx(8 * delta / u, rel=1e-12)
 
     def test_rho_out_of_range_invalid(self):
-        chain = ChainParams(p=3.0, rho=0.4, delta=0.0, K=k_factor(0.4))
+        chain = ChainParams(p=3.0, u=1 - 0.4, delta=0.0, K=k_factor(0.4))
         tb = tail_recursion_coeffs(chain)
         assert not tb.valid and tb.failed_step == "rho-lower"
 
@@ -138,7 +140,7 @@ class TestTailRecursionCoeffs:
     def test_pinned_weight_bit_identical_to_general_form(self, rho, delta, a_big, b_lin):
         # the general-weight expressions at w^2 = 1/2, written as before the
         # weight was pinned: halving is exact, so the values agree bit for bit
-        chain = ChainParams(p=4.0, rho=rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
+        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
         tb = tail_recursion_coeffs(chain)
         u, w2 = 1.0 - rho, 0.5
         assert tb.c1 == 2.0 * a_big / (w2 * u * u) + 2.0 * a_big / u**4
@@ -147,7 +149,7 @@ class TestTailRecursionCoeffs:
         assert tb.q == 4.0 * delta / (w2 * u)
 
     def test_unknown_margin_rule_rejected(self):
-        chain = ChainParams(p=3.0, rho=0.75, delta=0.001, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=k_factor(0.75))
         with pytest.raises(ValueError, match="margin_rule must be one of"):
             tail_recursion_coeffs(chain, margin_rule="margin-32")
         with pytest.raises(ValueError, match="margin_rule must be one of"):
@@ -167,6 +169,16 @@ class TestMomentLift:
         res = moment_lift_check(4.0, 0.0, "exact")
         assert res.coefficient == pytest.approx(8 * 5 * 1.5**5)
         assert res.coefficient == 303.75
+
+    @pytest.mark.parametrize("p", [3.0, 128.0, 4229.0, 1e8, 1e12, 1e15, 1e16, 3e16])
+    def test_exact_coefficient_accurate_at_every_order(self, p):
+        # 8(p+1)K^(p+1) with K = (p+2)/p, against 50-digit decimal arithmetic
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = decimal.Decimal(p)
+            want = 8 * (d + 1) * ((d + 2) / d) ** (d + 1)
+        got = moment_lift_check(p, 0.0, "exact").coefficient
+        assert got == pytest.approx(float(want), rel=1e-15)
 
     @given(orders, st.floats(0.0, 0.01))
     def test_printed_pass_implies_exact_pass(self, p, delta):
@@ -205,7 +217,7 @@ class TestCertificates:
     def test_paper_certificate(self):
         cert = make_certificate(4.0, contraction_rule="paper")
         assert cert.constant == 240.0 and cert.valid and cert.failed_step is None
-        u = 1.0 - cert.chain.rho
+        u = cert.chain.u
         assert cert.q == pytest.approx(8 * cert.chain.delta / u, rel=1e-12)
 
     def test_exact_certificate(self):
@@ -234,7 +246,7 @@ class TestCertificates:
             {"contraction_rule": "paper"},
             {"contraction_rule": "exact"},
             {"contraction_rule": "exact", "margin_rule": "margin-exact"},
-            {"contraction_rule": "exact", "rho": 0.9},
+            {"contraction_rule": "exact", "u": 1 - 0.9},
         ):
             cert = make_certificate(6.0, **kwargs)
             assert replay_certificate(cert) == cert
@@ -250,11 +262,39 @@ class TestCertificates:
     @pytest.mark.parametrize("mode", ["paper", "exact"])
     @pytest.mark.parametrize("p", [16399.0, 1e5, 1e7, 1e8, 1e10, 1e12, 1e15])
     def test_tied_valid_at_large_orders(self, p, mode):
-        # the rounded 1-rho of the tied rho drifts from 1/(p+1) as p grows;
-        # the constant must follow it so that the witness stays inside
+        # the witness stays inside every step when the chain carries u = 1/(p+1)
         cert = make_certificate(p, contraction_rule=mode)
         assert cert.valid, cert.failed_step
         assert replay_certificate(cert) == cert
+
+    @pytest.mark.parametrize("mode, constant", [("paper", 240.0), ("exact", 128.0)])
+    @pytest.mark.parametrize("p", [1e16, 3e16, 1e20, 1e76])
+    def test_tied_constant_exact_where_rho_rounds_to_one(self, p, mode, constant):
+        cert = make_certificate(p, contraction_rule=mode)
+        assert cert.valid, cert.failed_step
+        assert cert.constant == constant
+        assert replay_certificate(cert) == cert
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    @pytest.mark.parametrize("p", [1e77, 1e100])
+    def test_coefficients_beyond_float_range_rejected(self, p, mode):
+        # c1 = 4A/u^2 + 2A/u^4 overflows (and u^4 underflows to 0 further out)
+        with pytest.raises(ValueError, match=re.escape(f"p={p}")):
+            make_certificate(p, contraction_rule=mode)
+
+    def test_json_records_u(self):
+        # rho rounds at this order, so only the recorded u replays the optimum
+        cert = optimize_constant(1e16, ["exact-k", "rho"])
+        d = json.loads(json.dumps(cert.to_json_dict()))
+        assert d["u"] == cert.chain.u and d["rho"] == 1.0 - cert.chain.u
+        assert Certificate.from_json_dict(d) == cert
+        assert replay_certificate(Certificate.from_json_dict(d)) == cert
+
+    def test_json_without_u_reads_one_minus_rho(self):
+        cert = make_certificate(6.0, contraction_rule="exact", u=1 - 0.9)
+        d = cert.to_json_dict()
+        del d["u"]
+        assert Certificate.from_json_dict(d) == cert
 
     def test_tied_valid_for_every_integer_order(self):
         invalid = [
@@ -267,13 +307,13 @@ class TestCertificates:
 
     def test_paper_rule_requires_default_rho(self):
         with pytest.raises(ValueError):
-            make_certificate(4.0, contraction_rule="paper", rho=0.9)
+            make_certificate(4.0, contraction_rule="paper", u=1 - 0.9)
 
     def test_gaussian_pair_chain(self):
         # exactly-correlated Gaussian pair: A = 1 - rho^2, B = 0, delta = 0
         for rho in (0.6, 0.75, 0.9):
             cert = make_certificate(
-                3.0, contraction_rule="exact", rho=rho, A=1 - rho**2, B=0.0, delta=0.0
+                3.0, contraction_rule="exact", u=1 - rho, A=1 - rho**2, B=0.0, delta=0.0
             )
             assert cert.valid
             u = 1.0 - rho
@@ -333,7 +373,7 @@ class TestExactOptimum:
     def test_not_above_dense_scan(self, p, margin_rule, knobs):
         cert = optimize_constant(p, knobs)
         scan = min(
-            _constant_closed_form(p, float(r), margin_rule, "exact")
+            _constant_closed_form(p, 1 - float(r), margin_rule, "exact")
             for r in np.linspace(0.5, 1.0, 100_001)[1:-1]
         )
         assert cert.valid and replay_certificate(cert) == cert
@@ -347,6 +387,16 @@ class TestExactOptimum:
         cert = optimize_constant(1e6, knobs)
         assert cert.valid
         assert cert.constant == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1e8, 1e12, 1e15, 1e16, 3e16])
+    @pytest.mark.parametrize("knobs, limit", [
+        (["exact-k", "rho"], 256.0 / math.log(8.0)),
+        (["exact-k", "exact-margin", "rho"], 32.0 * math.e),
+    ])
+    def test_limit_reached_at_large_orders(self, p, knobs, limit):
+        cert = optimize_constant(p, knobs)
+        assert cert.valid and replay_certificate(cert) == cert
+        assert cert.constant == pytest.approx(limit, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1000.0, 1e6])
     @pytest.mark.parametrize("knobs", KNOB_SETS)
@@ -362,7 +412,7 @@ class TestExactOptimum:
 
     def test_overflow_is_value_error(self):
         with pytest.raises(ValueError, match=r"p=1000\.0, rho=0\.52"):
-            make_certificate(1000.0, contraction_rule="exact", rho=0.52)
+            make_certificate(1000.0, contraction_rule="exact", u=1 - 0.52)
 
     @pytest.mark.parametrize("p", [4.0, 8.0, 128.0])
     @pytest.mark.parametrize("knobs", KNOB_SETS)

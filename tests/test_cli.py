@@ -136,6 +136,25 @@ class TestCertificateCommand:
         assert res["valid"] is True and res["split_w"] is None
 
 
+    def test_order_past_rho_rounding_exits_zero(self, tmp_path):
+        # rho = 1 - 1/(p+1) rounds to 1 at this order; the chain carries u
+        out = tmp_path / "cert.json"
+        assert run_cli(["certificate", "--p", "3e16", "--mode", "exact", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["rho"] == 1.0 and res["u"] == 1.0 / (3e16 + 1.0)
+        assert res["valid"] is True and res["constant"] == 128.0
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    def test_coefficient_overflow_exits_two(self, tmp_path, capsys, mode):
+        out = tmp_path / "cert.json"
+        code = run_cli(["certificate", "--p", "1e100", "--mode", mode, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("qharness certificate: error: ") and err.count("\n") == 1
+        assert "p=1e+100" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFormatContract:
     @pytest.mark.parametrize("argv", [
         ["verify", "e.qhe", "--s", "0.5", "--t", "1.0", "--format", "yaml"],
@@ -329,6 +348,14 @@ class TestOptimizeCommand:
         assert res["valid"] is True
         assert res["constant"] <= max(16.0 * k ** (float(p) + 1.0), 128.0)
 
+    def test_order_past_rho_rounding_exits_zero(self, tmp_path):
+        out = tmp_path / "opt.json"
+        code = run_cli(["optimize", "--p", "1e16", "--knobs", "exact-k,rho", "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["valid"] is True
+        assert res["constant"] == pytest.approx(256.0 / math.log(8.0), rel=1e-12)
+
     @pytest.mark.parametrize("budget, tied, tail", [
         ("1", True, "evaluations=1 budget=1 budget_exhausted=true"),
         ("2048", False, "evaluations=3 budget=2048 budget_exhausted=false"),
@@ -354,6 +381,26 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "qharness moments: error: RuntimeError: handler broke\n"
+
+    def test_linalg_error_reported_as_value_error(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, so its line carries no type name
+        def singular(config):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli._HANDLERS, "moments", singular)
+        code = run_cli(["moments"])
+        assert code == 2
+        assert capsys.readouterr().err == "qharness moments: error: Singular matrix\n"
+
+    def test_config_not_json_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text("p: 4\n")
+        out = tmp_path / "cert.json"
+        code = run_cli(["certificate", "--p", "4", "--config", str(cfg_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("qharness: error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_unwritable_sidecar_exits_two(self, tmp_path, capsys):
         out = tmp_path / "m.json"

@@ -233,43 +233,43 @@ class TestTailCurve:
 class TestTailRecursionCheck:
     @pytest.mark.parametrize("rho", [0.6, 0.75, 0.9])
     def test_exact_gaussian_pair_passes(self, rho):
-        cert = make_certificate(3.0, contraction_rule="exact", rho=rho,
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - rho,
                                 A=1 - rho**2, B=0.0, delta=0.0)
         curve = gaussian_pair_tail_curve(np.geomspace(0.05, 8.0, 50))
-        report = check_tail_recursion(curve, cert, rho)
+        report = check_tail_recursion(curve, cert)
         assert report.passed and report.max_violation <= 0.0
 
     def test_empirical_gaussian_pair_passes(self, wiener_ens):
         rho = math.sqrt(0.5)  # corr(X_s/sqrt(s), X_t/sqrt(t)) at s=0.5, t=1
-        cert = make_certificate(3.0, contraction_rule="exact", rho=rho,
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - rho,
                                 A=1 - rho**2, B=0.0, delta=0.0)
         curve = tail_curve(wiener_ens, 1, 3, np.geomspace(0.1, 6.0, 60))
-        report = check_tail_recursion(curve, cert, rho)
+        report = check_tail_recursion(curve, cert)
         assert report.passed
 
     def test_empty_tail_trivially_passes(self):
-        cert = make_certificate(3.0, contraction_rule="exact", rho=0.75,
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - 0.75,
                                 A=1.0, B=0.0, delta=0.0)
         dead = TailCurve(np.geomspace(1.0, 100.0, 20), np.zeros(20), 500)
-        report = check_tail_recursion(dead, cert, 0.75)
+        report = check_tail_recursion(dead, cert)
         assert report.passed and report.max_violation == 0.0
 
     def test_adversarial_curve_fails(self):
-        cert = make_certificate(3.0, contraction_rule="exact", rho=0.75,
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - 0.75,
                                 A=1 - 0.75**2, B=0.0, delta=0.0)
         thresholds = np.geomspace(50.0, 500.0, 30)
         flat = TailCurve(thresholds, np.full(30, 0.5), None)
-        report = check_tail_recursion(flat, cert, 0.75)
+        report = check_tail_recursion(flat, cert)
         assert not report.passed
         worst = max(report.rows, key=lambda r: r.violation)
         assert worst.violation > 0 and worst.t in thresholds
 
     def test_insufficient_coverage_rejected(self):
-        cert = make_certificate(3.0, contraction_rule="exact", rho=0.75,
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - 0.75,
                                 A=1.0, B=0.0, delta=0.0)
         narrow = TailCurve(np.array([1.0, 1.05]), np.array([0.5, 0.49]), None)
         with pytest.raises(ValueError, match="coverage"):
-            check_tail_recursion(narrow, cert, 0.75)
+            check_tail_recursion(narrow, cert)
 
 
 class TestHill:
