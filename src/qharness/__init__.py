@@ -29,14 +29,13 @@ from .certificates import (
     ChainParams,
     embedding,
     integrability_constant,
-    k_factor,
     ladder,
     make_certificate,
     moment_lift_check,
     optimize_constant,
     replay_certificate,
-    rho_for_order,
     tail_recursion_coeffs,
+    u_for_order,
 )
 from .simulate import (
     Ensemble,

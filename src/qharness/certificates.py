@@ -28,8 +28,9 @@ of u = 1 - rho alone, and its minimiser has a closed form (see
 ``optimize_constant``): the stationary point u* = 1/((p+1) + sqrt((p+1)^2 + 1))
 of the contraction term, or, under the 1/64 margin, the crossing
 u_x = tanh(ln(8)/(2(p+1))) of the two terms; as p -> inf the optimum tends to
-256/ln 8 (1/64 margin) and 32e (exact margin).  The chain carries u, not rho:
-rho rounds away the digits of u that K^(p+1) amplifies p-fold.
+256/ln 8 (1/64 margin) and 32e (exact margin).  The chain carries u, not rho,
+from the order-tied default u = 1/(p+1) (``u_for_order``) through the
+embedding: rho rounds away the digits of u that K^(p+1) amplifies p-fold.
 
 Certificate semantics: the certified ``constant`` is computed in closed
 form; the recorded inequality steps are evaluated at a witness
@@ -53,8 +54,7 @@ __all__ = [
     "LiftCheck",
     "Certificate",
     "SearchStats",
-    "rho_for_order",
-    "k_factor",
+    "u_for_order",
     "embedding",
     "tail_recursion_coeffs",
     "moment_lift_check",
@@ -72,18 +72,11 @@ _MARGIN_RULES = ("margin-64", "margin-exact")
 _CONTRACTION_RULES = ("paper", "exact")
 
 
-def rho_for_order(p: float) -> float:
-    """Default correlation 1 - 1/(p+1) for lifting moments of order p; needs p > 1."""
+def u_for_order(p: float) -> float:
+    """Order-tied u = 1 - rho = 1/(p+1) for lifting moments of order p; needs p > 1."""
     if not (p > 1.0):
-        raise ValueError(f"need p > 1 (rho must exceed 1/2), got p={p}")
-    return 1.0 - 1.0 / (p + 1.0)
-
-
-def k_factor(rho: float) -> float:
-    """Tail-scaling factor K = 2/rho - 1; exceeds 1 for rho < 1."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    return 2.0 / rho - 1.0
+        raise ValueError(f"need p > 1, got {p}")
+    return 1.0 / (p + 1.0)
 
 
 class Embedding(NamedTuple):
@@ -93,18 +86,21 @@ class Embedding(NamedTuple):
     check_rho: float
 
 
-def embedding(sigma: float, tau: float, rho: float) -> Embedding:
-    """Two time points whose standardized pair has correlation rho.
+def embedding(sigma: float, tau: float, u: float) -> Embedding:
+    """Two time points whose standardized pair has correlation rho = 1 - u.
 
     s = rho*sqrt(tau/sigma), t = sqrt(tau/sigma)/rho place X_s/sqrt(s) and
     X_t/sqrt(t) at correlation sqrt(s/t) = rho, with quadratic tail
-    coefficient delta = 2*sqrt(sigma*tau).  Undefined for sigma*tau = 0
-    (nothing needs certifying there).
+    coefficient delta = 2*sqrt(sigma*tau).  Taking u keeps the embedding
+    defined where rho rounds to 1 (from about p = 2e16 at the tied
+    u = 1/(p+1)): s and t then round to the same time and check_rho reads 1.
+    Undefined for sigma*tau = 0 (nothing needs certifying there).
     """
     if not (sigma > 0.0 and tau > 0.0):
         raise ValueError(f"sigma and tau must be > 0, got {sigma}, {tau}")
-    if not (0.5 < rho < 1.0):
-        raise ValueError(f"rho must lie in (1/2, 1), got {rho}")
+    if not (0.0 < u < 0.5):
+        raise ValueError(f"u = 1 - rho must lie in (0, 1/2), got {u}")
+    rho = 1.0 - u
     base = math.sqrt(tau / sigma)
     s = rho * base
     t = base / rho
@@ -222,7 +218,7 @@ class LiftCheck:
     passed: bool
     value: float
     coefficient: float  # value per unit delta
-    rho: float
+    u: float
     k: float
     mode: str
 
@@ -244,21 +240,21 @@ def moment_lift_check(p: float, delta: float, mode: str = "paper") -> LiftCheck:
     """Test the contraction that lifts moments of order p to order p+1.
 
     paper mode tests the printed condition 120*delta*(p+1) < 1; exact mode
-    tests 8*delta*(p+1)*K^(p+1) < 1 with K evaluated at rho = 1 - 1/(p+1).
+    tests 8*delta*(p+1)*K^(p+1) < 1 with K at u = 1/(p+1).
     Both are strict.
     """
     if mode not in _CONTRACTION_RULES:
         raise ValueError(f"mode must be one of {_CONTRACTION_RULES}, got {mode!r}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    rho = rho_for_order(p)
-    k, k_pow = _k_power(1.0 / (p + 1.0), p)
+    u = u_for_order(p)
+    k, k_pow = _k_power(u, p)
     if mode == "paper":
         coeff = 120.0 * (p + 1.0)
     else:
         coeff = 8.0 * (p + 1.0) * k_pow
     value = coeff * delta
-    return LiftCheck(value < 1.0, value, coeff, rho, k, mode)
+    return LiftCheck(value < 1.0, value, coeff, u, k, mode)
 
 
 def integrability_constant(mode: str, p: float) -> float:
@@ -345,14 +341,13 @@ def _constant_closed_form(
     Both parts carry the denominator u(p+1), which is 1 at the tied
     u = 1/(p+1): the headline constants come out bit-exact at every order.
     """
-    if not (p > 1.0):
-        raise ValueError(f"need p > 1, got {p}")
+    tied = u_for_order(p)  # checks p > 1 for an explicit u too
     if contraction_rule not in _CONTRACTION_RULES:
         raise ValueError(
             f"contraction_rule must be one of {_CONTRACTION_RULES}, got {contraction_rule!r}"
         )
     if u is None:
-        u, denom = 1.0 / (p + 1.0), 1.0
+        u, denom = tied, 1.0
     elif 0.0 < u < 1.0:
         denom = u * (p + 1.0)
     else:
@@ -395,7 +390,7 @@ def make_certificate(
         raise ValueError("the printed contraction bound applies only to the default rho")
 
     constant = _constant_closed_form(p, u, margin_rule, contraction_rule)
-    chain_u = 1.0 / (p + 1.0) if u is None else u
+    chain_u = u_for_order(p) if u is None else u
     k, k_pow = _k_power(chain_u, p)
     if delta is None:
         delta = (2.0 / (constant * (p + 1.0))) * _WITNESS
@@ -448,20 +443,17 @@ _KNOBS = ("exact-k", "exact-margin", "rho", "split")
 
 @dataclass
 class SearchStats:
-    """What one ``optimize_constant`` call spent: certificates evaluated, and
-    whether the budget cut off a candidate."""
+    """What one ``optimize_constant`` call spent: certificates evaluated."""
 
     evaluations: int = 0
-    budget_exhausted: bool = False
 
 
 def optimize_constant(
     p: float,
     knobs: Iterable[str] = (),
-    budget: int = 2048,
     stats: SearchStats | None = None,
 ) -> Certificate:
-    """Smallest certified constant over the chain's one free parameter, rho.
+    """Smallest certified constant over the chain's one free parameter, u = 1 - rho.
 
     Knobs:
       exact-k      evaluate the contraction with the exact K^(p+1)
@@ -486,16 +478,14 @@ def optimize_constant(
 
     The tied default is evaluated first, then u* (and u_x under the 1/64
     margin), each through ``make_certificate``, so every result carries its
-    full step chain.  ``budget`` caps these evaluations; the smallest valid
-    certificate wins, ties broken on (constant, rho).  When ``stats`` is
-    given, the evaluations used are recorded in it.
+    full step chain, at most three in all; the smallest valid certificate
+    wins, ties broken on (constant, rho).  When ``stats`` is given, the
+    evaluations used are recorded in it.
     """
     knob_set = frozenset(knobs)
     unknown = knob_set - frozenset(_KNOBS)
     if unknown:
         raise ValueError(f"unknown knobs: {sorted(unknown)}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     stats = SearchStats() if stats is None else stats
 
     contraction_rule = "exact" if "exact-k" in knob_set else "paper"
@@ -508,9 +498,6 @@ def optimize_constant(
 
     best = None
     for u in us:
-        if stats.evaluations >= budget:
-            stats.budget_exhausted = True
-            break
         stats.evaluations += 1
         cert = make_certificate(
             p, contraction_rule=contraction_rule, margin_rule=margin_rule, u=u

@@ -29,8 +29,6 @@ import numpy as np
 from . import __version__, core, empirics, moments, simulate
 from . import certificates as certs
 
-SUBCOMMANDS = ("simulate", "verify", "moments", "hankel", "certificate", "optimize", "tails")
-
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate": {"seed": 0, "pascal_q": 0.5, "workers": 1},
     "verify": {"seed": 0, "bins": 40},
@@ -38,7 +36,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
                 "tau": 0.0, "gamma": 1.0, "t": 1.0},
     "hankel": {"seed": 0},
     "certificate": {"seed": 0, "mode": "paper"},
-    "optimize": {"seed": 0, "budget": 2048, "knobs": "exact-k"},
+    "optimize": {"seed": 0, "knobs": "exact-k"},
     "tails": {"seed": 0, "raw": False},
 }
 
@@ -70,25 +68,6 @@ class RunConfig:
     format: str = "json"
     # extra key=value fields a handler adds to the <out>.log line (never the artifact)
     log_fields: dict[str, Any] = field(default_factory=dict, compare=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
-        return cls(
-            command=d["command"],
-            params=dict(d["params"]),
-            seed=d["seed"],
-            out=d["out"],
-            format=d["format"],
-        )
 
 
 def _float_list(value) -> list[float]:
@@ -183,17 +162,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "optimize",
         help="smallest certified integrability constant over the chain's free "
-        "parameter rho and margin rule, solved in closed form",
+        "parameter u = 1 - rho and margin rule, solved in closed form (at most 3 "
+        "certificate evaluations; the <out>.log line reports them)",
     )
     p.add_argument("--p", type=float, default=None, help="moment order to lift past")
     p.add_argument("--knobs", default=None,
                    help="comma-separated subset of exact-k,exact-margin,rho,split "
-                   "(default exact-k); rho adds the closed-form optimal rho; split "
-                   "is accepted and has no effect (the split weight is pinned at "
-                   "1/sqrt(2))")
-    p.add_argument("--budget", type=int, default=None,
-                   help="cap on certificate evaluations (at most 3 are needed; "
-                   "default 2048); the <out>.log line reports the evaluations used")
+                   "(default exact-k); rho adds the closed-form optimal u = 1 - rho; "
+                   "split is accepted and has no effect (the split weight is pinned "
+                   "at 1/sqrt(2))")
     add_common(p)
 
     p = sub.add_parser(
@@ -506,7 +483,7 @@ def _run_certificate(config: RunConfig) -> int:
     if (sigma is None) != (tau is None):
         raise ValueError("--sigma and --tau must be given together")
     if sigma is not None:
-        emb = certs.embedding(float(sigma), float(tau), certs.rho_for_order(p))
+        emb = certs.embedding(float(sigma), float(tau), certs.u_for_order(p))
         cert = certs.make_certificate(p, contraction_rule=mode, delta=emb.delta)
         results["embedding"] = {"s": emb.s, "t": emb.t, "delta": emb.delta,
                                 "check_rho": emb.check_rho}
@@ -525,12 +502,10 @@ def _run_certificate(config: RunConfig) -> int:
 def _run_optimize(config: RunConfig) -> int:
     cfg = config.params
     knobs = [k.strip() for k in str(cfg["knobs"]).split(",") if k.strip()]
-    budget = int(cfg["budget"])
     stats = certs.SearchStats()
-    cert = certs.optimize_constant(float(cfg["p"]), knobs, budget=budget, stats=stats)
-    config.log_fields.update(evaluations=stats.evaluations, budget=budget,
-                             budget_exhausted=stats.budget_exhausted)
-    results = {"knobs": knobs, "budget": budget}
+    cert = certs.optimize_constant(float(cfg["p"]), knobs, stats=stats)
+    config.log_fields.update(evaluations=stats.evaluations)
+    results = {"knobs": knobs}
     results.update(cert.to_json_dict())
     _emit(config, results)
     return 0 if cert.valid else 1

@@ -140,17 +140,13 @@ def var_backward(p: HarnessParams, s: float, t: float, x_t: float) -> Variance:
     return Variance(value, value >= 0.0)
 
 
-def _require_triple(s: float, t: float, u: float, strict_inner: bool) -> None:
+def _require_triple(s: float, t: float, u: float) -> None:
     if not (_finite(s) and _finite(t) and _finite(u)):
         raise ValueError("times must be finite")
     if s <= 0:
         raise ValueError(f"times must be positive, got s={s}")
-    if strict_inner:
-        if not (s < t < u):
-            raise ValueError(f"need s < t < u, got ({s}, {t}, {u})")
-    else:
-        if not (s <= t <= u and s < u):
-            raise ValueError(f"need s <= t <= u with s < u, got ({s}, {t}, {u})")
+    if not (s <= t <= u and s < u):
+        raise ValueError(f"need s <= t <= u with s < u, got ({s}, {t}, {u})")
 
 
 def double_mean(s: float, t: float, u: float, x_s: float, x_u: float) -> float:
@@ -158,14 +154,14 @@ def double_mean(s: float, t: float, u: float, x_s: float, x_u: float) -> float:
 
     Equals x_s at t=s and x_u at t=u.
     """
-    _require_triple(s, t, u, strict_inner=False)
+    _require_triple(s, t, u)
     w = (u - t) / (u - s)
     return w * x_s + (1.0 - w) * x_u
 
 
 def double_var_scale(p: HarnessParams, s: float, t: float, u: float) -> float:
     """Scale factor (u-t)(t-s) / (u(1+s*sigma) + tau - s*gamma) of the two-sided variance."""
-    _require_triple(s, t, u, strict_inner=False)
+    _require_triple(s, t, u)
     den = u * (1.0 + s * p.sigma) + p.tau - s * p.gamma
     if den <= 0:
         raise ValueError(

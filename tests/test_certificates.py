@@ -12,16 +12,16 @@ from qharness.certificates import (
     ChainParams,
     SearchStats,
     _constant_closed_form,
+    _k_power,
     embedding,
     integrability_constant,
-    k_factor,
     ladder,
     make_certificate,
     moment_lift_check,
     optimize_constant,
     replay_certificate,
-    rho_for_order,
     tail_recursion_coeffs,
+    u_for_order,
 )
 
 # the optimize knob sets of the benchmark's analytic sweep
@@ -53,27 +53,23 @@ SPLIT_HALF_JSON = (
 class TestRhoAndK:
     @pytest.mark.parametrize("p,rho", [(3.0, 0.75), (9.0, 0.9)])
     def test_rho_examples(self, p, rho):
-        assert rho_for_order(p) == pytest.approx(rho)
+        assert 1 - u_for_order(p) == pytest.approx(rho)
 
     def test_rho_boundary_rejected(self):
         with pytest.raises(ValueError):
-            rho_for_order(1.0)
+            u_for_order(1.0)
 
     @pytest.mark.parametrize("rho,k", [(0.75, 5 / 3), (1.0, 1.0), (0.5, 3.0)])
     def test_k_examples(self, rho, k):
-        assert k_factor(rho) == pytest.approx(k)
-
-    def test_k_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            k_factor(0.0)
+        assert _k_power(1 - rho, 3.0)[0] == pytest.approx(k)
 
     @given(orders)
     def test_composition_identity(self, p):
-        assert k_factor(rho_for_order(p)) == pytest.approx((p + 2.0) / p, rel=1e-12)
+        assert _k_power(u_for_order(p), p)[0] == pytest.approx((p + 2.0) / p, rel=1e-12)
 
     def test_k_power_bounded_and_decreasing(self):
         ps = np.logspace(math.log10(1.01), 4, 200)
-        powers = [k_factor(rho_for_order(p)) ** (p + 1.0) for p in ps]
+        powers = [_k_power(u_for_order(p), p)[0] ** (p + 1.0) for p in ps]
         assert all(v < 2.0 * math.e**2 for v in powers)
         assert all(a > b for a, b in zip(powers, powers[1:]))
         assert powers[-1] > math.e**2  # decreasing toward e^2 from above
@@ -81,39 +77,53 @@ class TestRhoAndK:
 
 class TestEmbedding:
     def test_equal_coefficients(self):
-        emb = embedding(2.0, 2.0, 0.75)
+        emb = embedding(2.0, 2.0, 1 - 0.75)
         assert emb.s == pytest.approx(0.75) and emb.t == pytest.approx(4 / 3)
 
     def test_delta(self):
-        assert embedding(1.0, 1.0, 0.75).delta == pytest.approx(2.0)
+        assert embedding(1.0, 1.0, 1 - 0.75).delta == pytest.approx(2.0)
 
     @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.floats(0.501, 0.999))
     def test_correlation_recovered(self, sigma, tau, rho):
-        emb = embedding(sigma, tau, rho)
+        emb = embedding(sigma, tau, 1 - rho)
         assert emb.check_rho == pytest.approx(rho, abs=1e-14)
         assert emb.s < emb.t
 
     def test_degenerate_product_rejected(self):
         with pytest.raises(ValueError):
-            embedding(0.0, 1.0, 0.75)
+            embedding(0.0, 1.0, 1 - 0.75)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, -0.1])
+    def test_u_out_of_range_rejected(self, u):
+        with pytest.raises(ValueError, match=r"u = 1 - rho must lie in \(0, 1/2\)"):
+            embedding(1.0, 1.0, u)
+
+    @pytest.mark.parametrize("p", [1e16, 3e16, 1e20])
+    def test_tied_order_where_rho_rounds_to_one(self, p):
+        # 1 - u is still below 1 at p = 1e16 and rounds to 1 at the larger orders
+        u = u_for_order(p)
+        emb = embedding(2.0, 2.0, u)
+        assert emb.s <= emb.t
+        assert emb.check_rho == pytest.approx(1 - u, abs=1e-15)
 
 
 class TestTailRecursionCoeffs:
     def test_q_value(self):
-        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=_k_power(1 - 0.75, 3.0)[0])
         tb = tail_recursion_coeffs(chain)
         assert tb.q == pytest.approx(0.032)
         assert tb.valid
 
     def test_zero_delta(self):
-        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.0, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.0, K=_k_power(1 - 0.75, 3.0)[0])
         tb = tail_recursion_coeffs(chain)
         assert tb.q == 0.0 and tb.valid
         assert math.isfinite(tb.c1) and math.isfinite(tb.c2)
 
     def test_margin_boundary_invalid(self):
         rho = 0.75
-        chain = ChainParams(p=3.0, u=1 - rho, delta=(1 - rho) / 64, K=k_factor(rho))
+        chain = ChainParams(p=3.0, u=1 - rho, delta=(1 - rho) / 64,
+                            K=_k_power(1 - rho, 3.0)[0])
         tb = tail_recursion_coeffs(chain)
         assert not tb.valid and tb.failed_step == "delta-margin"
 
@@ -121,7 +131,8 @@ class TestTailRecursionCoeffs:
         a_big, b_lin = 2.5, 0.7
         rho, delta = 0.8, 0.001
         u = 1.0 - rho
-        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
+        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=_k_power(1 - rho, 4.0)[0],
+                            A=a_big, B=b_lin)
         tb = tail_recursion_coeffs(chain)
         assert tb.c1 == pytest.approx(4 * a_big / u**2 + 2 * a_big / u**4, rel=1e-12)
         a_split = math.sqrt(2 * delta * rho * u)
@@ -129,7 +140,7 @@ class TestTailRecursionCoeffs:
         assert tb.q == pytest.approx(8 * delta / u, rel=1e-12)
 
     def test_rho_out_of_range_invalid(self):
-        chain = ChainParams(p=3.0, u=1 - 0.4, delta=0.0, K=k_factor(0.4))
+        chain = ChainParams(p=3.0, u=1 - 0.4, delta=0.0, K=_k_power(1 - 0.4, 3.0)[0])
         tb = tail_recursion_coeffs(chain)
         assert not tb.valid and tb.failed_step == "rho-lower"
 
@@ -140,7 +151,8 @@ class TestTailRecursionCoeffs:
     def test_pinned_weight_bit_identical_to_general_form(self, rho, delta, a_big, b_lin):
         # the general-weight expressions at w^2 = 1/2, written as before the
         # weight was pinned: halving is exact, so the values agree bit for bit
-        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=k_factor(rho), A=a_big, B=b_lin)
+        chain = ChainParams(p=4.0, u=1 - rho, delta=delta, K=_k_power(1 - rho, 4.0)[0],
+                            A=a_big, B=b_lin)
         tb = tail_recursion_coeffs(chain)
         u, w2 = 1.0 - rho, 0.5
         assert tb.c1 == 2.0 * a_big / (w2 * u * u) + 2.0 * a_big / u**4
@@ -149,7 +161,7 @@ class TestTailRecursionCoeffs:
         assert tb.q == 4.0 * delta / (w2 * u)
 
     def test_unknown_margin_rule_rejected(self):
-        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=k_factor(0.75))
+        chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=_k_power(1 - 0.75, 3.0)[0])
         with pytest.raises(ValueError, match="margin_rule must be one of"):
             tail_recursion_coeffs(chain, margin_rule="margin-32")
         with pytest.raises(ValueError, match="margin_rule must be one of"):
@@ -429,13 +441,7 @@ class TestExactOptimum:
     def test_evaluations_counted(self, knobs, evaluations):
         stats = SearchStats()
         optimize_constant(16.0, knobs, stats=stats)
-        assert stats == SearchStats(evaluations, False)
-
-    def test_budget_one_returns_tied(self):
-        stats = SearchStats()
-        cert = optimize_constant(16.0, ["exact-k", "rho"], budget=1, stats=stats)
-        assert cert == make_certificate(16.0, contraction_rule="exact")
-        assert stats == SearchStats(1, True)
+        assert stats == SearchStats(evaluations)
 
 
 class TestLadder:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qharness import cli
-from qharness.certificates import make_certificate
-from qharness.cli import RunConfig, main, parse_args
+from qharness.certificates import integrability_constant, make_certificate
+from qharness.cli import main, parse_args
 from qharness.simulate import load_ensemble
 
 
@@ -77,13 +77,6 @@ class TestParseArgs:
             parse_args(["certificate", "--config", str(cfg_file)])
 
 
-class TestRunConfig:
-    def test_round_trip(self):
-        cfg = parse_args(["certificate", "--p", "4", "--mode", "paper", "--seed", "3"])
-        blob = json.dumps(cfg.to_dict(), sort_keys=True)
-        assert RunConfig.from_dict(json.loads(blob)) == cfg
-
-
 class TestCertificateCommand:
     def test_printed_constant_artifact(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -143,6 +136,16 @@ class TestCertificateCommand:
         res = json.loads(out.read_text())["results"]
         assert res["rho"] == 1.0 and res["u"] == 1.0 / (3e16 + 1.0)
         assert res["valid"] is True and res["constant"] == 128.0
+
+    @pytest.mark.parametrize("p", ["1e16", "3e16", "1e20"])
+    def test_embedding_past_rho_rounding_exits_zero(self, tmp_path, p):
+        # the embedding takes u, so it stays defined where rho rounds to 1
+        out = tmp_path / "cert.json"
+        code = run_cli(["certificate", "--p", p, "--mode", "exact",
+                        "--sigma", "1e-40", "--tau", "1e-40", "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["valid"] is True and res["order_condition"]["within"] is True
 
     @pytest.mark.parametrize("mode", ["paper", "exact"])
     def test_coefficient_overflow_exits_two(self, tmp_path, capsys, mode):
@@ -333,20 +336,19 @@ class TestOptimizeCommand:
     def test_exact_k_run(self, tmp_path):
         out = tmp_path / "opt.json"
         code = run_cli(["optimize", "--p", "8", "--knobs", "exact-k,exact-margin",
-                        "--budget", "500", "--out", str(out)])
+                        "--out", str(out)])
         assert code == 0
         res = json.loads(out.read_text())["results"]
         assert res["valid"] is True and res["constant"] < 128.0
 
-    @pytest.mark.parametrize("p", ["1000", "1e6"])
+    @pytest.mark.parametrize("p", ["1000", "1e6", "1e16"])
     def test_large_order_exits_zero(self, tmp_path, p):
         out = tmp_path / "opt.json"
         code = run_cli(["optimize", "--p", p, "--knobs", "exact-k,rho", "--out", str(out)])
         assert code == 0
         res = json.loads(out.read_text())["results"]
-        k = 2.0 / (1.0 - 1.0 / (float(p) + 1.0)) - 1.0
         assert res["valid"] is True
-        assert res["constant"] <= max(16.0 * k ** (float(p) + 1.0), 128.0)
+        assert res["constant"] <= integrability_constant("exact", float(p))
 
     def test_order_past_rho_rounding_exits_zero(self, tmp_path):
         out = tmp_path / "opt.json"
@@ -356,14 +358,14 @@ class TestOptimizeCommand:
         assert res["valid"] is True
         assert res["constant"] == pytest.approx(256.0 / math.log(8.0), rel=1e-12)
 
-    @pytest.mark.parametrize("budget, tied, tail", [
-        ("1", True, "evaluations=1 budget=1 budget_exhausted=true"),
-        ("2048", False, "evaluations=3 budget=2048 budget_exhausted=false"),
+    @pytest.mark.parametrize("knobs, tied, tail", [
+        ("exact-k", True, "evaluations=1"),
+        ("exact-k,rho", False, "evaluations=3"),
     ])
-    def test_sidecar_reports_evaluations(self, tmp_path, budget, tied, tail):
+    def test_sidecar_reports_evaluations(self, tmp_path, knobs, tied, tail):
         out = tmp_path / "opt.json"
-        code = run_cli(["optimize", "--p", "16", "--knobs", "exact-k,rho",
-                        "--budget", budget, "--out", str(out)])
+        code = run_cli(["optimize", "--p", "16", "--knobs", knobs,
+                        "--out", str(out)])
         assert code == 0
         assert (tmp_path / "opt.json.log").read_text().endswith(f" {tail}\n")
         res = json.loads(out.read_text())["results"]
