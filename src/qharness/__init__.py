@@ -1,6 +1,8 @@
 """Quadratic-harness conditional moments, integrability certificates and
 Monte Carlo verification."""
 
+import importlib as _importlib
+
 from .core import (
     HarnessParams,
     Variance,
@@ -37,26 +39,28 @@ from .certificates import (
     tail_recursion_coeffs,
     u_for_order,
 )
-from .simulate import (
-    Ensemble,
-    ProcessKind,
-    exact_marginal_moments,
-    known_params,
-    load_ensemble,
-    sample_ensemble,
-    save_ensemble,
+
+# simulate and empirics need numpy; they and their names are imported on first
+# access (PEP 562), so the analytic entry points start without numpy.
+_LAZY = dict.fromkeys(
+    ("Ensemble", "ProcessKind", "exact_marginal_moments", "known_params",
+     "load_ensemble", "sample_ensemble", "save_ensemble"),
+    "simulate",
+) | dict.fromkeys(
+    ("BinnedConditional", "HillEstimate", "TailCurve", "check_tail_recursion",
+     "conditional_mean_slope", "estimate_conditional", "fit_quadratic",
+     "gaussian_pair_tail_curve", "hill_tail_index", "tail_curve"),
+    "empirics",
 )
-from .empirics import (
-    BinnedConditional,
-    HillEstimate,
-    TailCurve,
-    check_tail_recursion,
-    conditional_mean_slope,
-    estimate_conditional,
-    fit_quadratic,
-    gaussian_pair_tail_curve,
-    hill_tail_index,
-    tail_curve,
-)
+
+
+def __getattr__(name: str):
+    if name in ("simulate", "empirics"):
+        return _importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_LAZY[name]), name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -94,7 +94,9 @@ def embedding(sigma: float, tau: float, u: float) -> Embedding:
     coefficient delta = 2*sqrt(sigma*tau).  Taking u keeps the embedding
     defined where rho rounds to 1 (from about p = 2e16 at the tied
     u = 1/(p+1)): s and t then round to the same time and check_rho reads 1.
-    Undefined for sigma*tau = 0 (nothing needs certifying there).
+    Undefined for sigma*tau = 0 (nothing needs certifying there), and
+    rejected where tau/sigma leaves the float range (s or t not finite and
+    positive), which also covers an infinite sigma or tau.
     """
     if not (sigma > 0.0 and tau > 0.0):
         raise ValueError(f"sigma and tau must be > 0, got {sigma}, {tau}")
@@ -104,6 +106,11 @@ def embedding(sigma: float, tau: float, u: float) -> Embedding:
     base = math.sqrt(tau / sigma)
     s = rho * base
     t = base / rho
+    if not (0.0 < s and t < math.inf):
+        raise ValueError(
+            f"sigma = {sigma} and tau = {tau} put the embedding times outside the "
+            f"float range: s = {s}, t = {t} (tau/sigma must be finite and positive)"
+        )
     return Embedding(s, t, 2.0 * math.sqrt(sigma * tau), math.sqrt(s / t))
 
 

@@ -14,6 +14,7 @@ I/O or any other error (one ``qharness <cmd>: error: ...`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,10 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
-from . import __version__, core, empirics, moments, simulate
+from . import __version__, core, moments
 from . import certificates as certs
+
+# numpy, simulate and empirics are imported inside the Monte Carlo handlers
+# (simulate, verify, tails), so the analytic subcommands start without numpy.
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate": {"seed": 0, "pascal_q": 0.5, "workers": 1},
@@ -79,7 +81,10 @@ def _float_list(value) -> list[float]:
     return [float(p) for p in parts]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The qharness parser, built on the first call and shared for the rest
+    of the process: argparse keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="qharness",
         description="Quadratic-harness conditional moments, integrability "
@@ -102,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample a seeded ensemble of a centered Levy martingale "
         "(mean 0, covariance min(s,t), martingale increments)",
     )
-    p.add_argument("--process", choices=simulate.KINDS, default=None,
+    p.add_argument("--process", choices=core.KINDS, default=None,
                    help="wiener | poisson | gamma | pascal")
     p.add_argument("--pascal-q", type=float, default=None,
                    help="success probability of the pascal kind (default 0.5)")
@@ -238,17 +243,14 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
             return "nan"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return float(obj)
+    if hasattr(obj, "tolist"):  # numpy scalars and arrays, without importing numpy
+        return _jsonify(obj.tolist())
     return obj
 
 
@@ -330,6 +332,8 @@ def _params_from(cfg: dict) -> core.HarnessParams:
 
 
 def _run_simulate(config: RunConfig) -> int:
+    from . import simulate
+
     cfg = config.params
     kind = simulate.ProcessKind(
         cfg["process"], float(cfg["pascal_q"]) if cfg["process"] == "pascal" else None
@@ -357,6 +361,8 @@ def _check(name: str, value: float, expected: float, se: float, max_se: float) -
 
 
 def _run_verify(config: RunConfig) -> int:
+    from . import empirics, simulate
+
     cfg = config.params
     ens = simulate.load_ensemble(cfg["ensemble"])
     si = ens.time_index(float(cfg["s"]))
@@ -512,6 +518,10 @@ def _run_optimize(config: RunConfig) -> int:
 
 
 def _run_tails(config: RunConfig) -> int:
+    import numpy as np
+
+    from . import empirics, simulate
+
     cfg = config.params
     ens = simulate.load_ensemble(cfg["ensemble"])
     si = ens.time_index(float(cfg["s"]))

@@ -35,6 +35,11 @@ __all__ = [
     "double_var",
 ]
 
+# Names of the process kinds `simulate` samples (the classical sigma*tau = 0
+# harnesses).  Defined here, free of numpy, so the CLI parser can offer them
+# without importing `simulate`.
+KINDS = ("wiener", "poisson", "gamma", "pascal")
+
 
 @dataclass(frozen=True)
 class HarnessParams:

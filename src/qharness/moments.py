@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import HarnessParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MomentVector",
@@ -59,6 +61,8 @@ class MomentVector:
             raise ValueError(f"m4={self.m4} < m2^2={self.m2 ** 2}")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np  # imported here so the analytic commands start without numpy
+
         return np.array([self.m0, self.m1, self.m2, self.m3, self.m4])
 
 
@@ -92,6 +96,8 @@ def hankel3(m: MomentVector) -> float:
 
     Non-negative (up to rounding) for the moments of any probability law.
     """
+    import numpy as np
+
     mat = np.array(
         [
             [m.m0, m.m1, m.m2],

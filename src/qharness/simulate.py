@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import HarnessParams
+from .core import KINDS, HarnessParams
 from .moments import MomentVector
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ensemble_to_csv",
 ]
 
-KINDS = ("wiener", "poisson", "gamma", "pascal")
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 
 # Paths per substream block; part of the stream layout (changing it changes

@@ -106,6 +106,13 @@ class TestEmbedding:
         assert emb.s <= emb.t
         assert emb.check_rho == pytest.approx(1 - u, abs=1e-15)
 
+    @pytest.mark.parametrize("sigma, tau", [(1e-300, 1e300), (1e300, 1e-300),
+                                            (math.inf, 1.0), (1.0, math.inf)])
+    def test_ratio_outside_float_range_rejected(self, sigma, tau):
+        # tau/sigma overflows (s = t = inf) or underflows (s = t = 0)
+        with pytest.raises(ValueError, match=r"^sigma = \S+ and tau = \S+ put the embedding"):
+            embedding(sigma, tau, 1 - 0.75)
+
 
 class TestTailRecursionCoeffs:
     def test_q_value(self):

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +158,18 @@ class TestCertificateCommand:
         assert code == 2
         assert err.startswith("qharness certificate: error: ") and err.count("\n") == 1
         assert "p=1e+100" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sigma, tau", [("1e-300", "1e300"), ("1e300", "1e-300"),
+                                            ("inf", "1")])
+    def test_embedding_outside_float_range_exits_two(self, tmp_path, capsys, sigma, tau):
+        out = tmp_path / "cert.json"
+        code = run_cli(["certificate", "--p", "4", "--mode", "exact",
+                        "--sigma", sigma, "--tau", tau, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("qharness certificate: error: sigma = ") and err.count("\n") == 1
+        assert " and tau = " in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -485,3 +500,119 @@ class TestTailsCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# version=")
         assert "threshold,n_value" in lines
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; no call may see another's flags."""
+
+    # (first call, its exit code, second call); {ens} and {cfg} are filled in
+    SEQUENCES = {
+        "raw-then-standardized": (
+            ["tails", "{ens}", "--s", "0.5", "--t", "1.0", "--raw"], 0,
+            ["tails", "{ens}", "--s", "0.5", "--t", "1.0"]),
+        "config-then-flags": (
+            ["certificate", "--config", "{cfg}"], 0,
+            ["certificate", "--p", "4"]),
+        "csv-then-default-format": (
+            ["tails", "{ens}", "--s", "0.5", "--t", "1.0", "--format", "csv"], 0,
+            ["tails", "{ens}", "--s", "0.5", "--t", "1.0"]),
+        "unknown-flag-then-valid": (
+            ["certificate", "--p", "4", "--frobnicate", "1"], 2,
+            ["certificate", "--p", "4"]),
+        "missing-flag-then-valid": (
+            ["simulate", "--process", "wiener"], 2,
+            ["moments", "--gamma", "-1"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("shared-parser")
+        ens, cfg = d / "w.qhe", d / "c.json"
+        assert run_cli(["simulate", "--process", "gamma", "--grid", "0.5,1.0",
+                        "--paths", "5000", "--seed", "3", "--out", str(ens)]) == 0
+        cfg.write_text(json.dumps({"p": 8, "mode": "exact", "seed": 5}))
+        return {"ens": str(ens), "cfg": str(cfg)}
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_no_state_between_calls(self, monkeypatch, tmp_path, inputs, name):
+        first, first_code, second = self.SEQUENCES[name]
+        first = [a.format(**inputs) for a in first] + ["--out", str(tmp_path / "first.out")]
+        out = tmp_path / "second.out"
+        second = [a.format(**inputs) for a in second] + ["--out", str(out)]
+
+        def second_call():
+            return parse_args(second), run_cli(second), out.read_bytes()
+
+        with monkeypatch.context() as m:  # the reference: a parser built for this call alone
+            m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            on_fresh_parser = second_call()
+        assert run_cli(first) == first_code
+        assert second_call() == on_fresh_parser
+
+
+# every public name of `qharness`; those of simulate and empirics resolve on first access
+_EXPORTS = (
+    "BinnedConditional", "Certificate", "ChainParams", "Ensemble", "HarnessParams",
+    "HillEstimate", "MomentRegion", "MomentVector", "ProcessKind", "TailCurve",
+    "TwoPointLaw", "Variance", "certificates", "check_tail_recursion",
+    "classify_moment_region", "conditional_mean_slope", "core", "covariance",
+    "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
+    "estimate_conditional", "exact_marginal_moments", "fit_quadratic",
+    "gaussian_pair_tail_curve", "hankel3", "hankel3_closed_form", "hill_tail_index",
+    "integrability_constant", "known_params", "ladder", "load_ensemble",
+    "make_certificate", "moment_lift_check", "moments", "one_sided_mean",
+    "optimize_constant", "pfail_upper", "pmax_certified", "replay_certificate",
+    "sample_ensemble", "save_ensemble", "simulate", "tail_curve",
+    "tail_recursion_coeffs", "two_point_from_moments", "u_for_order",
+    "validate_params", "var_backward", "var_forward",
+)
+
+_STARTUP_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+import qharness.cli
+report = {"after_import": "numpy" in sys.modules}
+for argv in (["certificate", "--p", "4"], ["optimize", "--p", "16"], ["moments"]):
+    report[argv[0]] = [qharness.cli.main(argv + ["--out", out + ".json"]),
+                       "numpy" in sys.modules]
+report["hankel"] = [qharness.cli.main(["hankel", "--moments", "1,0,1,0,3",
+                                       "--out", out + ".json"]), "numpy" in sys.modules]
+report["simulate"] = [qharness.cli.main(["simulate", "--process", "wiener", "--grid", "1.0",
+                                         "--paths", "100", "--out", out + ".qhe"]),
+                      "numpy" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+class TestNumpyFreeStartup:
+    def test_analytic_commands_leave_numpy_unloaded(self, tmp_path):
+        import qharness
+
+        src = str(Path(qharness.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, src, str(tmp_path / "a")],
+                              capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout)
+        assert report["after_import"] is False
+        for command in ("certificate", "optimize", "moments"):
+            assert report[command] == [0, False], command
+        # the numpy-backed commands still work in the same process
+        assert report["hankel"] == [0, True]
+        assert report["simulate"] == [0, True]
+
+    def test_every_export_resolves_in_a_fresh_interpreter(self):
+        import qharness
+
+        src = str(Path(qharness.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import qharness; "
+                "print(','.join(n for n in sys.argv[2].split(',') if not hasattr(qharness, n)))")
+        proc = subprocess.run([sys.executable, "-c", code, src, ",".join(_EXPORTS)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == ""
+        assert qharness.sample_ensemble is qharness.simulate.sample_ensemble
+        assert qharness.tail_curve is qharness.empirics.tail_curve
+        with pytest.raises(AttributeError):
+            qharness.no_such_name
