@@ -91,9 +91,11 @@ def embedding(sigma: float, tau: float, u: float) -> Embedding:
 
     s = rho*sqrt(tau/sigma), t = sqrt(tau/sigma)/rho place X_s/sqrt(s) and
     X_t/sqrt(t) at correlation sqrt(s/t) = rho, with quadratic tail
-    coefficient delta = 2*sqrt(sigma*tau).  Taking u keeps the embedding
-    defined where rho rounds to 1 (from about p = 2e16 at the tied
-    u = 1/(p+1)): s and t then round to the same time and check_rho reads 1.
+    coefficient delta = 2*sqrt(sigma*tau), formed as 2*sqrt(sigma)*sqrt(tau)
+    so that it stays finite and non-zero where sigma*tau leaves the float
+    range.  Taking u keeps the embedding defined where rho rounds to 1 (from
+    about p = 2e16 at the tied u = 1/(p+1)): s and t then round to the same
+    time and check_rho reads 1.
     Undefined for sigma*tau = 0 (nothing needs certifying there), and
     rejected where tau/sigma leaves the float range (s or t not finite and
     positive), which also covers an infinite sigma or tau.
@@ -111,7 +113,7 @@ def embedding(sigma: float, tau: float, u: float) -> Embedding:
             f"sigma = {sigma} and tau = {tau} put the embedding times outside the "
             f"float range: s = {s}, t = {t} (tau/sigma must be finite and positive)"
         )
-    return Embedding(s, t, 2.0 * math.sqrt(sigma * tau), math.sqrt(s / t))
+    return Embedding(s, t, 2.0 * math.sqrt(sigma) * math.sqrt(tau), math.sqrt(s / t))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from typing import Any, Callable
 from . import __version__, core, moments
 from . import certificates as certs
 
-# numpy, simulate and empirics are imported inside the Monte Carlo handlers
-# (simulate, verify, tails), so the analytic subcommands start without numpy.
+# simulate and empirics, and with them numpy, are imported inside the Monte
+# Carlo handlers (simulate, verify, tails), so the other subcommands start
+# without numpy.
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate": {"seed": 0, "pascal_q": 0.5, "workers": 1},
@@ -400,18 +401,19 @@ def _run_verify(config: RunConfig) -> int:
     )
 
     all_pass = all(c["pass"] for c in checks)
+    bins = binned.rows()
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
                      "n_paths": ens.n_paths, "grid": ens.grid.tolist()},
         "s": s,
         "t": t,
         "checks": checks,
-        "binned": binned.rows(),
+        "binned": bins,
         "fit": {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "r_squared": fit.r_squared},
         "pass": all_pass,
     }
     header = ["bin_lo", "bin_hi", "n", "mean", "var", "se_mean", "se_var", "pred_mean", "pred_var"]
-    rows = [[r[h] for h in header] for r in binned.rows()]
+    rows = [[r[h] for h in header] for r in bins]
     _emit(config, results, (header, rows))
     return 0 if all_pass else 1
 
@@ -493,11 +495,9 @@ def _run_certificate(config: RunConfig) -> int:
         cert = certs.make_certificate(p, contraction_rule=mode, delta=emb.delta)
         results["embedding"] = {"s": emb.s, "t": emb.t, "delta": emb.delta,
                                 "check_rho": emb.check_rho}
-        results["order_condition"] = {
-            "lhs": (p + 1.0) * math.sqrt(float(sigma) * float(tau)),
-            "rhs": 1.0 / cert.constant,
-            "within": (p + 1.0) * math.sqrt(float(sigma) * float(tau)) <= 1.0 / cert.constant,
-        }
+        lhs = (p + 1.0) * (emb.delta / 2.0)  # (p+1)*sqrt(sigma*tau)
+        results["order_condition"] = {"lhs": lhs, "rhs": 1.0 / cert.constant,
+                                      "within": lhs <= 1.0 / cert.constant}
     else:
         cert = certs.make_certificate(p, contraction_rule=mode)
     results.update(cert.to_json_dict())
@@ -518,8 +518,6 @@ def _run_optimize(config: RunConfig) -> int:
 
 
 def _run_tails(config: RunConfig) -> int:
-    import numpy as np
-
     from . import empirics, simulate
 
     cfg = config.params
@@ -534,17 +532,7 @@ def _run_tails(config: RunConfig) -> int:
     else:
         k = max(1, ens.n_paths // 100)
 
-    if cfg.get("thresholds") is not None:
-        thresholds = np.array(_float_list(cfg["thresholds"]))
-    else:
-        x = np.abs(ens.paths[:, ti])
-        if normalize:
-            x = x / math.sqrt(float(ens.grid[ti]))
-        median, top = np.quantile(x, [0.5, 0.995]).tolist()
-        lo = max(median, 1e-9)
-        hi = max(top, lo * 2.0)
-        thresholds = np.geomspace(lo, hi, 50)
-
+    thresholds = _float_list(cfg["thresholds"]) if cfg.get("thresholds") is not None else None
     curve = empirics.tail_curve(ens, si, ti, thresholds, normalize=normalize)
     samples = ens.paths[:, ti]
     hill_info: dict[str, Any]

@@ -325,19 +325,16 @@ def tail_curve(
     e: Ensemble,
     s_index: int,
     t_index: int,
-    thresholds,
+    thresholds=None,
     normalize: bool = True,
 ) -> TailCurve:
     """Empirical N(t) = Pr(|X| > t) + Pr(|Y| > t) for the pair (X_s, X_t).
 
     With normalize=True the pair is standardized to X_s/sqrt(s), X_t/sqrt(t)
-    (unit variances, correlation sqrt(s/t)).
+    (unit variances, correlation sqrt(s/t)).  Without thresholds the ladder
+    is 50 geometric points from lo = max(median, 1e-9) to
+    max(99.5% quantile, 2*lo) of |Y|.
     """
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise ValueError("thresholds must be a non-empty 1-d sequence")
-    if not np.all(thresholds > 0) or not np.all(np.diff(thresholds) > 0):
-        raise ValueError("thresholds must be ascending and positive")
     _check_pair(e, s_index, t_index)
     x = np.abs(e.paths[:, s_index])
     y = np.abs(e.paths[:, t_index])
@@ -346,6 +343,11 @@ def tail_curve(
         y = y / math.sqrt(float(e.grid[t_index]))
     xs = np.sort(x)
     ys = np.sort(y)
+    if thresholds is None:
+        median, top = np.quantile(ys, [0.5, 0.995]).tolist()
+        lo = max(median, 1e-9)
+        thresholds = np.geomspace(lo, max(top, lo * 2.0), 50)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
     n = xs.size
     px = 1.0 - np.searchsorted(xs, thresholds, side="right") / n
     py = 1.0 - np.searchsorted(ys, thresholds, side="right") / n
@@ -378,11 +380,11 @@ class TailBoundReport:
     rows: tuple[TailBoundRow, ...]
 
 
-def _binomial_se(n_value: float, n_samples: int | None) -> float:
+def _binomial_se(n_values: np.ndarray, n_samples: int | None) -> np.ndarray | float:
     if n_samples is None:
         return 0.0
-    clipped = min(max(n_value, 0.0), 2.0)
-    return math.sqrt(clipped * (2.0 - clipped) / n_samples)
+    clipped = np.clip(n_values, 0.0, 2.0)
+    return np.sqrt(clipped * (2.0 - clipped) / n_samples)
 
 
 def check_tail_recursion(
@@ -406,56 +408,31 @@ def check_tail_recursion(
     k = cert.chain.K
     th = tc.thresholds
     nv = tc.n_values
-    log_t = np.log(th)
-
-    rows = []
-    for i in range(th.size):
-        kt = k * th[i]
-        if kt > th[-1] * (1.0 + 1e-12):
-            break
-        n_t = float(nv[i])
-        # interpolate N at K*t in (log t, log N); treat empty tails as 0
-        j = int(np.searchsorted(th, kt, side="left"))
-        if j == 0:
-            n_kt = float(nv[0])
-        elif j >= th.size or math.isclose(kt, th[j], rel_tol=1e-12):
-            n_kt = float(nv[min(j, th.size - 1)])
-        else:
-            lo, hi = j - 1, j
-            if nv[lo] <= 0.0 or nv[hi] <= 0.0:
-                n_kt = 0.0
-            else:
-                frac = (math.log(kt) - log_t[lo]) / (log_t[hi] - log_t[lo])
-                n_kt = math.exp(
-                    (1.0 - frac) * math.log(nv[lo]) + frac * math.log(nv[hi])
-                )
-        coeff = cert.c1 / th[i] ** 2 + cert.c2 / th[i] + cert.q
-        bound = coeff * n_t
-        violation = n_kt - bound
-        tol = _binomial_se(n_kt, tc.n_samples) + coeff * _binomial_se(n_t, tc.n_samples)
-        rows.append(
-            TailBoundRow(
-                t=float(th[i]),
-                n_t=n_t,
-                n_kt=n_kt,
-                bound=float(bound),
-                violation=float(violation),
-                tolerance=float(tol),
-            )
-        )
-
-    if not rows:
+    covered = k * th <= th[-1] * (1.0 + 1e-12)
+    if not covered[0]:
         raise ValueError(
             f"insufficient threshold coverage: no t with K*t <= {th[-1]} (K={k})"
         )
-    passed = all(r.violation <= se_multiplier * r.tolerance for r in rows)
-    max_violation = max(r.violation for r in rows)
+    t = th[covered]
+    n_t = nv[covered]
+    # interpolate N at K*t in (log t, log N): an empty tail's log is -inf, so
+    # it interpolates to 0; interp takes the node value on an exact hit and
+    # clamps K*t that rounds past the last threshold
+    with np.errstate(divide="ignore"):
+        n_kt = np.exp(np.interp(np.log(k * t), np.log(th), np.log(nv)))
+    coeff = cert.c1 / t**2 + cert.c2 / t + cert.q
+    bound = coeff * n_t
+    violation = n_kt - bound
+    tol = _binomial_se(n_kt, tc.n_samples) + coeff * _binomial_se(n_t, tc.n_samples)
+    rows = tuple(
+        TailBoundRow(*map(float, r)) for r in zip(t, n_t, n_kt, bound, violation, tol)
+    )
     return TailBoundReport(
-        passed=passed,
-        max_violation=max_violation,
+        passed=bool(np.all(violation <= se_multiplier * tol)),
+        max_violation=float(violation.max()),
         k=k,
         se_multiplier=se_multiplier,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

@@ -95,17 +95,10 @@ def hankel3(m: MomentVector) -> float:
     """Determinant of the moment matrix [[m0,m1,m2],[m1,m2,m3],[m2,m3,m4]].
 
     Non-negative (up to rounding) for the moments of any probability law.
+    Cofactor expansion along the first row, in plain floats.
     """
-    import numpy as np
-
-    mat = np.array(
-        [
-            [m.m0, m.m1, m.m2],
-            [m.m1, m.m2, m.m3],
-            [m.m2, m.m3, m.m4],
-        ]
-    )
-    return float(np.linalg.det(mat))
+    return float(m.m0 * (m.m2 * m.m4 - m.m3 * m.m3) - m.m1 * (m.m1 * m.m4 - m.m3 * m.m2)
+                 + m.m2 * (m.m1 * m.m3 - m.m2 * m.m2))
 
 
 def hankel3_closed_form(p: HarnessParams, t: float) -> float:

@@ -104,12 +104,10 @@ def test_criterion_3_threshold_arithmetic():
 def test_criterion_4_hankel_suite():
     started = time.perf_counter()
 
-    def cofactor(m: MomentVector) -> float:
-        return (
-            m.m0 * (m.m2 * m.m4 - m.m3 * m.m3)
-            - m.m1 * (m.m1 * m.m4 - m.m3 * m.m2)
-            + m.m2 * (m.m1 * m.m3 - m.m2 * m.m2)
-        )
+    def lu_det(m: MomentVector) -> float:
+        # independent of hankel3's cofactor expansion
+        return float(np.linalg.det([[m.m0, m.m1, m.m2], [m.m1, m.m2, m.m3],
+                                    [m.m2, m.m3, m.m4]]))
 
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -125,7 +123,7 @@ def test_criterion_4_hankel_suite():
             * np.linalg.norm([m1, m2, m3])
             * np.linalg.norm([m2, m3, m4]),
         )
-        worst = max(worst, abs(hankel3(m) - cofactor(m)) / scale)
+        worst = max(worst, abs(hankel3(m) - lu_det(m)) / scale)
     oracle_ok = worst <= 1e-12
 
     closed_zero = 0.0

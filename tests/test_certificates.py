@@ -83,6 +83,14 @@ class TestEmbedding:
     def test_delta(self):
         assert embedding(1.0, 1.0, 1 - 0.75).delta == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("sigma, tau, delta", [(1e200, 1e200, 2e200),
+                                                   (1e-200, 1e-200, 2e-200),
+                                                   (1e300, 1e100, 2e200)])
+    def test_delta_where_product_leaves_float_range(self, sigma, tau, delta):
+        # sigma*tau overflows or underflows; delta = 2*sqrt(sigma*tau) does not
+        emb = embedding(sigma, tau, 1 - 0.75)
+        assert emb.delta == pytest.approx(delta, rel=1e-15, abs=0.0)
+
     @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.floats(0.501, 0.999))
     def test_correlation_recovered(self, sigma, tau, rho):
         emb = embedding(sigma, tau, 1 - rho)

@@ -160,6 +160,18 @@ class TestCertificateCommand:
         assert "p=1e+100" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("st, delta, code", [("1e200", 2e200, 1), ("1e-200", 2e-200, 0)])
+    def test_embedding_where_product_leaves_float_range(self, tmp_path, st, delta, code):
+        # sigma*tau overflows or underflows; delta and the order condition stay finite
+        out = tmp_path / "cert.json"
+        assert run_cli(["certificate", "--p", "4", "--mode", "exact",
+                        "--sigma", st, "--tau", st, "--out", str(out)]) == code
+        res = json.loads(out.read_text())["results"]
+        assert res["embedding"]["delta"] == pytest.approx(delta, rel=1e-15, abs=0.0)
+        lhs = res["order_condition"]["lhs"]
+        assert lhs == 5.0 * res["embedding"]["delta"] / 2.0
+        assert res["order_condition"]["within"] is (code == 0)
+
     @pytest.mark.parametrize("sigma, tau", [("1e-300", "1e300"), ("1e300", "1e-300"),
                                             ("inf", "1")])
     def test_embedding_outside_float_range_exits_two(self, tmp_path, capsys, sigma, tau):
@@ -576,11 +588,10 @@ sys.path.insert(0, sys.argv[1])
 out = sys.argv[2]
 import qharness.cli
 report = {"after_import": "numpy" in sys.modules}
-for argv in (["certificate", "--p", "4"], ["optimize", "--p", "16"], ["moments"]):
+for argv in (["certificate", "--p", "4"], ["optimize", "--p", "16"], ["moments"],
+             ["hankel", "--moments", "1,0,1,0,3"]):
     report[argv[0]] = [qharness.cli.main(argv + ["--out", out + ".json"]),
                        "numpy" in sys.modules]
-report["hankel"] = [qharness.cli.main(["hankel", "--moments", "1,0,1,0,3",
-                                       "--out", out + ".json"]), "numpy" in sys.modules]
 report["simulate"] = [qharness.cli.main(["simulate", "--process", "wiener", "--grid", "1.0",
                                          "--paths", "100", "--out", out + ".qhe"]),
                       "numpy" in sys.modules]
@@ -597,10 +608,9 @@ class TestNumpyFreeStartup:
                               capture_output=True, text=True, check=True)
         report = json.loads(proc.stdout)
         assert report["after_import"] is False
-        for command in ("certificate", "optimize", "moments"):
+        for command in ("certificate", "optimize", "moments", "hankel"):
             assert report[command] == [0, False], command
         # the numpy-backed commands still work in the same process
-        assert report["hankel"] == [0, True]
         assert report["simulate"] == [0, True]
 
     def test_every_export_resolves_in_a_fresh_interpreter(self):

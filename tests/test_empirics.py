@@ -221,6 +221,25 @@ class TestTailCurve:
         assert np.all(np.diff(tc.n_values) <= 0)
         assert np.all((tc.n_values >= 0) & (tc.n_values <= 2))
 
+    @pytest.mark.parametrize("name", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_default_ladder(self, all_ensembles, name, normalize):
+        e = all_ensembles[name]
+        y = np.abs(e.paths[:, 3])
+        if normalize:
+            y = y / math.sqrt(float(e.grid[3]))
+        lo = max(float(np.quantile(y, 0.5)), 1e-9)
+        hi = max(float(np.quantile(y, 0.995)), lo * 2.0)
+        tc = tail_curve(e, 1, 3, normalize=normalize)
+        assert np.array_equal(tc.thresholds, np.geomspace(lo, hi, 50))
+        explicit = tail_curve(e, 1, 3, tc.thresholds, normalize=normalize)
+        assert np.array_equal(tc.n_values, explicit.n_values)
+
+    @pytest.mark.parametrize("thresholds", [[], [1.0, 0.5], [0.0, 1.0], [[0.5, 1.0]], 1.0])
+    def test_bad_thresholds_rejected(self, wiener_ens, thresholds):
+        with pytest.raises(ValueError, match="thresholds"):
+            tail_curve(wiener_ens, 1, 3, thresholds)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TailCurve(np.array([1.0, 0.5]), np.array([1.0, 1.0]), 10)
@@ -230,7 +249,96 @@ class TestTailCurve:
             TailCurve(np.array([0.5, 1.0]), np.array([0.5, 1.0]), 10)  # increasing
 
 
+def scalar_tail_recursion(tc, cert, se_multiplier=3.0):
+    """Reference: the per-threshold loop check_tail_recursion replaced.
+
+    Returns (passed, max_violation, rows) with rows as (t, n_t, n_kt, bound,
+    violation, tolerance) tuples.
+    """
+    def binomial_se(n_value):
+        if tc.n_samples is None:
+            return 0.0
+        clipped = min(max(n_value, 0.0), 2.0)
+        return math.sqrt(clipped * (2.0 - clipped) / tc.n_samples)
+
+    k = cert.chain.K
+    th, nv = tc.thresholds, tc.n_values
+    log_t = np.log(th)
+    rows = []
+    for i in range(th.size):
+        kt = k * th[i]
+        if kt > th[-1] * (1.0 + 1e-12):
+            break
+        n_t = float(nv[i])
+        j = int(np.searchsorted(th, kt, side="left"))
+        if j == 0:
+            n_kt = float(nv[0])
+        elif j >= th.size or math.isclose(kt, th[j], rel_tol=1e-12):
+            n_kt = float(nv[min(j, th.size - 1)])
+        else:
+            lo, hi = j - 1, j
+            if nv[lo] <= 0.0 or nv[hi] <= 0.0:
+                n_kt = 0.0
+            else:
+                frac = (math.log(kt) - log_t[lo]) / (log_t[hi] - log_t[lo])
+                n_kt = math.exp((1.0 - frac) * math.log(nv[lo]) + frac * math.log(nv[hi]))
+        coeff = cert.c1 / th[i] ** 2 + cert.c2 / th[i] + cert.q
+        bound = coeff * n_t
+        tol = binomial_se(n_kt) + coeff * binomial_se(n_t)
+        rows.append((float(th[i]), n_t, n_kt, float(bound), float(n_kt - bound), float(tol)))
+    passed = all(r[4] <= se_multiplier * r[5] for r in rows)
+    return passed, max(r[4] for r in rows), rows
+
+
+def gaussian_cert(rho, A=None):
+    return make_certificate(3.0, contraction_rule="exact", u=1 - rho,
+                            A=1 - rho**2 if A is None else A, B=0.0, delta=0.0)
+
+
+def exact_hit_curve(k):
+    # a geometric ladder merged with t0*K^j built by repeated multiplication,
+    # so K*t lands exactly on the next threshold for every t0*K^j; the top
+    # threshold sits 4e-13 below the last K*t, which only the 1e-12 coverage
+    # slack admits
+    hits = [0.3]
+    while hits[-1] * k < 6.0:
+        hits.append(hits[-1] * k)
+    top = hits[-1] * k * (1.0 - 4e-13)
+    th = np.unique(np.concatenate([np.geomspace(0.1, 5.0, 25), hits, [top]]))
+    return gaussian_pair_tail_curve(th)
+
+
 class TestTailRecursionCheck:
+    @pytest.mark.parametrize("case", ["gauss-0.6", "gauss-0.75", "gauss-0.9", "wiener",
+                                      "dead", "flat", "exact-hit"])
+    def test_matches_scalar_reference(self, wiener_ens, case):
+        if case.startswith("gauss"):
+            cert = gaussian_cert(float(case.split("-")[1]))
+            tc = gaussian_pair_tail_curve(np.geomspace(0.05, 8.0, 50))
+        elif case == "wiener":
+            cert = gaussian_cert(math.sqrt(0.5))
+            tc = tail_curve(wiener_ens, 1, 3, np.geomspace(0.1, 6.0, 60))
+        elif case == "dead":
+            cert = gaussian_cert(0.75, A=1.0)
+            tc = TailCurve(np.geomspace(1.0, 100.0, 20), np.zeros(20), 500)
+        elif case == "flat":
+            cert = gaussian_cert(0.75)
+            tc = TailCurve(np.geomspace(50.0, 500.0, 30), np.full(30, 0.5), None)
+        else:
+            cert = gaussian_cert(0.75)
+            tc = exact_hit_curve(cert.chain.K)
+            kt = cert.chain.K * tc.thresholds
+            assert np.count_nonzero(np.isin(kt, tc.thresholds)) >= 3
+            assert np.any((kt > tc.thresholds[-1]) & (kt <= tc.thresholds[-1] * (1 + 1e-12)))
+        passed, max_violation, ref_rows = scalar_tail_recursion(tc, cert)
+        report = check_tail_recursion(tc, cert)
+        assert report.passed == passed
+        assert len(report.rows) == len(ref_rows)
+        got = np.array([[r.t, r.n_t, r.n_kt, r.bound, r.violation, r.tolerance]
+                        for r in report.rows])
+        np.testing.assert_allclose(got, np.array(ref_rows), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(report.max_violation, max_violation, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("rho", [0.6, 0.75, 0.9])
     def test_exact_gaussian_pair_passes(self, rho):
         cert = make_certificate(3.0, contraction_rule="exact", u=1 - rho,

@@ -17,12 +17,9 @@ from qharness.moments import (
 from qharness.simulate import ProcessKind, exact_marginal_moments, known_params
 
 
-def hankel3_cofactor(m: MomentVector) -> float:
-    # independent oracle: plain cofactor expansion along the first row
-    a, b, c = m.m0, m.m1, m.m2
-    d, e, f = m.m1, m.m2, m.m3
-    g, h, i = m.m2, m.m3, m.m4
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def hankel3_det(m: MomentVector) -> float:
+    # independent oracle: LAPACK's LU determinant (hankel3 expands cofactors)
+    return float(np.linalg.det([[m.m0, m.m1, m.m2], [m.m1, m.m2, m.m3], [m.m2, m.m3, m.m4]]))
 
 
 def random_moment_vectors(rng: np.random.Generator, n: int) -> list[MomentVector]:
@@ -59,14 +56,14 @@ class TestHankel3:
 
     def test_against_cofactor_oracle(self):
         m = MomentVector(1.0, 0.0, 1.2, 0.3, 4.0)
-        assert hankel3(m) == pytest.approx(hankel3_cofactor(m), rel=1e-12)
+        assert hankel3(m) == pytest.approx(hankel3_det(m), rel=1e-12)
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(1234)
         for m in random_moment_vectors(rng, 2000):
             scale = max(1.0, np.prod([np.linalg.norm(r) for r in (
                 (m.m0, m.m1, m.m2), (m.m1, m.m2, m.m3), (m.m2, m.m3, m.m4))]))
-            assert abs(hankel3(m) - hankel3_cofactor(m)) <= 1e-12 * scale
+            assert abs(hankel3(m) - hankel3_det(m)) <= 1e-12 * scale
 
     @given(st.floats(0.1, 10.0), st.floats(-3.0, 3.0))
     def test_two_point_law_is_singular(self, t, m3):
