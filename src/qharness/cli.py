@@ -386,6 +386,8 @@ def _run_verify(config: RunConfig) -> int:
         checks.append(_check(f"mean-slope-{direction}", sl.slope, sl.predicted, sl.se, 3.0))
 
     binned = empirics.estimate_conditional(ens, si, ti, int(cfg["bins"]), "backward")
+    config.log_fields.update(bins_requested=int(cfg["bins"]), bins_returned=binned.n_bins,
+                             bins_confident=int(binned.confident.sum()))
     fit = empirics.fit_quadratic(binned)
     pref = s * (t - s) / (t + p.tau)
     preds = (pref, pref * p.theta / t, pref * p.tau / (t * t))

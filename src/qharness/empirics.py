@@ -146,13 +146,14 @@ def estimate_conditional(
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
     # one sort serves the distinct values, the quantile edges and the bin
-    # counts; it is freed before the gathers below to keep peak memory flat
+    # counts; it is freed before the ordering below to keep peak memory flat
     srt = np.sort(cond)
     distinct = np.concatenate(([True], srt[1:] != srt[:-1]))
     n_uniq = int(np.count_nonzero(distinct))
     if n_uniq < 2:
         raise ValueError("conditioning variable is degenerate (constant)")
-    if n_uniq <= n_bins:
+    lattice = n_uniq <= n_bins
+    if lattice:
         edges = np.append(srt[distinct], srt[-1])
     else:
         edges = np.unique(np.quantile(srt, np.linspace(0.0, 1.0, n_bins + 1)))
@@ -161,14 +162,18 @@ def estimate_conditional(
     count = np.diff(starts, append=srt.size)
     del srt
 
-    # a value's bin is the number of interior edges at or below it; a stable
-    # sort keeps each bin's values in path order, so every per-bin reduction
-    # below sums the same values in the same order as a bin mask (numpy
-    # radix-sorts the narrow label types, with the same permutation)
-    assign = np.searchsorted(edges[1:-1], cond, side="right").astype(np.min_scalar_type(nb - 1))
-    order = np.argsort(assign, kind="stable")
-    cond, target = cond[order], target[order]
-    resid_sq = (target - slope * cond) ** 2
+    # order lists the paths bin by bin: sorted positions [starts[b],
+    # starts[b+1]) hold exactly bin b's values, and equal values share a bin,
+    # so any argsort puts every bin's paths in its segment, whatever order it
+    # gives ties.  One argsort beats a binary search of every value among the
+    # edges; a lattice column has few distinct values, where searching for
+    # each value's bin (the number of interior edges at or below it) and
+    # radix-sorting the narrow labels is cheaper.
+    if lattice:
+        assign = np.searchsorted(edges[1:-1], cond, side="right").astype(np.min_scalar_type(nb - 1))
+        order = np.argsort(assign, kind="stable")
+    else:
+        order = np.argsort(cond)
 
     x_mean = np.zeros(nb)
     mean = np.zeros(nb)
@@ -177,11 +182,17 @@ def estimate_conditional(
     se_var = np.zeros(nb)
     for b in np.flatnonzero(count):
         n = int(count[b])
-        sl = slice(starts[b], starts[b] + n)
-        x_mean[b] = cond[sl].mean()
-        y = target[sl]
+        # ascending path indices: each reduction sums the same values in the
+        # same order as a bin mask would (the stable sort leaves the lattice
+        # segments ascending already)
+        idx = order[starts[b] : starts[b] + n]
+        if not lattice:
+            idx.sort()
+        c = cond[idx]
+        y = target[idx]
+        r2 = (y - slope * c) ** 2
+        x_mean[b] = c.mean()
         mean[b] = y.mean()
-        r2 = resid_sq[sl]
         var[b] = r2.mean()
         if n > 1:
             se_mean[b] = y.std(ddof=1) / math.sqrt(n)
@@ -336,13 +347,14 @@ def tail_curve(
     max(99.5% quantile, 2*lo) of |Y|.
     """
     _check_pair(e, s_index, t_index)
-    x = np.abs(e.paths[:, s_index])
-    y = np.abs(e.paths[:, t_index])
+    # np.abs makes fresh columns, so scale and sort them in place
+    xs = np.abs(e.paths[:, s_index])
+    ys = np.abs(e.paths[:, t_index])
     if normalize:
-        x = x / math.sqrt(float(e.grid[s_index]))
-        y = y / math.sqrt(float(e.grid[t_index]))
-    xs = np.sort(x)
-    ys = np.sort(y)
+        xs /= math.sqrt(float(e.grid[s_index]))
+        ys /= math.sqrt(float(e.grid[t_index]))
+    xs.sort()
+    ys.sort()
     if thresholds is None:
         median, top = np.quantile(ys, [0.5, 0.995]).tolist()
         lo = max(median, 1e-9)

@@ -162,7 +162,18 @@ def pmax_certified(sigma: float, tau: float = 1.0) -> float:
 def pfail_upper(sigma: float, tau: float = 1.0) -> float:
     """Order 2 + 1/sqrt(sigma*tau) at which moments may already fail to exist.
 
-    ``classify_moment_region`` uses 2 + 1/(sigma*tau), without the root; unresolved.
+    The two moment-order bounds of the module:
+
+    * ``pmax_certified`` = 1/(240*sqrt(sigma*tau)) is the order up to which
+      the integrability chain proves moments finite;
+    * this bound, 2 + 1/sqrt(sigma*tau), is the order from which they may
+      fail.  ``classify_moment_region`` reports it as the "finite-order"
+      bound.
+
+    Both are of order 1/sqrt(sigma*tau), the dependence on sigma*tau the
+    paper shows to be right.  (1/(sigma*tau) is a different scale: the one
+    at which formal moment denominators such as hankel3's
+    1 - (2 + gamma)*sigma*tau vanish.)
     """
     st = _check_sigma_tau(sigma, tau)
     if st == 0.0:
@@ -176,7 +187,8 @@ class MomentRegion:
 
     region is one of:
       "finite-order": 0 < sigma*tau < 1 and |gamma - 1| <= 2*sqrt(sigma*tau);
-                      moments conjectured finite up to ``bound`` = 2 + 1/(sigma*tau)
+                      finitely many moments conjectured finite; ``bound`` is
+                      ``pfail_upper``, the order from which they may fail
       "all-orders":   gamma in [-1, 1 - 2*sqrt(sigma*tau)]; all moments
                       conjectured finite (bound = +inf)
       "boundary":     exactly on the shared edge gamma = 1 - 2*sqrt(sigma*tau)
@@ -188,10 +200,7 @@ class MomentRegion:
 
 
 def classify_moment_region(p: HarnessParams) -> MomentRegion:
-    """Classify (sigma, tau, gamma) into the conjectured moment regions.
-
-    Its bound 2 + 1/(sigma*tau) differs from ``pfail_upper``'s 2 + 1/sqrt(sigma*tau).
-    """
+    """Classify (sigma, tau, gamma) into the conjectured moment regions."""
     st = _check_sigma_tau(p.sigma, p.tau)
     root = 2.0 * math.sqrt(st)
     in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)
@@ -199,7 +208,7 @@ def classify_moment_region(p: HarnessParams) -> MomentRegion:
     if in_finite and in_all:
         return MomentRegion("boundary", None)
     if in_finite:
-        return MomentRegion("finite-order", 2.0 + 1.0 / st)
+        return MomentRegion("finite-order", pfail_upper(p.sigma, p.tau))
     if in_all:
         return MomentRegion("all-orders", math.inf)
     return MomentRegion("outside", None)

@@ -242,7 +242,8 @@ def save_ensemble(e: Ensemble, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(e.grid, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(e.paths, dtype="<f8").tobytes())
+        # a view of the path matrix, not a tobytes() copy of it
+        fh.write(memoryview(np.ascontiguousarray(e.paths, dtype="<f8")))
 
 
 def load_ensemble(path) -> Ensemble:

@@ -12,6 +12,7 @@ import pytest
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
+from qharness.empirics import estimate_conditional
 from qharness.simulate import load_ensemble
 
 
@@ -291,6 +292,25 @@ class TestSimulateAndVerify:
         res = json.loads(report.read_text())["results"]
         assert res["pass"] is False
         assert any(not c["pass"] for c in res["checks"])
+
+    def test_verify_sidecar_reports_bins(self, tmp_path):
+        # a pascal lattice column has fewer distinct values than 40 bins, so
+        # fewer bins come back than were requested
+        ens_path = tmp_path / "p.qhe"
+        run_cli(["simulate", "--process", "pascal", "--grid", "0.5,1.0",
+                 "--paths", "40000", "--seed", "3", "--out", str(ens_path)])
+        report = tmp_path / "verify.json"
+        code = run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0",
+                        "--bins", "40", "--out", str(report)])
+        assert code in (0, 1)
+        binned = estimate_conditional(load_ensemble(ens_path), 0, 1, 40, "backward")
+        assert binned.n_bins < 40
+        fields = dict(f.split("=", 1) for f in
+                      (tmp_path / "verify.json.log").read_text().split())
+        assert fields["bins_requested"] == "40"
+        assert fields["bins_returned"] == str(binned.n_bins)
+        assert fields["bins_confident"] == str(int(binned.confident.sum()))
+        assert len(json.loads(report.read_text())["results"]["binned"]) == binned.n_bins
 
     def test_verify_missing_file_exits_two(self, tmp_path):
         code = run_cli(["verify", str(tmp_path / "nope.qhe"), "--s", "0.5", "--t", "1.0"])

@@ -134,6 +134,25 @@ class TestEstimateConditional:
         for name, expected in ref.items():
             assert np.array_equal(getattr(b, name), expected), name
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("n_bins, step", [(5, 0.05), (40, 0.05), (400, 0.002)])
+    def test_tied_continuous_column_matches_masked_reference(self, gamma_ens, direction,
+                                                             n_bins, step):
+        # gamma paths rounded to a grid keep more distinct values than bins, so
+        # the bins come from ranks, while runs of ties straddle the quantile
+        # positions.  On this ensemble 0.05 leaves fewer than 400 distinct
+        # values, so the 400-bin case rounds to 0.002
+        e = Ensemble(gamma_ens.kind, gamma_ens.grid,
+                     np.round(gamma_ens.paths / step) * step, seed=gamma_ens.seed)
+        srt = np.sort(e.paths[:, 1 if direction == "forward" else 3])
+        assert np.count_nonzero(srt[1:] != srt[:-1]) + 1 > n_bins
+        pos = np.arange(1, n_bins) * (srt.size - 1) // n_bins
+        assert np.any(srt[pos - 1] == srt[pos + 1])
+        b = estimate_conditional(e, 1, 3, n_bins, direction)
+        ref = masked_reference(e, 1, 3, n_bins, direction)
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(b, name), expected), name
+
     def test_degenerate_conditioning_rejected(self):
         paths = np.tile([[1.0, 2.0]], (100, 1))
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)

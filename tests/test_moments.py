@@ -182,7 +182,7 @@ class TestRegionClassifier:
     def test_small_product_near_gamma_one(self):
         r = classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, 1.0))
         assert r.region == "finite-order"
-        assert r.bound == pytest.approx(10002.0)
+        assert r.bound == pytest.approx(102.0)
 
     def test_gamma_minus_one_always_all_orders(self):
         r = classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, -1.0))
