@@ -31,9 +31,7 @@ from .certificates import (
     ChainParams,
     embedding,
     integrability_constant,
-    ladder,
     make_certificate,
-    moment_lift_check,
     optimize_constant,
     replay_certificate,
     tail_recursion_coeffs,

@@ -51,18 +51,15 @@ __all__ = [
     "ChainParams",
     "Step",
     "TailBound",
-    "LiftCheck",
     "Certificate",
     "SearchStats",
     "u_for_order",
     "embedding",
     "tail_recursion_coeffs",
-    "moment_lift_check",
     "integrability_constant",
     "make_certificate",
     "replay_certificate",
     "optimize_constant",
-    "ladder",
 ]
 
 # Witness nudge: inequality steps are recorded just inside the certified range.
@@ -172,9 +169,9 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     The two-stage bookkeeping is the standard one: the escape events spill
     at most (1/2) N(Kt), which is absorbed and the remaining coefficients
     doubled.  The escape-split coefficient is a = sqrt(2*delta*rho*(1-rho))
-    for delta > 0 (absorption ratio exactly 1/2); at delta = 0 that choice
-    degenerates, so the maximal admissible a_max = rho^2(1-rho)/(2-rho) is
-    used instead, keeping c2 finite.  Hypothesis violations yield ``valid=False``
+    for delta > 0 (absorption ratio exactly 1/2); where delta*rho*(1-rho) is 0
+    that choice degenerates, so the maximal admissible
+    a_max = rho^2(1-rho)/(2-rho) is used instead, keeping c2 finite.  Hypothesis violations yield ``valid=False``
     with the first failing step recorded; c1 or c2 beyond floats is a ValueError.
     """
     if margin_rule not in _MARGIN_RULES:
@@ -191,7 +188,7 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     # exactly, so the absorption ratio delta*rho*u / (a^2/2) is exactly 1 and
     # no sqrt round-trip can flip the comparisons by an ulp.
     prod = delta * rho * u
-    a_sq = 2.0 * prod if delta > 0.0 else a_max * a_max
+    a_sq = 2.0 * prod if prod > 0.0 else a_max * a_max
     a = math.sqrt(a_sq)
 
     steps = [
@@ -220,18 +217,6 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     return TailBound(c1, c2, q, a, failed is None, failed, tuple(steps))
 
 
-@dataclass(frozen=True)
-class LiftCheck:
-    """Result of the one-order moment-lift contraction test."""
-
-    passed: bool
-    value: float
-    coefficient: float  # value per unit delta
-    u: float
-    k: float
-    mode: str
-
-
 def _k_power(u: float, p: float) -> tuple[float, float]:
     """K = 1 + x, x = 2u/(1-u), and K^(p+1), restoring the exact rounding error
     d = x - (k-1) of k = 1 + x that k^(p+1) alone would amplify p-fold (where k
@@ -243,27 +228,6 @@ def _k_power(u: float, p: float) -> tuple[float, float]:
         return k, k ** (p + 1.0) * math.exp((p + 1.0) * math.log1p(d / k))
     except OverflowError:
         raise ValueError(f"K^(p+1) overflows at p={p}, rho={1.0 - u}") from None
-
-
-def moment_lift_check(p: float, delta: float, mode: str = "paper") -> LiftCheck:
-    """Test the contraction that lifts moments of order p to order p+1.
-
-    paper mode tests the printed condition 120*delta*(p+1) < 1; exact mode
-    tests 8*delta*(p+1)*K^(p+1) < 1 with K at u = 1/(p+1).
-    Both are strict.
-    """
-    if mode not in _CONTRACTION_RULES:
-        raise ValueError(f"mode must be one of {_CONTRACTION_RULES}, got {mode!r}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    u = u_for_order(p)
-    k, k_pow = _k_power(u, p)
-    if mode == "paper":
-        coeff = 120.0 * (p + 1.0)
-    else:
-        coeff = 8.0 * (p + 1.0) * k_pow
-    value = coeff * delta
-    return LiftCheck(value < 1.0, value, coeff, u, k, mode)
 
 
 def integrability_constant(mode: str, p: float) -> float:
@@ -394,6 +358,9 @@ def make_certificate(
     checked at that value (e.g. delta = 0 for an exactly-correlated Gaussian
     pair); otherwise the steps are recorded at the witness just inside the
     certified range.  A ValueError names p when K^(p+1), c1 or c2 overflows.
+    The last step is the one-order lift: 120*delta*(p+1) < 1 (paper) or
+    q*K^(p+1) < 1 (exact), never decreasing in p at fixed delta, so it also
+    covers the orders p-1, p-2, ... below p.
     """
     if contraction_rule == "paper" and u is not None:
         raise ValueError("the printed contraction bound applies only to the default rho")
@@ -516,18 +483,3 @@ def optimize_constant(
         ):
             best = cert
     return best
-
-
-def ladder(p0: float) -> list[float]:
-    """Ascending moment orders visited by the one-order-per-step recursion.
-
-    Steps down from p0 in unit decrements until the order drops to 2 or
-    below (square integrability is assumed, so nothing below 2 needs
-    lifting); empty for p0 <= 2.
-    """
-    if not math.isfinite(p0) or p0 <= 0.0:
-        raise ValueError(f"need finite p0 > 0, got {p0}")
-    if p0 <= 2.0:
-        return []
-    big_k = math.ceil(p0 - 2.0)
-    return [p0 - k for k in range(big_k, -1, -1)]

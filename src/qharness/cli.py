@@ -33,7 +33,7 @@ from . import certificates as certs
 # without numpy.
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "simulate": {"seed": 0, "pascal_q": 0.5, "workers": 1},
+    "simulate": {"seed": 0, "workers": 1},
     "verify": {"seed": 0, "bins": 40},
     "moments": {"seed": 0, "eta": 0.0, "theta": 0.0, "sigma": 0.0,
                 "tau": 0.0, "gamma": 1.0, "t": 1.0},
@@ -108,10 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample a seeded ensemble of a centered Levy martingale "
         "(mean 0, covariance min(s,t), martingale increments)",
     )
-    p.add_argument("--process", choices=core.KINDS, default=None,
-                   help="wiener | poisson | gamma | pascal")
+    p.add_argument("--process", choices=core.KINDS, default=None, help=" | ".join(core.KINDS))
     p.add_argument("--pascal-q", type=float, default=None,
-                   help="success probability of the pascal kind (default 0.5)")
+                   help="success probability of the pascal kind (default 0.5); "
+                   "an error with a kind that takes no parameter")
     p.add_argument("--grid", default=None, help="comma-separated ascending times")
     p.add_argument("--paths", type=int, default=None, help="number of sample paths")
     p.add_argument("--workers", type=int, default=None,
@@ -336,9 +336,10 @@ def _run_simulate(config: RunConfig) -> int:
     from . import simulate
 
     cfg = config.params
-    kind = simulate.ProcessKind(
-        cfg["process"], float(cfg["pascal_q"]) if cfg["process"] == "pascal" else None
-    )
+    q = cfg.get("pascal_q")
+    if q is None and core.kind_record(cfg["process"]).takes_q:
+        q = 0.5
+    kind = simulate.ProcessKind(cfg["process"], None if q is None else float(q))
     grid = _float_list(cfg["grid"])
     ens = simulate.sample_ensemble(
         kind, grid, int(cfg["paths"]), config.seed, n_workers=int(cfg["workers"])

@@ -13,14 +13,15 @@ silently truncated, so downstream verification can see the inadmissible
 parameter/state combination.
 
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
-elementwise; the scalar times are validated once per call.
+elementwise; the scalar times are validated once per call.  ``PROCESS_KINDS``
+is the table of the process kinds that `simulate` samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "HarnessParams",
@@ -34,12 +35,6 @@ __all__ = [
     "double_var_scale",
     "double_var",
 ]
-
-# Names of the process kinds `simulate` samples (the classical sigma*tau = 0
-# harnesses).  Defined here, free of numpy, so the CLI parser can offer them
-# without importing `simulate`.
-KINDS = ("wiener", "poisson", "gamma", "pascal")
-
 
 @dataclass(frozen=True)
 class HarnessParams:
@@ -58,6 +53,74 @@ class HarnessParams:
 
     def sigma_tau(self) -> float:
         return self.sigma * self.tau
+
+
+def pascal_theta(q: float) -> float:
+    """Linear backward-variance coefficient (2-q)/sqrt(1-q) of the standardized
+    negative-binomial martingale; tends to the gamma value 2 as q -> 0."""
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie in (0,1), got {q}")
+    return (2.0 - q) / math.sqrt(1.0 - q)
+
+
+@dataclass(frozen=True)
+class KindRecord:
+    """One process kind: its exact harness tuple ``params(q)``, marginal
+    ``cumulants(q, t)`` = (kappa3, kappa4), ``draw(rng, dt, n, q)`` giving n raw
+    increments over dt from the numpy Generator it is handed, and
+    ``centring(q)`` = (mu, scale): a path is (sum of draws - t*mu) * scale.
+    ``takes_q`` marks a kind with a parameter q in (0, 1)."""
+
+    name: str
+    params: Callable[[float | None], HarnessParams]
+    cumulants: Callable[[float | None, float], tuple[float, float]]
+    draw: Callable[..., Any]
+    centring: Callable[[float | None], tuple[float, float]] = lambda q: (0.0, 1.0)
+    takes_q: bool = False
+
+
+# The kinds `simulate` samples: sigma*tau = 0 martingales with independent
+# increments.  A kind's index is its container code, so records are only
+# appended.  Free of numpy, so the CLI parser can offer them without numpy.
+PROCESS_KINDS = (
+    KindRecord(
+        "wiener",
+        params=lambda q: HarnessParams(0.0, 0.0, 0.0, 0.0, 1.0),
+        cumulants=lambda q, t: (0.0, 0.0),
+        draw=lambda rng, dt, n, q: rng.standard_normal(n) * math.sqrt(dt),
+    ),
+    KindRecord(
+        "poisson",  # binomial bridge
+        params=lambda q: HarnessParams(0.0, 1.0, 0.0, 0.0, 1.0),
+        cumulants=lambda q, t: (t, t),
+        draw=lambda rng, dt, n, q: rng.poisson(dt, n).astype(float),
+        centring=lambda q: (1.0, 1.0),
+    ),
+    KindRecord(
+        "gamma",  # beta bridge
+        params=lambda q: HarnessParams(0.0, 2.0, 0.0, 1.0, 1.0),
+        cumulants=lambda q, t: (2.0 * t, 6.0 * t),
+        draw=lambda rng, dt, n, q: rng.gamma(dt, 1.0, n) - dt,
+    ),
+    KindRecord(
+        "pascal",  # beta-binomial bridge; q is the success probability
+        params=lambda q: HarnessParams(0.0, pascal_theta(q), 0.0, 1.0, 1.0),
+        cumulants=lambda q, t: (t * (2.0 - q) / math.sqrt(1.0 - q),
+                                t * (6.0 - 6.0 * q + q * q) / (1.0 - q)),
+        # negative binomial NB(dt, q) as a gamma-mixed Poisson
+        draw=lambda rng, dt, n, q: rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float),
+        centring=lambda q: ((1.0 - q) / q, q / math.sqrt(1.0 - q)),
+        takes_q=True,
+    ),
+)
+KINDS = tuple(k.name for k in PROCESS_KINDS)
+
+
+def kind_record(name: str) -> KindRecord:
+    """The table record of a process kind; an unknown name is a ValueError."""
+    if name not in KINDS:
+        raise ValueError(f"unsupported process {name!r}; choose from {KINDS}")
+    return PROCESS_KINDS[KINDS.index(name)]
 
 
 class Variance(NamedTuple):

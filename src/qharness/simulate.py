@@ -1,8 +1,9 @@
 """Seeded Monte Carlo ensembles of the classical sigma*tau = 0 harnesses.
 
-Four standardized Levy martingales (Wiener, centered Poisson, centered
-gamma, centered Pascal) are sampled by exact independent increments, so that
-E(X_t) = 0 and E(X_s X_t) = min(s, t) hold exactly in law.  Only these
+Each kind is one record of ``core.PROCESS_KINDS`` (Wiener, centered Poisson,
+gamma and Pascal): exact independent increments, standardized so that
+E(X_t) = 0 and E(X_s X_t) = min(s, t) hold exactly in law.  Adding a kind
+means one more record plus its tests; nothing here changes.  Only these
 sigma*tau = 0 processes are simulated; verification for sigma*tau > 0 is
 certificate/formula based.
 
@@ -13,7 +14,6 @@ bit-identical regardless of how many worker threads assemble it.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import KINDS, HarnessParams
+from .core import KINDS, PROCESS_KINDS, HarnessParams, KindRecord, kind_record, pascal_theta
 from .moments import MomentVector
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "ensemble_to_csv",
 ]
 
-_KIND_CODES = {k: i for i, k in enumerate(KINDS)}
-
 # Paths per substream block; part of the stream layout (changing it changes
 # the sampled ensembles).
 BLOCK_PATHS = 4096
@@ -50,65 +48,35 @@ _HEADER = struct.Struct("<4sBxxxdQQQ")
 
 @dataclass(frozen=True)
 class ProcessKind:
-    """One of the simulated process kinds; pascal carries its success probability."""
+    """One of the simulated process kinds, with its parameter q if its record takes one."""
 
     name: str
     q: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in KINDS:
-            raise ValueError(f"unsupported process {self.name!r}; choose from {KINDS}")
-        if self.name == "pascal":
+        if kind_record(self.name).takes_q:
             if self.q is None or not (0.0 < self.q < 1.0):
-                raise ValueError(f"pascal needs a success probability in (0,1), got {self.q}")
+                raise ValueError(f"{self.name} needs a success probability in (0,1), got {self.q}")
         elif self.q is not None:
             raise ValueError(f"{self.name} takes no extra parameter")
 
-
-def pascal_theta(q: float) -> float:
-    """Linear backward-variance coefficient (2-q)/sqrt(1-q) of the standardized
-    negative-binomial martingale; tends to the gamma value 2 as q -> 0."""
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    return (2.0 - q) / math.sqrt(1.0 - q)
+    @property
+    def record(self) -> KindRecord:
+        return kind_record(self.name)
 
 
 def known_params(kind: ProcessKind) -> HarnessParams:
     """The (eta, theta, sigma, tau, gamma) for which the closed-form
-    conditional moments match the process exactly.
-
-    All four are martingales with independent increments, hence
-    eta = sigma = 0 and gamma = 1; theta and tau come from the bridge
-    variance (binomial, beta and beta-binomial bridges respectively).
-    """
-    if kind.name == "wiener":
-        return HarnessParams(0.0, 0.0, 0.0, 0.0, 1.0)
-    if kind.name == "poisson":
-        return HarnessParams(0.0, 1.0, 0.0, 0.0, 1.0)
-    if kind.name == "gamma":
-        return HarnessParams(0.0, 2.0, 0.0, 1.0, 1.0)
-    return HarnessParams(0.0, pascal_theta(kind.q), 0.0, 1.0, 1.0)
+    conditional moments match the process exactly (from the kind's record)."""
+    return kind.record.params(kind.q)
 
 
 def exact_marginal_moments(kind: ProcessKind, t: float) -> MomentVector:
-    """Exact raw moments m1..m4 of the standardized marginal at time t.
-
-    From the cumulants: kappa2 = t always; (kappa3, kappa4) are (0, 0) for
-    wiener, (t, t) for poisson, (2t, 6t) for gamma and
-    (t*(2-q)/sqrt(1-q), t*(6-6q+q^2)/(1-q)) for pascal.
-    """
+    """Exact raw moments m1..m4 of the standardized marginal at time t, from
+    the cumulants kappa2 = t and the record's (kappa3, kappa4)."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    if kind.name == "wiener":
-        k3, k4 = 0.0, 0.0
-    elif kind.name == "poisson":
-        k3, k4 = t, t
-    elif kind.name == "gamma":
-        k3, k4 = 2.0 * t, 6.0 * t
-    else:
-        q = kind.q
-        k3 = t * (2.0 - q) / math.sqrt(1.0 - q)
-        k4 = t * (6.0 - 6.0 * q + q * q) / (1.0 - q)
+    k3, k4 = kind.record.cumulants(kind.q, t)
     return MomentVector(1.0, 0.0, t, k3, k4 + 3.0 * t * t)
 
 
@@ -151,23 +119,6 @@ def _substream(seed: int, block: int, step: int) -> Generator:
     return Generator(Philox(key=[np.uint64(seed), np.uint64((block << 32) | step)]))
 
 
-def _count_increments(kind: ProcessKind, dt: float, n: int, rng: Generator) -> np.ndarray:
-    """Raw counting increments of the lattice kinds (poisson / pascal)."""
-    if kind.name == "poisson":
-        return rng.poisson(dt, n).astype(np.float64)
-    # pascal: negative binomial NB(dt, q) as a gamma-mixed Poisson
-    q = kind.q
-    mix = rng.gamma(dt, (1.0 - q) / q, n)
-    return rng.poisson(mix).astype(np.float64)
-
-
-def _increments(kind: ProcessKind, dt: float, n: int, rng: Generator) -> np.ndarray:
-    """Exact standardized increments (continuous kinds) with mean 0, variance dt."""
-    if kind.name == "wiener":
-        return rng.standard_normal(n) * math.sqrt(dt)
-    return rng.gamma(dt, 1.0, n) - dt
-
-
 def sample_ensemble(
     kind: ProcessKind,
     grid,
@@ -195,28 +146,18 @@ def sample_ensemble(
     dts = np.diff(grid, prepend=0.0)
     out = np.empty((n_paths, grid.size), dtype=np.float64)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
-    lattice = kind.name in ("poisson", "pascal")
-    if kind.name == "pascal":
-        mu = (1.0 - kind.q) / kind.q
-        scale = kind.q / math.sqrt(1.0 - kind.q)
+    draw = kind.record.draw
+    mu, scale = kind.record.centring(kind.q)
 
     def fill_block(block: int) -> None:
         lo = block * BLOCK_PATHS
         hi = min(lo + BLOCK_PATHS, n_paths)
         acc = np.zeros(hi - lo)
         for step, dt in enumerate(dts):
-            rng = _substream(seed, block, step)
-            if lattice:
-                # accumulate integer counts and center once per column, so
-                # equal counts give bit-equal path values (exact lattice)
-                acc = acc + _count_increments(kind, float(dt), hi - lo, rng)
-                if kind.name == "poisson":
-                    out[lo:hi, step] = acc - grid[step]
-                else:
-                    out[lo:hi, step] = (acc - grid[step] * mu) * scale
-            else:
-                acc = acc + _increments(kind, float(dt), hi - lo, rng)
-                out[lo:hi, step] = acc
+            # accumulate the raw draws and centre once per column, so equal
+            # lattice counts give bit-equal path values (exact lattice)
+            acc += draw(_substream(seed, block, step), float(dt), hi - lo, kind.q)
+            out[lo:hi, step] = (acc - grid[step] * mu) * scale
 
     if n_workers == 1 or n_blocks == 1:
         for block in range(n_blocks):
@@ -229,11 +170,11 @@ def sample_ensemble(
 
 
 def save_ensemble(e: Ensemble, path) -> None:
-    """Write the binary container: magic, kind, pascal parameter, seed,
-    shape, grid and the row-major float64 path matrix (little-endian)."""
+    """Write the little-endian container: magic, kind code (its table index),
+    q (0 when unused), seed, shape, grid and the row-major float64 paths."""
     header = _HEADER.pack(
         _MAGIC,
-        _KIND_CODES[e.kind.name],
+        KINDS.index(e.kind.name),
         e.kind.q if e.kind.q is not None else 0.0,
         e.seed,
         e.n_paths,
@@ -255,11 +196,10 @@ def load_ensemble(path) -> Ensemble:
         magic, code, q, seed, n_paths, n_times = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an ensemble container (bad magic {magic!r})")
-        try:
-            name = KINDS[code]
-        except IndexError:
-            raise ValueError(f"{path}: unknown kind code {code}") from None
-        kind = ProcessKind(name, q if name == "pascal" else None)
+        if code >= len(PROCESS_KINDS):
+            raise ValueError(f"{path}: unknown kind code {code}")
+        record = PROCESS_KINDS[code]
+        kind = ProcessKind(record.name, q if record.takes_q else None)
         need = _HEADER.size + 8 * n_times * (n_paths + 1)
         size = os.fstat(fh.fileno()).st_size
         if size < need:

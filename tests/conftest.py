@@ -1,5 +1,6 @@
 import pytest
 
+from qharness.core import KINDS, kind_record
 from qharness.simulate import ProcessKind, sample_ensemble
 
 GRID = (0.25, 0.5, 0.75, 1.0)
@@ -7,31 +8,32 @@ SEED = 7
 N_PATHS = 100_000
 
 
-@pytest.fixture(scope="session")
-def wiener_ens():
-    return sample_ensemble(ProcessKind("wiener"), GRID, N_PATHS, seed=SEED)
+def kind_of(name: str) -> ProcessKind:
+    """The kind under test, from its table record: one that takes q gets q = 0.5."""
+    return ProcessKind(name, 0.5 if kind_record(name).takes_q else None)
 
 
 @pytest.fixture(scope="session")
-def poisson_ens():
-    return sample_ensemble(ProcessKind("poisson"), GRID, N_PATHS, seed=SEED)
+def all_ensembles():
+    """One ensemble of every kind in the table, keyed by name."""
+    return {name: sample_ensemble(kind_of(name), GRID, N_PATHS, seed=SEED) for name in KINDS}
 
 
 @pytest.fixture(scope="session")
-def gamma_ens():
-    return sample_ensemble(ProcessKind("gamma"), GRID, N_PATHS, seed=SEED)
+def wiener_ens(all_ensembles):
+    return all_ensembles["wiener"]
 
 
 @pytest.fixture(scope="session")
-def pascal_ens():
-    return sample_ensemble(ProcessKind("pascal", 0.5), GRID, N_PATHS, seed=SEED)
+def poisson_ens(all_ensembles):
+    return all_ensembles["poisson"]
 
 
 @pytest.fixture(scope="session")
-def all_ensembles(wiener_ens, poisson_ens, gamma_ens, pascal_ens):
-    return {
-        "wiener": wiener_ens,
-        "poisson": poisson_ens,
-        "gamma": gamma_ens,
-        "pascal": pascal_ens,
-    }
+def gamma_ens(all_ensembles):
+    return all_ensembles["gamma"]
+
+
+@pytest.fixture(scope="session")
+def pascal_ens(all_ensembles):
+    return all_ensembles["pascal"]

@@ -15,7 +15,7 @@ from qharness.certificates import (
     optimize_constant,
     replay_certificate,
 )
-from qharness.core import HarnessParams
+from qharness.core import KINDS, HarnessParams
 from qharness.empirics import (
     check_tail_recursion,
     conditional_mean_slope,
@@ -34,6 +34,8 @@ from qharness.moments import (
     two_point_from_moments,
 )
 from qharness.simulate import ProcessKind, known_params, sample_ensemble
+
+from conftest import kind_of
 
 GRID = [0.25, 0.5, 0.75, 1.0]
 SEED = 7
@@ -158,8 +160,8 @@ def test_criterion_5_simulation_fidelity():
     started = time.perf_counter()
     ok = True
     details = []
-    for name in ("wiener", "poisson", "gamma", "pascal"):
-        kind = ProcessKind(name, 0.5 if name == "pascal" else None)
+    for name in KINDS:
+        kind = kind_of(name)
         e = sample_ensemble(kind, GRID, 100_000, seed=SEED)
         si, ti = 1, 3
         s, t = GRID[si], GRID[ti]

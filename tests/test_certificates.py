@@ -15,9 +15,7 @@ from qharness.certificates import (
     _k_power,
     embedding,
     integrability_constant,
-    ladder,
     make_certificate,
-    moment_lift_check,
     optimize_constant,
     replay_certificate,
     tail_recursion_coeffs,
@@ -135,6 +133,14 @@ class TestTailRecursionCoeffs:
         assert tb.q == 0.0 and tb.valid
         assert math.isfinite(tb.c1) and math.isfinite(tb.c2)
 
+    def test_underflowing_delta_takes_the_zero_delta_split(self):
+        # delta*rho*u underflows to 0: the split falls back to a_max, as at delta = 0
+        # (the split a = sqrt(2*delta*rho*u) would be 0 and c2 infinite)
+        zero, tiny = (tail_recursion_coeffs(ChainParams(p=2.0, u=1 / 3, delta=d, K=2.0))
+                      for d in (0.0, 5e-324))
+        assert tiny.valid and (tiny.c1, tiny.c2, tiny.a_split) == (zero.c1, zero.c2, zero.a_split)
+        assert make_certificate(2.0, contraction_rule="exact", delta=5e-324).valid
+
     def test_margin_boundary_invalid(self):
         rho = 0.75
         chain = ChainParams(p=3.0, u=1 - rho, delta=(1 - rho) / 64,
@@ -183,19 +189,27 @@ class TestTailRecursionCoeffs:
             make_certificate(4.0, contraction_rule="exact", margin_rule="margin-32")
 
 
+def lift_step(p: float, delta: float, rule: str):
+    """The one-order moment-lift contraction step of the certificate at (p, delta)."""
+    step = make_certificate(p, contraction_rule=rule, delta=delta).steps[-1]
+    assert step.name == "contraction"
+    return step
+
+
 class TestMomentLift:
     def test_printed_condition_pass(self):
-        res = moment_lift_check(3.0, 0.002, "paper")
-        assert res.passed and res.value == pytest.approx(0.96)
+        step = lift_step(3.0, 0.002, "paper")
+        assert step.passed and step.lhs == pytest.approx(0.96)
 
     def test_printed_condition_boundary_fails(self):
-        res = moment_lift_check(3.0, 1.0 / 480.0, "paper")
-        assert res.value == pytest.approx(1.0) and not res.passed
+        step = lift_step(3.0, 1.0 / 480.0, "paper")
+        assert step.lhs == pytest.approx(1.0) and not step.passed
 
     def test_exact_coefficient(self):
-        res = moment_lift_check(4.0, 0.0, "exact")
-        assert res.coefficient == pytest.approx(8 * 5 * 1.5**5)
-        assert res.coefficient == 303.75
+        # at delta = 1 the contraction value is the coefficient 8(p+1)K^(p+1)
+        step = lift_step(4.0, 1.0, "exact")
+        assert step.lhs == pytest.approx(8 * 5 * 1.5**5)
+        assert step.lhs == 303.75
 
     @pytest.mark.parametrize("p", [3.0, 128.0, 4229.0, 1e8, 1e12, 1e15, 1e16, 3e16])
     def test_exact_coefficient_accurate_at_every_order(self, p):
@@ -204,16 +218,16 @@ class TestMomentLift:
             ctx.prec = 50
             d = decimal.Decimal(p)
             want = 8 * (d + 1) * ((d + 2) / d) ** (d + 1)
-        got = moment_lift_check(p, 0.0, "exact").coefficient
+        got = lift_step(p, 1.0, "exact").lhs
         assert got == pytest.approx(float(want), rel=1e-15)
 
     @given(orders, st.floats(0.0, 0.01))
     def test_printed_pass_implies_exact_pass(self, p, delta):
-        paper = moment_lift_check(p, delta, "paper")
-        exact = moment_lift_check(p, delta, "exact")
+        paper = lift_step(p, delta, "paper")
+        exact = lift_step(p, delta, "exact")
         if paper.passed:
             assert exact.passed
-        assert exact.value <= paper.value + 1e-12
+        assert exact.lhs <= paper.lhs + 1e-12
 
 
 class TestIntegrabilityConstant:
@@ -459,21 +473,15 @@ class TestExactOptimum:
         assert stats == SearchStats(evaluations)
 
 
-class TestLadder:
-    def test_examples(self):
-        assert ladder(4.5) == [1.5, 2.5, 3.5, 4.5]
-        assert ladder(2.0) == []
-        assert ladder(3.0) == [2.0, 3.0]
+class TestLiftMonotoneInOrder:
+    """Lifting one order at a time is implied: along p0 - k, ..., p0 - 1, p0
+    (k = ceil(p0 - 2), so the lowest rung is at most 2) the contraction value
+    never decreases, so the certificate at p0 covers every rung below it."""
 
-    @given(st.floats(2.0 + 1e-9, 500.0))
-    def test_structure(self, p0):
-        steps = ladder(p0)
-        assert steps[-1] == p0
-        assert steps[0] <= 2.0
-        if len(steps) > 1:
-            assert steps[1] > 2.0
-            assert all(b - a == pytest.approx(1.0) for a, b in zip(steps, steps[1:]))
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            ladder(0.0)
+    @pytest.mark.parametrize("rule", ["paper", "exact"])
+    @pytest.mark.parametrize("p0", [4.5, 16.0, 128.0, 1e4])
+    def test_contraction_never_decreases(self, p0, rule):
+        rungs = [p0 - k for k in range(math.ceil(p0 - 2.0), -1, -1)]
+        values = [lift_step(p, 1e-6, rule).lhs for p in rungs]
+        assert rungs[0] <= 2.0 and rungs[-1] == p0
+        assert all(a <= b for a, b in zip(values, values[1:]))

@@ -276,6 +276,38 @@ class TestSimulateAndVerify:
         assert code == 0
         assert out.read_text().startswith("path_id,")
 
+    @pytest.mark.parametrize("process, q", [("gamma", "0.3"), ("wiener", "-4")])
+    def test_pascal_q_with_a_kind_without_parameter_exits_two(self, tmp_path, capsys,
+                                                              process, q):
+        out = tmp_path / "e.qhe"
+        code = run_cli(["simulate", "--process", process, "--pascal-q", q, "--grid", "1.0",
+                        "--paths", "10", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"qharness simulate: error: {process} takes no extra parameter\n")
+
+    def test_pascal_q_from_config_file(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "e.qhe"
+        cfg.write_text(json.dumps({"process": "gamma", "pascal_q": 0.3, "grid": "1.0",
+                                   "paths": 10}))
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1 and not out.exists()
+        # the default q = 0.5 applies to a kind that takes a parameter
+        cfg.write_text(json.dumps({"process": "pascal", "grid": "1.0", "paths": 10}))
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_ensemble(out).kind.q == 0.5
+
+    @pytest.mark.parametrize("process, code", [("wiener", 0), ("poisson", 1), ("gamma", 2),
+                                               ("pascal", 3)])
+    def test_container_kind_code_is_pinned(self, tmp_path, process, code):
+        # the byte at offset 4 is the kind's index in core.PROCESS_KINDS: the
+        # table order is the file format, so reordering the table fails here
+        out = tmp_path / "e.qhe"
+        assert run_cli(["simulate", "--process", process, "--grid", "1.0", "--paths", "10",
+                        "--out", str(out)]) == 0
+        assert out.read_bytes()[4] == code
+        assert load_ensemble(out).kind.name == process
+
     def test_verify_failure_exits_one(self, tmp_path):
         # wiener paths labelled as poisson: the quadratic-variance
         # coefficients cannot match the claimed kind
@@ -594,8 +626,8 @@ _EXPORTS = (
     "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
     "estimate_conditional", "exact_marginal_moments", "fit_quadratic",
     "gaussian_pair_tail_curve", "hankel3", "hankel3_closed_form", "hill_tail_index",
-    "integrability_constant", "known_params", "ladder", "load_ensemble",
-    "make_certificate", "moment_lift_check", "moments", "one_sided_mean",
+    "integrability_constant", "known_params", "load_ensemble",
+    "make_certificate", "moments", "one_sided_mean",
     "optimize_constant", "pfail_upper", "pmax_certified", "replay_certificate",
     "sample_ensemble", "save_ensemble", "simulate", "tail_curve",
     "tail_recursion_coeffs", "two_point_from_moments", "u_for_order",

@@ -5,7 +5,7 @@ import pytest
 
 from qharness import core
 from qharness.certificates import make_certificate
-from qharness.core import var_backward
+from qharness.core import KINDS, var_backward
 from qharness.empirics import (
     MIN_BIN_COUNT,
     BinnedConditional,
@@ -110,7 +110,7 @@ class TestEstimateConditional:
         b = estimate_conditional(poisson_ens, 1, 3, 40, "backward")
         assert b.count.sum() == poisson_ens.n_paths
 
-    @pytest.mark.parametrize("kind", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("n_bins", [10, 40])
     def test_matches_masked_reference(self, all_ensembles, kind, direction, n_bins):
@@ -120,7 +120,7 @@ class TestEstimateConditional:
         for name, expected in ref.items():
             assert np.array_equal(getattr(b, name), expected), name
 
-    @pytest.mark.parametrize("kind", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_bins", [5, 300, 400])
     def test_narrow_labels_match_masked_reference(self, all_ensembles, kind, n_bins):
         # 5 bins label with uint8, 300 and 400 quantile bins with uint16; at 5
@@ -240,7 +240,7 @@ class TestTailCurve:
         assert np.all(np.diff(tc.n_values) <= 0)
         assert np.all((tc.n_values >= 0) & (tc.n_values <= 2))
 
-    @pytest.mark.parametrize("name", ["wiener", "poisson", "gamma", "pascal"])
+    @pytest.mark.parametrize("name", KINDS)
     @pytest.mark.parametrize("normalize", [True, False])
     def test_default_ladder(self, all_ensembles, name, normalize):
         e = all_ensembles[name]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qharness.core import HarnessParams
+from qharness.core import KINDS, HarnessParams
 from qharness.moments import (
     MomentVector,
     classify_moment_region,
@@ -14,7 +14,9 @@ from qharness.moments import (
     pmax_certified,
     two_point_from_moments,
 )
-from qharness.simulate import ProcessKind, exact_marginal_moments, known_params
+from qharness.simulate import exact_marginal_moments, known_params
+
+from conftest import kind_of
 
 
 def hankel3_det(m: MomentVector) -> float:
@@ -96,12 +98,7 @@ class TestClosedForm:
         assert det == pytest.approx(2.0 * t**3, rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
-    @pytest.mark.parametrize(
-        "kind",
-        [ProcessKind("wiener"), ProcessKind("poisson"), ProcessKind("gamma"),
-         ProcessKind("pascal", 0.5)],
-        ids=lambda k: k.name,
-    )
+    @pytest.mark.parametrize("kind", [kind_of(name) for name in KINDS], ids=lambda k: k.name)
     def test_determinant_is_t_squared_times_closed_form(self, kind, t):
         det = hankel3(exact_marginal_moments(kind, t))
         closed = hankel3_closed_form(known_params(kind), t)

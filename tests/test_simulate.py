@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qharness.core import one_sided_mean, var_backward
+from qharness.core import KINDS, one_sided_mean, var_backward
 from qharness.moments import hankel3
 from qharness.simulate import (
     Ensemble,
@@ -18,11 +18,9 @@ from qharness.simulate import (
     save_ensemble,
 )
 
+from conftest import kind_of
+
 GRID = [0.25, 0.5, 0.75, 1.0]
-
-
-def kind_of(name: str) -> ProcessKind:
-    return ProcessKind(name, 0.5 if name == "pascal" else None)
 
 
 class TestProcessKind:
@@ -110,7 +108,7 @@ class TestExactMarginalMoments:
         assert mv.m4 == pytest.approx((6 - 6 * q + q * q) / (1 - q) + 3.0)
 
     def test_hankel_positivity(self):
-        for name in ("wiener", "poisson", "gamma", "pascal"):
+        for name in KINDS:
             for t in (0.25, 0.5, 1.0, 2.0, 5.0):
                 assert hankel3(exact_marginal_moments(kind_of(name), t)) >= -1e-10
 
