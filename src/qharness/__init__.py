@@ -45,9 +45,9 @@ _LAZY = dict.fromkeys(
      "load_ensemble", "sample_ensemble", "save_ensemble"),
     "simulate",
 ) | dict.fromkeys(
-    ("BinnedConditional", "HillEstimate", "TailCurve", "check_tail_recursion",
-     "conditional_mean_slope", "estimate_conditional", "fit_quadratic",
-     "gaussian_pair_tail_curve", "hill_tail_index", "tail_curve"),
+    ("BinnedConditional", "HillEstimate", "PathEmpirics", "TailCurve",
+     "check_tail_recursion", "estimate_conditional", "gaussian_pair_tail_curve",
+     "hill_tail_index", "path_empirics", "tail_curve"),
     "empirics",
 )
 

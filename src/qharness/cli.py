@@ -374,34 +374,31 @@ def _run_verify(config: RunConfig) -> int:
     s, t = float(ens.grid[si]), float(ens.grid[ti])
     p = simulate.known_params(ens.kind)
 
-    checks = []
-    for (i, j, label) in ((si, si, f"covariance({s},{s})"),
-                          (si, ti, f"covariance({s},{t})"),
-                          (ti, ti, f"covariance({t},{t})")):
-        val, se = empirics.empirical_covariance(ens, i, j)
-        expected = core.covariance(float(ens.grid[i]), float(ens.grid[j]))
-        checks.append(_check(label, val, expected, se, 5.0))
-
-    for direction in ("forward", "backward"):
-        sl = empirics.conditional_mean_slope(ens, si, ti, direction)
-        checks.append(_check(f"mean-slope-{direction}", sl.slope, sl.predicted, sl.se, 3.0))
-
-    binned = empirics.estimate_conditional(ens, si, ti, int(cfg["bins"]), "backward")
-    config.log_fields.update(bins_requested=int(cfg["bins"]), bins_returned=binned.n_bins,
-                             bins_confident=int(binned.confident.sum()))
-    fit = empirics.fit_quadratic(binned)
+    pe = empirics.path_empirics(ens, si, ti)
+    fit = pe.fit
+    if fit is None:
+        raise ValueError("the quadratic fit needs at least 3 distinct values of X_t")
+    checks = [
+        _check(f"covariance({a},{b})", est.value, core.covariance(a, b), est.se, 5.0)
+        for est, (a, b) in zip(pe.covariance, ((s, s), (s, t), (t, t)))
+    ]
+    for direction, est, predicted in (("forward", pe.slope_forward, 1.0),
+                                      ("backward", pe.slope_backward, s / t)):
+        checks.append(_check(f"mean-slope-{direction}", est.value, predicted, est.se, 3.0))
     pref = s * (t - s) / (t + p.tau)
     preds = (pref, pref * p.theta / t, pref * p.tau / (t * t))
     for coef, se_c, pred, label in zip(
         (fit.c0, fit.c1, fit.c2), fit.se, preds, ("c0", "c1", "c2")
     ):
         checks.append(_check(f"backward-quadratic-{label}", coef, pred, se_c, 3.0))
+    checks.append(_check("law-of-total-variance-backward", pe.lotv.value, s * (t - s) / t,
+                         pe.lotv.se, 4.0))
 
-    lotv = core.var_backward(p, s, t, ens.paths[:, ti]).value
-    checks.append(
-        _check("law-of-total-variance-backward", float(lotv.mean()), s * (t - s) / t,
-               float(lotv.std(ddof=1) / math.sqrt(lotv.size)), 4.0)
-    )
+    # the bins are display only: no verdict reads them
+    binned = empirics.estimate_conditional(ens, si, ti, int(cfg["bins"]), "backward")
+    config.log_fields.update(bins_requested=int(cfg["bins"]), bins_returned=binned.n_bins,
+                             bins_confident=int(binned.confident.sum()),
+                             weights_floored=pe.weights_floored, row_blocks=pe.row_blocks)
 
     all_pass = all(c["pass"] for c in checks)
     bins = binned.rows()

@@ -1,15 +1,20 @@
 """Statistical verification of the closed-form conditional moments.
 
-Binned conditional-moment estimation against the exact predictions,
-empirical and exact tail curves N(t) = Pr(|X| > t) + Pr(|Y| > t), the
-certified tail-recursion inequality check, and Hill tail-index estimation.
+Per-path checks of a pair s < t (``path_empirics``): the covariances, the
+one-sided mean slopes, the law of total variance, and a weighted regression
+of the squared backward residual on (1, X_t, X_t^2) whose coefficients are
+the quadratic backward variance, with HC0 standard errors.  They read the
+ensemble in two passes over cache-sized blocks of rows.  Binned
+conditional moments against the exact predictions (``estimate_conditional``)
+are for display: no verdict reads them.  Also empirical and exact tail
+curves N(t) = Pr(|X| > t) + Pr(|Y| > t), the certified tail-recursion
+inequality check, and Hill tail-index estimation.
 
 Binning is equal-count (quantile) rather than equal-width: it stabilizes the
 per-bin standard errors when the conditioning variable is heavy tailed.
 Pass thresholds are a fixed multiple of the standard error (3 by default),
-configurable by the caller; the predictions inside a table come from the
-same closed-form code path the rest of the package uses, never from a
-re-derivation.
+configurable by the caller; the predictions come from the same closed-form
+code path the rest of the package uses, never from a re-derivation.
 """
 
 from __future__ import annotations
@@ -21,20 +26,20 @@ import numpy as np
 
 from . import core
 from .certificates import Certificate
-from .simulate import Ensemble, known_params
+from .simulate import BLOCK_PATHS, Ensemble, known_params
 
 __all__ = [
     "BinnedConditional",
+    "Estimate",
     "QuadraticFit",
+    "PathEmpirics",
     "TailCurve",
-    "SlopeCheck",
     "TailBoundRow",
     "TailBoundReport",
     "HillEstimate",
     "estimate_conditional",
-    "fit_quadratic",
-    "conditional_mean_slope",
-    "empirical_covariance",
+    "path_empirics",
+    "sorted_quantiles",
     "tail_curve",
     "gaussian_pair_tail_curve",
     "check_tail_recursion",
@@ -43,6 +48,11 @@ __all__ = [
 ]
 
 MIN_BIN_COUNT = 30
+# rows per block of the per-path passes: 32768 rows keep the two column
+# copies and the per-block temporaries in cache
+ROW_BLOCK = 8 * BLOCK_PATHS
+# the regression weight 1/v^2 floors v at this share of s(t-s)/(t+tau)
+WEIGHT_FLOOR = 1e-2
 
 
 def gaussian_tail(t: float) -> float:
@@ -54,8 +64,7 @@ def gaussian_tail(t: float) -> float:
 class BinnedConditional:
     """Per-bin conditional moments of the target given the conditioning value.
 
-    ``confident`` marks bins with at least MIN_BIN_COUNT samples; only those
-    enter fits.
+    ``confident`` marks bins with at least MIN_BIN_COUNT samples.
     """
 
     direction: str
@@ -119,6 +128,24 @@ def _oriented(e: Ensemble, s_index: int, t_index: int, direction: str):
     return s, t, xt, xs, s / t
 
 
+def sorted_quantiles(srt: np.ndarray, qs) -> np.ndarray:
+    """Quantiles of an ascending column by numpy's default (linear) method.
+
+    Bit-identical to ``np.quantile(srt, qs)``, without its copy and partition
+    of a column that is sorted already: the virtual index (n-1)*q lies between
+    two neighbours, and numpy's ``_lerp`` measures the step from the nearer
+    one (from the upper for weights of 1/2 and more).
+    """
+    virtual = (srt.size - 1) * np.asarray(qs, dtype=np.float64)
+    below = np.floor(virtual)
+    lo = below.astype(np.intp)
+    a = srt[lo]
+    b = srt[np.minimum(lo + 1, srt.size - 1)]
+    frac = virtual - below
+    diff = b - a
+    return np.where(frac >= 0.5, b - diff * (1.0 - frac), a + diff * frac)
+
+
 def estimate_conditional(
     e: Ensemble,
     s_index: int,
@@ -145,62 +172,55 @@ def estimate_conditional(
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
-    # one sort serves the distinct values, the quantile edges and the bin
-    # counts; it is freed before the ordering below to keep peak memory flat
-    srt = np.sort(cond)
-    distinct = np.concatenate(([True], srt[1:] != srt[:-1]))
+    # one argsort lists the paths bin by bin: sorted positions [starts[b],
+    # starts[b+1]) hold exactly bin b's values, and equal values share a bin
+    order = np.argsort(cond)
+    c = cond[order]
+    y = target[order]
+    del order
+    distinct = np.concatenate(([True], c[1:] != c[:-1]))
     n_uniq = int(np.count_nonzero(distinct))
     if n_uniq < 2:
         raise ValueError("conditioning variable is degenerate (constant)")
-    lattice = n_uniq <= n_bins
-    if lattice:
-        edges = np.append(srt[distinct], srt[-1])
+    if n_uniq <= n_bins:
+        edges = np.append(c[distinct], c[-1])
     else:
-        edges = np.unique(np.quantile(srt, np.linspace(0.0, 1.0, n_bins + 1)))
+        edges = np.unique(sorted_quantiles(c, np.linspace(0.0, 1.0, n_bins + 1)))
+    del distinct
     nb = edges.size - 1
-    starts = np.searchsorted(srt, edges[:-1], side="left")
-    count = np.diff(starts, append=srt.size)
-    del srt
+    starts = np.searchsorted(c, edges[:-1], side="left")
+    count = np.diff(starts, append=c.size)
 
-    # order lists the paths bin by bin: sorted positions [starts[b],
-    # starts[b+1]) hold exactly bin b's values, and equal values share a bin,
-    # so any argsort puts every bin's paths in its segment, whatever order it
-    # gives ties.  One argsort beats a binary search of every value among the
-    # edges; a lattice column has few distinct values, where searching for
-    # each value's bin (the number of interior edges at or below it) and
-    # radix-sorting the narrow labels is cheaper.
-    if lattice:
-        assign = np.searchsorted(edges[1:-1], cond, side="right").astype(np.min_scalar_type(nb - 1))
-        order = np.argsort(assign, kind="stable")
-    else:
-        order = np.argsort(cond)
-
+    # reduceat sums each segment up to the next index, and gives a[i] rather
+    # than 0 for an empty one, so it runs over the filled bins only
+    filled = count > 0
+    at, n = starts[filled], count[filled]
+    r2 = c * -slope
+    r2 += y
+    r2 *= r2
     x_mean = np.zeros(nb)
+    x_mean[filled] = np.add.reduceat(c, at) / n
+    del c
     mean = np.zeros(nb)
     var = np.zeros(nb)
     se_mean = np.zeros(nb)
     se_var = np.zeros(nb)
-    for b in np.flatnonzero(count):
-        n = int(count[b])
-        # ascending path indices: each reduction sums the same values in the
-        # same order as a bin mask would (the stable sort leaves the lattice
-        # segments ascending already)
-        idx = order[starts[b] : starts[b] + n]
-        if not lattice:
-            idx.sort()
-        c = cond[idx]
-        y = target[idx]
-        r2 = (y - slope * c) ** 2
-        x_mean[b] = c.mean()
-        mean[b] = y.mean()
-        var[b] = r2.mean()
-        if n > 1:
-            se_mean[b] = y.std(ddof=1) / math.sqrt(n)
-            se_var[b] = r2.std(ddof=1) / math.sqrt(n)
+    # two-pass standard errors, as np.std(ddof=1) forms them; a one-path bin
+    # keeps 0
+    several = n > 1
+    for col, se, values in ((mean, se_mean, y), (var, se_var, r2)):
+        m = np.add.reduceat(values, at) / n
+        col[filled] = m
+        dev = np.repeat(m, n)
+        np.subtract(values, dev, out=dev)
+        dev *= dev
+        ssq = np.add.reduceat(dev, at)
+        se[np.flatnonzero(filled)[several]] = (
+            np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
+        del dev  # before the next column's copy, to keep one alive at a time
 
     p = known_params(e.kind)
     var_fn = core.var_forward if direction == "forward" else core.var_backward
-    filled = count > 0
     pred_mean = np.where(filled, core.one_sided_mean(direction, s, t, x_mean), 0.0)
     pred_var = np.where(filled, var_fn(p, s, t, x_mean).value, 0.0)
 
@@ -224,87 +244,212 @@ def estimate_conditional(
 
 
 @dataclass(frozen=True)
-class QuadraticFit:
-    c0: float
-    c1: float
-    c2: float
-    r_squared: float
-    se: tuple[float, float, float]
-    n_bins_used: int
+class Estimate:
+    """A sample statistic and its standard error."""
 
-
-def fit_quadratic(b: BinnedConditional) -> QuadraticFit:
-    """Weighted least squares of per-bin variance on (1, x, x^2).
-
-    Weights are 1/se_var^2 over the confident bins; needs at least 5 of them.
-    Bins whose variance estimate is exact (zero standard error, e.g. a
-    lattice value with a degenerate conditional law) get their se floored at
-    1e-3 of the smallest positive one, which pins the fit through them
-    without making the normal equations singular; noiseless synthetic input
-    (all se zero) falls back to an unweighted fit.
-    """
-    sel = np.asarray(b.confident, dtype=bool)
-    n_used = int(np.count_nonzero(sel))
-    if n_used < 5:
-        raise ValueError(f"need >= 5 confident bins, got {n_used}")
-    x = b.x_mean[sel]
-    y = b.var[sel]
-    se = b.se_var[sel]
-    # ses indistinguishable from 0 at the bin's variance scale count as exact
-    exactish = se <= 1e-12 * np.maximum(np.abs(y), 1e-30)
-    if np.any(~exactish):
-        floor = 1e-3 * se[~exactish].min()
-        w = 1.0 / np.maximum(se, floor) ** 2
-    else:
-        w = np.ones_like(se)
-
-    design = np.column_stack([np.ones_like(x), x, x * x])
-    wd = design * w[:, None]
-    gram = design.T @ wd
-    beta = np.linalg.solve(gram, wd.T @ y)
-    cov = np.linalg.inv(gram)
-
-    fitted = design @ beta
-    ybar = np.sum(w * y) / np.sum(w)
-    ss_res = float(np.sum(w * (y - fitted) ** 2))
-    ss_tot = float(np.sum(w * (y - ybar) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
-    se = tuple(float(v) for v in np.sqrt(np.diag(cov)))
-    return QuadraticFit(float(beta[0]), float(beta[1]), float(beta[2]), r2, se, n_used)
+    value: float
+    se: float
 
 
 @dataclass(frozen=True)
-class SlopeCheck:
-    slope: float
-    se: float
-    predicted: float
+class QuadraticFit:
+    """Coefficients of the backward conditional variance c0 + c1*x + c2*x^2,
+    their HC0 standard errors and the weighted R^2."""
 
-    @property
-    def deviation_se(self) -> float:
-        return abs(self.slope - self.predicted) / self.se if self.se > 0 else math.inf
+    c0: float
+    c1: float
+    c2: float
+    se: tuple[float, float, float]
+    r_squared: float
 
 
-def conditional_mean_slope(e: Ensemble, s_index: int, t_index: int, direction: str) -> SlopeCheck:
-    """OLS slope of the one-sided conditional mean with a robust standard error.
+@dataclass(frozen=True)
+class PathEmpirics:
+    """The per-path checks of a pair s < t, from ``path_empirics``.
 
-    forward regresses X_t on X_s (slope 1 for a martingale); backward
-    regresses X_s on X_t (slope s/t).
+    ``covariance`` holds the sample means of X_s^2, X_s X_t and X_t^2;
+    ``slope_forward`` regresses X_t on X_s, ``slope_backward`` X_s on X_t;
+    ``lotv`` is the mean of the backward conditional variance.  ``fit`` is
+    None when X_t takes fewer than three distinct values.
     """
-    _, _, x, y, predicted = _oriented(e, s_index, t_index, direction)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.sum(xc * xc))
-    slope = float(np.sum(xc * yc)) / sxx
-    resid = yc - slope * xc
-    se = math.sqrt(float(np.sum((xc * resid) ** 2))) / sxx
-    return SlopeCheck(slope=slope, se=se, predicted=predicted)
+
+    covariance: tuple[Estimate, Estimate, Estimate]
+    slope_forward: Estimate
+    slope_backward: Estimate
+    lotv: Estimate
+    fit: QuadraticFit | None
+    weights_floored: int
+    row_blocks: int
 
 
-def empirical_covariance(e: Ensemble, i: int, j: int) -> tuple[float, float]:
-    """Sample mean of X_{t_i} X_{t_j} and its standard error (target min(t_i, t_j))."""
-    prod = e.paths[:, i] * e.paths[:, j]
-    return float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(prod.size))
+def _row_blocks(e: Ensemble, s_index: int, t_index: int):
+    """Rows (X_s, X_t) of each block of ROW_BLOCK paths, copied into one
+    contiguous buffer that every block reuses."""
+    buf = np.empty((2, min(ROW_BLOCK, e.n_paths)))
+    for lo in range(0, e.n_paths, ROW_BLOCK):
+        rows = e.paths[lo : lo + ROW_BLOCK]
+        xy = buf[:, : rows.shape[0]]
+        np.copyto(xy[0], rows[:, s_index])
+        np.copyto(xy[1], rows[:, t_index])
+        yield xy
+
+
+# exponents (i, j) of the centred moments sum(a^i b^j) that pass 2 adds up,
+# in the order of its dot products, and of its features a, b, a^2, b^2, ab
+_MOMENTS = np.array([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
+                     (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+_FEATURES = np.array([(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
+
+
+def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
+    """Covariances, mean slopes, law of total variance and the quadratic
+    backward-variance fit of the pair, in two passes over blocks of rows.
+
+    Pass 1 sums raw powers: the means, and the Gram matrix and right-hand
+    side of the weighted regression of r^2 = (X_s - (s/t) X_t)^2 on
+    (1, X_t, X_t^2).  Each path weighs 1/v^2, where v = ``core.var_backward``
+    at its X_t, floored at WEIGHT_FLOOR * s(t-s)/(t+tau).  Pass 2 sums
+    centred powers: the moments a^i b^j (i + j <= 4) of a = X_s - mean and
+    b = X_t - mean, and of v - mean(v), which give the standard errors of
+    the means and the slopes with their HC0 (White 1980) numerators; and the
+    HC0 meat of the fit at its coefficients, so the weights affect only
+    efficiency, not the validity of the standard errors.  Every sum is a dot
+    product over the block.
+    """
+    _check_pair(e, s_index, t_index)
+    n = e.n_paths
+    if n < 2:
+        raise ValueError(f"need at least 2 paths, got {n}")
+    s = float(e.grid[s_index])
+    t = float(e.grid[t_index])
+    p = known_params(e.kind)
+    k = s / t
+    floor = WEIGHT_FLOOR * s * (t - s) / (t + p.tau)
+    ones = np.ones(min(ROW_BLOCK, n))
+
+    def weighted(x, y):
+        """v, the weights 1/max(v, floor)^2 and r^2 of one block."""
+        v = core.var_backward(p, s, t, y).value
+        w = np.maximum(v, floor)
+        w *= w
+        np.reciprocal(w, out=w)
+        r2 = y * -k
+        r2 += x
+        r2 *= r2
+        return v, w, r2
+
+    # the fit's basis is (1, z, z^2) with z = X_t - shift, shift being the
+    # first block's weighted mean of X_t: centring keeps the Gram matrix well
+    # conditioned where the weights pile up, as at a lattice's floored values
+    raw = np.zeros(12)
+    shift = None
+    floored = blocks = 0
+    for x, y in _row_blocks(e, s_index, t_index):
+        one = ones[: x.size]
+        v, w, r2 = weighted(x, y)
+        if shift is None:
+            shift = np.dot(w, y) / np.dot(w, one)
+        z = y - shift
+        wz = w * z
+        wz2 = wz * z
+        raw += (np.dot(x, one), np.dot(y, one), np.dot(v, one),
+                np.dot(w, one), np.dot(w, z), np.dot(wz, z), np.dot(wz2, z), np.dot(wz2, z * z),
+                np.dot(w, r2), np.dot(wz, r2), np.dot(wz2, r2), np.dot(w * r2, r2))
+        floored += int(np.count_nonzero(v < floor))
+        blocks += 1
+    mx, my, mv = raw[:3] / n
+    g = raw[3:8]
+    gram = np.array([g[0:3], g[1:4], g[2:5]])
+    rhs = raw[8:11]
+    ss_tot = raw[11] - rhs[0] * rhs[0] / g[0]
+    # a constant X_t (zero diagonal) is rejected after pass 2
+    diag = np.diag(gram)
+    full_rank = bool(np.all(diag > 0)) and np.linalg.matrix_rank(
+        gram / np.sqrt(np.outer(diag, diag)), tol=1e-12) == 3
+    b0, b1, b2 = np.linalg.solve(gram, rhs) if full_rank else (0.0, 0.0, 0.0)
+
+    centre = np.array([[mx], [my]])
+    feat = np.empty((5, ones.size))
+    sums = np.zeros(len(_MOMENTS))
+    cen = np.zeros(8)
+    for xy in _row_blocks(e, s_index, t_index):
+        x, y = xy
+        one = ones[: x.size]
+        v, w, r2 = weighted(x, y)
+        f = feat[:, : x.size]
+        a, b, aa, bb, ab = f
+        np.subtract(xy, centre, out=f[0:2])
+        np.multiply(f[0:2], f[0:2], out=f[2:4])
+        np.multiply(a, b, out=ab)
+        sums += (np.dot(a, one), np.dot(b, one), np.dot(a, a), np.dot(a, b), np.dot(b, b),
+                 np.dot(aa, a), np.dot(aa, b), np.dot(ab, b), np.dot(bb, b),
+                 np.dot(aa, aa), np.dot(aa, ab), np.dot(ab, ab), np.dot(ab, bb), np.dot(bb, bb))
+        v -= mv
+        z = y - shift
+        res = z * b2
+        res += b1
+        res *= z
+        res += b0
+        np.subtract(r2, res, out=res)
+        u = w * res
+        uz = u * z
+        uz2 = uz * z
+        cen += (np.dot(v, one), np.dot(v, v), np.dot(u, res),
+                np.dot(u, u), np.dot(u, uz), np.dot(uz, uz), np.dot(uz, uz2), np.dot(uz2, uz2))
+
+    # co-moments of the features (sums of products of two features are
+    # moments too): c @ cm @ c is the centred sum of squares of the
+    # combination c of the features
+    mom = np.zeros((5, 5))
+    mom[_MOMENTS[:, 0], _MOMENTS[:, 1]] = sums
+    pair = _FEATURES[:, None] + _FEATURES[None, :]
+    tot = mom[_FEATURES[:, 0], _FEATURES[:, 1]]
+    cm = mom[pair[..., 0], pair[..., 1]] - np.outer(tot, tot) / n
+    if cm[0, 0] == 0.0 or cm[1, 1] == 0.0:
+        raise ValueError("X_s or X_t is constant across paths")
+    a, b, aa, bb, ab = tot / n
+
+    def mean(value: float, c) -> Estimate:
+        return Estimate(value, math.sqrt(max(np.dot(c, cm @ c), 0.0) / (n - 1) / n))
+
+    covariance = (
+        mean(mx * mx + 2 * mx * a + aa, [2 * mx, 0, 1, 0, 0]),
+        mean(mx * my + my * a + mx * b + ab, [my, mx, 0, 0, 1]),
+        mean(my * my + 2 * my * b + bb, [0, 2 * my, 0, 1, 0]),
+    )
+    # the corrected two-pass formula: a constant v gives exactly 0
+    sv, svv, ss_res = cen[:3]
+    lotv = Estimate(mv + sv / n, math.sqrt(max(svv - sv * sv / n, 0.0) / (n - 1) / n))
+    mt = cen[3:8]
+    meat = np.array([mt[0:3], mt[1:4], mt[2:5]])
+
+    def slope(sxy: float, sxx: float, c) -> Estimate:
+        # c: the residual times the centred regressor, whose sum is 0 at the slope
+        return Estimate(sxy / sxx, math.sqrt(max(np.dot(c, cm @ c), 0.0)) / sxx)
+
+    fwd = cm[0, 1] / cm[0, 0]
+    bwd = cm[0, 1] / cm[1, 1]
+    slope_forward = slope(cm[0, 1], cm[0, 0], [2 * fwd * a - b, -a, -fwd, 0, 1])
+    slope_backward = slope(cm[0, 1], cm[1, 1], [-b, 2 * bwd * b - a, 0, -bwd, 1])
+
+    fit = None
+    if full_rank:
+        # back from the basis (1, z, z^2) to (1, X_t, X_t^2)
+        back = np.array([[1.0, -shift, shift * shift], [0.0, 1.0, -2.0 * shift], [0.0, 0.0, 1.0]])
+        c0, c1, c2 = back @ (b0, b1, b2)
+        sandwich = back @ np.linalg.solve(gram, np.linalg.solve(gram, meat).T) @ back.T
+        fit = QuadraticFit(float(c0), float(c1), float(c2),
+                           tuple(float(v) for v in np.sqrt(np.diag(sandwich))),
+                           1.0 if ss_tot == 0.0 else float(1.0 - ss_res / ss_tot))
+    return PathEmpirics(
+        covariance=covariance,
+        slope_forward=slope_forward,
+        slope_backward=slope_backward,
+        lotv=lotv,
+        fit=fit,
+        weights_floored=floored,
+        row_blocks=blocks,
+    )
 
 
 @dataclass(frozen=True)
@@ -356,7 +501,7 @@ def tail_curve(
     xs.sort()
     ys.sort()
     if thresholds is None:
-        median, top = np.quantile(ys, [0.5, 0.995]).tolist()
+        median, top = sorted_quantiles(ys, [0.5, 0.995]).tolist()
         lo = max(median, 1e-9)
         thresholds = np.geomspace(lo, max(top, lo * 2.0), 50)
     thresholds = np.asarray(thresholds, dtype=np.float64)

@@ -18,12 +18,9 @@ from qharness.certificates import (
 from qharness.core import KINDS, HarnessParams
 from qharness.empirics import (
     check_tail_recursion,
-    conditional_mean_slope,
-    empirical_covariance,
-    estimate_conditional,
-    fit_quadratic,
     gaussian_pair_tail_curve,
     hill_tail_index,
+    path_empirics,
 )
 from qharness.moments import (
     MomentVector,
@@ -168,17 +165,16 @@ def test_criterion_5_simulation_fidelity():
 
         cov_dev = 0.0
         for i in range(4):
-            for j in range(i, 4):
-                val, se = empirical_covariance(e, i, j)
-                cov_dev = max(cov_dev, abs(val - min(GRID[i], GRID[j])) / se)
+            for j in range(i + 1, 4):
+                checks = path_empirics(e, i, j)
+                for est, (a, b) in zip(checks.covariance, ((i, i), (i, j), (j, j))):
+                    cov_dev = max(cov_dev, abs(est.value - min(GRID[a], GRID[b])) / est.se)
 
-        slope_dev = max(
-            conditional_mean_slope(e, si, ti, "forward").deviation_se,
-            conditional_mean_slope(e, si, ti, "backward").deviation_se,
-        )
+        pe = path_empirics(e, si, ti)
+        slope_dev = max(abs(pe.slope_forward.value - 1.0) / pe.slope_forward.se,
+                        abs(pe.slope_backward.value - s / t) / pe.slope_backward.se)
 
-        binned = estimate_conditional(e, si, ti, 40, "backward")
-        fit = fit_quadratic(binned)
+        fit = pe.fit
         p = known_params(kind)
         pref = s * (t - s) / (t + p.tau)
         preds = (pref, pref * p.theta / t, pref * p.tau / (t * t))

@@ -12,7 +12,8 @@ import pytest
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
-from qharness.empirics import estimate_conditional
+from qharness.core import KINDS
+from qharness.empirics import estimate_conditional, path_empirics
 from qharness.simulate import load_ensemble
 
 
@@ -342,7 +343,87 @@ class TestSimulateAndVerify:
         assert fields["bins_requested"] == "40"
         assert fields["bins_returned"] == str(binned.n_bins)
         assert fields["bins_confident"] == str(int(binned.confident.sum()))
+        pe = path_empirics(load_ensemble(ens_path), 0, 1)
+        assert fields["weights_floored"] == str(pe.weights_floored)
+        assert fields["row_blocks"] == str(pe.row_blocks) == "2"
         assert len(json.loads(report.read_text())["results"]["binned"]) == binned.n_bins
+
+    def test_verify_artifact_without_sidecar_is_identical(self, tmp_path, capsys):
+        ens_path, report = tmp_path / "g.qhe", tmp_path / "verify.json"
+        run_cli(["simulate", "--process", "gamma", "--grid", "0.5,1.0",
+                 "--paths", "5000", "--seed", "3", "--out", str(ens_path)])
+        args = ["verify", str(ens_path), "--s", "0.5", "--t", "1.0", "--bins", "10"]
+        assert run_cli(args + ["--out", str(report)]) == 0
+        assert (tmp_path / "verify.json.log").exists()
+        capsys.readouterr()
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == report.read_text()
+
+    @pytest.mark.parametrize("process, paths, seed, bins", [
+        ("gamma", 200_000, 5, 5), ("poisson", 200_000, 17, 5), ("pascal", 200_000, 17, 5),
+        ("wiener", 60_000, 5, 400)])
+    def test_correct_ensembles_pass_whatever_the_bins(self, tmp_path, process, paths, seed,
+                                                      bins):
+        # while the verdict came from a fit of the bins, these exited 1 (coarse
+        # bins bias the gamma fit; 150-path bins bias the wiener weights) or 2
+        # (a lattice column at 5 bins leaves 3 bins)
+        ens_path = tmp_path / "e.qhe"
+        run_cli(["simulate", "--process", process, "--grid", "0.25,0.5,0.75,1.0",
+                 "--paths", str(paths), "--seed", str(seed), "--out", str(ens_path)])
+        results = []
+        for n_bins in (bins, 40):
+            report = tmp_path / f"verify{n_bins}.json"
+            code = run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0",
+                            "--bins", str(n_bins), "--out", str(report)])
+            assert code == 0
+            results.append(json.loads(report.read_text())["results"])
+        assert results[0]["checks"] == results[1]["checks"]
+        assert results[0]["fit"] == results[1]["fit"]
+
+    def test_constant_backward_variance_passes(self, tmp_path):
+        # wiener's v is the constant s(t-s)/t = 1/6 here; a mean of n copies
+        # of it rounds, and against the resulting ~1e-19 standard error the
+        # law-of-total-variance check failed at 316 SE
+        ens_path, report = tmp_path / "w.qhe", tmp_path / "verify.json"
+        run_cli(["simulate", "--process", "wiener", "--grid", "0.25,0.75",
+                 "--paths", "100000", "--seed", "7", "--out", str(ens_path)])
+        code = run_cli(["verify", str(ens_path), "--s", "0.25", "--t", "0.75",
+                        "--out", str(report)])
+        assert code == 0
+        checks = {c["test"]: c for c in json.loads(report.read_text())["results"]["checks"]}
+        lotv = checks["law-of-total-variance-backward"]
+        assert lotv["value"] == lotv["expected"] and lotv["se"] == 0.0
+
+    def test_wrong_parameters_fail_on_the_linear_coefficient(self, tmp_path):
+        # pascal (q = 1/2, theta = 3/sqrt(2)) checked against gamma's theta = 2
+        ens_path, report = tmp_path / "p.qhe", tmp_path / "verify.json"
+        run_cli(["simulate", "--process", "pascal", "--grid", "0.25,0.5,0.75,1.0",
+                 "--paths", "200000", "--seed", "17", "--out", str(ens_path)])
+        raw = bytearray(ens_path.read_bytes())
+        raw[4] = KINDS.index("gamma")
+        ens_path.write_bytes(bytes(raw))
+        code = run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0",
+                        "--bins", "5", "--out", str(report)])
+        assert code == 1
+        checks = {c["test"]: c for c in json.loads(report.read_text())["results"]["checks"]}
+        c1 = checks["backward-quadratic-c1"]
+        assert not c1["pass"] and c1["statistic"] > 3.0
+
+    def test_verify_needs_three_values_of_x_t(self, tmp_path, capsys):
+        # a two-point X_t fits every quadratic: exit 2 with one line, not a verdict
+        from qharness.simulate import Ensemble, ProcessKind, save_ensemble
+
+        rng = np.random.default_rng(0)
+        xt = rng.integers(0, 2, 500).astype(float)
+        paths = np.column_stack([xt * 0.5 + rng.standard_normal(500), xt])
+        ens_path = tmp_path / "two.qhe"
+        save_ensemble(Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0),
+                      ens_path)
+        capsys.readouterr()
+        code = run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "3 distinct values" in err
 
     def test_verify_missing_file_exits_two(self, tmp_path):
         code = run_cli(["verify", str(tmp_path / "nope.qhe"), "--s", "0.5", "--t", "1.0"])
@@ -620,15 +701,16 @@ class TestSharedParser:
 # every public name of `qharness`; those of simulate and empirics resolve on first access
 _EXPORTS = (
     "BinnedConditional", "Certificate", "ChainParams", "Ensemble", "HarnessParams",
-    "HillEstimate", "MomentRegion", "MomentVector", "ProcessKind", "TailCurve",
-    "TwoPointLaw", "Variance", "certificates", "check_tail_recursion",
-    "classify_moment_region", "conditional_mean_slope", "core", "covariance",
+    "HillEstimate", "MomentRegion", "MomentVector", "PathEmpirics", "ProcessKind",
+    "TailCurve", "TwoPointLaw", "Variance", "certificates", "check_tail_recursion",
+    "classify_moment_region", "core", "covariance",
     "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
-    "estimate_conditional", "exact_marginal_moments", "fit_quadratic",
+    "estimate_conditional", "exact_marginal_moments",
     "gaussian_pair_tail_curve", "hankel3", "hankel3_closed_form", "hill_tail_index",
     "integrability_constant", "known_params", "load_ensemble",
     "make_certificate", "moments", "one_sided_mean",
-    "optimize_constant", "pfail_upper", "pmax_certified", "replay_certificate",
+    "optimize_constant", "path_empirics", "pfail_upper", "pmax_certified",
+    "replay_certificate",
     "sample_ensemble", "save_ensemble", "simulate", "tail_curve",
     "tail_recursion_coeffs", "two_point_from_moments", "u_for_order",
     "validate_params", "var_backward", "var_forward",

@@ -8,42 +8,21 @@ from qharness.certificates import make_certificate
 from qharness.core import KINDS, var_backward
 from qharness.empirics import (
     MIN_BIN_COUNT,
-    BinnedConditional,
+    ROW_BLOCK,
+    WEIGHT_FLOOR,
     TailCurve,
     check_tail_recursion,
-    conditional_mean_slope,
-    empirical_covariance,
     estimate_conditional,
-    fit_quadratic,
     gaussian_pair_tail_curve,
     gaussian_tail,
     hill_tail_index,
+    path_empirics,
+    sorted_quantiles,
     tail_curve,
 )
-from qharness.simulate import Ensemble, ProcessKind, known_params
+from qharness.simulate import BLOCK_PATHS, Ensemble, ProcessKind, known_params, sample_ensemble
 
-
-def synthetic_binned(coeffs, xs, se=0.0):
-    c0, c1, c2 = coeffs
-    xs = np.asarray(xs, dtype=float)
-    var = c0 + c1 * xs + c2 * xs**2
-    n = xs.size
-    return BinnedConditional(
-        direction="backward",
-        s=0.5,
-        t=1.0,
-        bin_lo=xs,
-        bin_hi=xs,
-        count=np.full(n, 1000),
-        x_mean=xs,
-        mean=np.zeros(n),
-        var=var,
-        se_mean=np.full(n, 0.01),
-        se_var=np.full(n, se),
-        pred_mean=np.zeros(n),
-        pred_var=var,
-        confident=np.full(n, True),
-    )
+from conftest import GRID, SEED, kind_of
 
 
 def masked_reference(e, s_index, t_index, n_bins, direction):
@@ -85,6 +64,20 @@ def masked_reference(e, s_index, t_index, n_bins, direction):
                 confident=count >= MIN_BIN_COUNT)
 
 
+# the bins, counts and confidence flags are exact; the per-bin sums run in
+# sorted order rather than path order, so the statistics agree to rounding
+EXACT_COLUMNS = ("bin_lo", "bin_hi", "count", "confident")
+
+
+def assert_matches_reference(b, ref):
+    for name, expected in ref.items():
+        got = getattr(b, name)
+        if name in EXACT_COLUMNS:
+            assert np.array_equal(got, expected), name
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, err_msg=name)
+
+
 class TestEstimateConditional:
     def test_wiener_forward_flat_variance(self, wiener_ens):
         b = estimate_conditional(wiener_ens, 1, 3, 20, "forward")
@@ -116,9 +109,7 @@ class TestEstimateConditional:
     def test_matches_masked_reference(self, all_ensembles, kind, direction, n_bins):
         e = all_ensembles[kind]
         b = estimate_conditional(e, 1, 3, n_bins, direction)
-        ref = masked_reference(e, 1, 3, n_bins, direction)
-        for name, expected in ref.items():
-            assert np.array_equal(getattr(b, name), expected), name
+        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins, direction))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_bins", [5, 300, 400])
@@ -131,8 +122,7 @@ class TestEstimateConditional:
         ref = masked_reference(e, 1, 3, n_bins, "backward")
         if kind == "poisson" and n_bins == 5:
             assert b.n_bins < n_bins
-        for name, expected in ref.items():
-            assert np.array_equal(getattr(b, name), expected), name
+        assert_matches_reference(b, ref)
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("n_bins, step", [(5, 0.05), (40, 0.05), (400, 0.002)])
@@ -149,9 +139,24 @@ class TestEstimateConditional:
         pos = np.arange(1, n_bins) * (srt.size - 1) // n_bins
         assert np.any(srt[pos - 1] == srt[pos + 1])
         b = estimate_conditional(e, 1, 3, n_bins, direction)
-        ref = masked_reference(e, 1, 3, n_bins, direction)
-        for name, expected in ref.items():
-            assert np.array_equal(getattr(b, name), expected), name
+        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins, direction))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_empty_and_one_path_bins(self, direction):
+        # 13 values with 7 distinct: the interpolated quantile edges leave a
+        # one-path bin [2.4, 4) and an empty bin [5.2, 6), so the per-bin
+        # sums must skip the empty segment and the single path keeps SE 0
+        column = np.array([0, 2, 2, 3, 4, 4, 5, 5, 6, 6, 6, 8, 8], dtype=float)
+        rng = np.random.default_rng(3)
+        cond = rng.permutation(column)
+        other = rng.standard_normal(column.size)
+        paths = np.column_stack((cond, other) if direction == "forward" else (other, cond))
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        b = estimate_conditional(e, 0, 1, 5, direction)
+        assert b.count.tolist() == [3, 1, 4, 0, 5]
+        assert b.se_mean[1] == b.se_var[1] == 0.0
+        assert b.x_mean[3] == b.mean[3] == b.var[3] == b.se_mean[3] == 0.0
+        assert_matches_reference(b, masked_reference(e, 0, 1, 5, direction))
 
     def test_degenerate_conditioning_rejected(self):
         paths = np.tile([[1.0, 2.0]], (100, 1))
@@ -164,56 +169,161 @@ class TestEstimateConditional:
             estimate_conditional(wiener_ens, 1, 3, 4, "forward")
 
 
-class TestFitQuadratic:
-    def test_noiseless_exact_recovery(self):
-        coeffs = (0.3, -0.2, 0.05)
-        b = synthetic_binned(coeffs, np.linspace(-3, 3, 9))
-        fit = fit_quadratic(b)
-        assert fit.c0 == pytest.approx(coeffs[0], abs=1e-10)
-        assert fit.c1 == pytest.approx(coeffs[1], abs=1e-10)
-        assert fit.c2 == pytest.approx(coeffs[2], abs=1e-10)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_poisson_backward_recovers_linear_coefficient(self, poisson_ens):
-        b = estimate_conditional(poisson_ens, 1, 3, 40, "backward")
-        fit = fit_quadratic(b)
-        # prefactor s(t-s)/t = 0.25 and linear coefficient theta/t = 1
-        assert abs(fit.c1 - 0.25) <= 3 * fit.se[1]
-        assert abs(fit.c2 - 0.0) <= 3 * fit.se[2]
-
-    def test_wiener_forward_no_state_dependence(self, wiener_ens):
-        b = estimate_conditional(wiener_ens, 1, 3, 40, "forward")
-        fit = fit_quadratic(b)
-        assert abs(fit.c1) <= 3 * fit.se[1]
-        assert abs(fit.c2) <= 3 * fit.se[2]
-
-    def test_insufficient_bins_rejected(self):
-        b = synthetic_binned((1.0, 0.0, 0.0), [-1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="confident"):
-            fit_quadratic(b)
+def covariance_reference(e, i, j):
+    """Sample mean of X_{t_i} X_{t_j} and its standard error, over whole columns."""
+    prod = e.paths[:, i] * e.paths[:, j]
+    return float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(prod.size))
 
 
-class TestSlope:
-    def test_forward_martingale(self, all_ensembles):
+def slope_reference(e, s_index, t_index, direction):
+    """OLS slope of the one-sided conditional mean with its HC0 standard error."""
+    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
+    x, y = (xs, xt) if direction == "forward" else (xt, xs)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(np.sum(xc * xc))
+    slope = float(np.sum(xc * yc)) / sxx
+    resid = yc - slope * xc
+    return slope, math.sqrt(float(np.sum((xc * resid) ** 2))) / sxx
+
+
+def lotv_reference(e, s_index, t_index):
+    """Mean of the backward conditional variance and its standard error."""
+    s, t = float(e.grid[s_index]), float(e.grid[t_index])
+    v = var_backward(known_params(e.kind), s, t, e.paths[:, t_index]).value
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
+
+
+def fit_reference(e, s_index, t_index):
+    """Weighted least squares of r^2 = (X_s - (s/t) X_t)^2 on (1, X_t, X_t^2)
+    by QR over whole columns, with the HC0 sandwich R^-1 Q' D^2 Q R^-T."""
+    s, t = float(e.grid[s_index]), float(e.grid[t_index])
+    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
+    p = known_params(e.kind)
+    v = var_backward(p, s, t, xt).value
+    sw = 1.0 / np.maximum(v, WEIGHT_FLOOR * s * (t - s) / (t + p.tau))
+    design = np.column_stack([np.ones_like(xt), xt, xt * xt])
+    r2 = (xs - (s / t) * xt) ** 2
+    q, r = np.linalg.qr(design * sw[:, None])
+    beta = np.linalg.solve(r, q.T @ (r2 * sw))
+    qd = q * (sw * (r2 - design @ beta))[:, None]
+    rinv = np.linalg.inv(r)
+    return beta, np.sqrt(np.diag(rinv @ (qd.T @ qd) @ rinv.T))
+
+
+def close(got, want, rel, scale=0.0):
+    return abs(got - want) <= rel * max(abs(want), scale)
+
+
+@pytest.fixture(scope="module")
+def block_ensembles():
+    """3 blocks and 7 paths of every kind: slices of it end inside, at and
+    just past a block boundary."""
+    n = 3 * ROW_BLOCK + 7
+    return {name: sample_ensemble(kind_of(name), GRID, n, seed=SEED) for name in KINDS}
+
+
+class TestPathEmpirics:
+    def test_block_size_is_whole_sampler_blocks(self):
+        assert ROW_BLOCK % BLOCK_PATHS == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7])
+    def test_matches_one_shot_reference(self, block_ensembles, kind, n):
+        full = block_ensembles[kind]
+        e = Ensemble(full.kind, full.grid, full.paths[:n], seed=full.seed)
+        pe = path_empirics(e, 1, 3)
+        assert pe.row_blocks == -(-n // ROW_BLOCK)
+        for est, (i, j) in zip(pe.covariance, ((1, 1), (1, 3), (3, 3))):
+            value, se = covariance_reference(e, i, j)
+            assert close(est.value, value, 1e-12) and close(est.se, se, 1e-12), (i, j)
+        value, se = lotv_reference(e, 1, 3)
+        assert close(pe.lotv.value, value, 1e-12) and close(pe.lotv.se, se, 1e-12)
+        for direction, est in (("forward", pe.slope_forward), ("backward", pe.slope_backward)):
+            slope, se = slope_reference(e, 1, 3, direction)
+            assert close(est.value, slope, 1e-12)
+            if n == 2:
+                # two paths fit exactly: the HC0 numerator is a difference of
+                # equal power sums, and its square root is rounding noise
+                assert est.se <= 1e-6 * abs(slope), direction
+            else:
+                assert close(est.se, se, 1e-12), direction
+        if n == 2:
+            assert pe.fit is None
+            return
+        beta, se = fit_reference(e, 1, 3)
+        got = (pe.fit.c0, pe.fit.c1, pe.fit.c2)
+        scale = float(np.max(np.abs(beta)))
+        for g, want in zip(got, beta):
+            assert close(g, want, 1e-12, scale)
+        for g, want in zip(pe.fit.se, se):
+            assert close(g, want, 1e-12)
+
+    def test_weights_floored_and_counted(self, block_ensembles):
+        e = block_ensembles["poisson"]
+        s, t = float(e.grid[1]), float(e.grid[3])
+        p = known_params(e.kind)
+        v = var_backward(p, s, t, e.paths[:, 3]).value
+        floored = int(np.count_nonzero(v < WEIGHT_FLOOR * s * (t - s) / (t + p.tau)))
+        assert floored > 0  # the poisson count 0 at t = 1 has v = 0
+        assert path_empirics(e, 1, 3).weights_floored == floored
+
+    @pytest.mark.parametrize("grid, s_index", [((0.5, 1.0), 0), ((0.25, 0.75), 0)])
+    def test_constant_lotv_column_has_zero_se(self, grid, s_index):
+        # wiener's backward variance is the constant s(t-s)/t; at (0.25, 0.75)
+        # that is 1/6, which a running sum does not reproduce exactly
+        e = sample_ensemble(ProcessKind("wiener"), grid, 3 * ROW_BLOCK + 7, seed=SEED)
+        pe = path_empirics(e, s_index, 1)
+        s, t = grid
+        assert pe.lotv.se == 0.0
+        assert pe.lotv.value == s * (t - s) / t
+
+    def test_known_slopes_and_fit(self, all_ensembles):
         for name, e in all_ensembles.items():
-            sl = conditional_mean_slope(e, 1, 3, "forward")
-            assert sl.deviation_se <= 3.0, name
-
-    def test_backward_regression(self, all_ensembles):
-        for name, e in all_ensembles.items():
-            sl = conditional_mean_slope(e, 1, 3, "backward")
-            assert sl.predicted == 0.5
-            assert sl.deviation_se <= 3.0, name
-
-
-class TestLawOfTotalVariance:
-    def test_backward_prediction_mean(self, all_ensembles):
-        for name, e in all_ensembles.items():
-            p = known_params(e.kind)
+            pe = path_empirics(e, 1, 3)
             s, t = float(e.grid[1]), float(e.grid[3])
-            vals = np.array([var_backward(p, s, t, float(x)).value for x in e.paths[:, 3]])
-            se = vals.std(ddof=1) / math.sqrt(vals.size)
-            assert abs(vals.mean() - s * (t - s) / t) <= 4 * se, name
+            assert abs(pe.slope_forward.value - 1.0) <= 3 * pe.slope_forward.se, name
+            assert abs(pe.slope_backward.value - s / t) <= 3 * pe.slope_backward.se, name
+            p = known_params(e.kind)
+            pref = s * (t - s) / (t + p.tau)
+            for c, pred, se in zip((pe.fit.c0, pe.fit.c1, pe.fit.c2),
+                                   (pref, pref * p.theta / t, pref * p.tau / t**2), pe.fit.se):
+                assert abs(c - pred) <= 3 * se, name
+
+    def test_two_distinct_values_leave_no_fit(self):
+        rng = np.random.default_rng(1)
+        xt = rng.integers(0, 2, 1000).astype(float)
+        paths = np.column_stack([xt * 0.5 + rng.standard_normal(1000) * 0.1, xt])
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        assert path_empirics(e, 0, 1).fit is None
+
+    def test_constant_column_rejected(self):
+        paths = np.column_stack([np.arange(100.0), np.full(100, 2.0)])
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        with pytest.raises(ValueError, match="constant"):
+            path_empirics(e, 0, 1)
+
+
+class TestSortedQuantiles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101, 1000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bit_identical_to_numpy(self, n, ties):
+        rng = np.random.default_rng(n)
+        col = np.sort(rng.integers(0, 4, n).astype(float) if ties else rng.standard_normal(n))
+        qs = np.concatenate([np.linspace(0.0, 1.0, 401), [0.5, 0.995, 0.25, 0.75, 1 / 3, 2 / 3]])
+        assert np.array_equal(sorted_quantiles(col, qs), np.quantile(col, qs))
+
+    def test_upper_branch_of_the_interpolation(self):
+        # numpy steps down from the upper neighbour at weights of 1/2 and
+        # more; a + (b - a) * w alone misses the last bit on this column
+        col = np.sort(np.random.default_rng(0).standard_normal(5))
+        qs = np.linspace(0.0, 1.0, 101)
+        virtual = (col.size - 1) * qs
+        lo = np.floor(virtual).astype(int)
+        hi = np.minimum(lo + 1, col.size - 1)
+        from_below = col[lo] + (col[hi] - col[lo]) * (virtual - lo)
+        assert not np.array_equal(from_below, np.quantile(col, qs))
+        assert np.array_equal(sorted_quantiles(col, qs), np.quantile(col, qs))
 
 
 class TestTailCurve:
@@ -448,11 +558,3 @@ class TestHillMatchesFullSort:
         samples = pascal_ens.paths[:, 3]
         est = hill_tail_index(samples, k)
         assert (est.alpha, est.ci_low, est.ci_high) == full_sort_hill(samples, k)
-
-
-class TestCovarianceHelper:
-    def test_matches_direct_computation(self, wiener_ens):
-        val, se = empirical_covariance(wiener_ens, 1, 3)
-        prod = wiener_ens.paths[:, 1] * wiener_ens.paths[:, 3]
-        assert val == prod.mean()
-        assert se == pytest.approx(prod.std(ddof=1) / math.sqrt(prod.size))
