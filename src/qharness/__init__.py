@@ -42,7 +42,7 @@ from .certificates import (
 # access (PEP 562), so the analytic entry points start without numpy.
 _LAZY = dict.fromkeys(
     ("Ensemble", "ProcessKind", "exact_marginal_moments", "known_params",
-     "load_ensemble", "sample_ensemble", "save_ensemble"),
+     "load_ensemble", "read_header", "sample_ensemble", "save_ensemble"),
     "simulate",
 ) | dict.fromkeys(
     ("BinnedConditional", "HillEstimate", "PathEmpirics", "TailCurve",

@@ -344,6 +344,9 @@ def _run_simulate(config: RunConfig) -> int:
     ens = simulate.sample_ensemble(
         kind, grid, int(cfg["paths"]), config.seed, n_workers=int(cfg["workers"])
     )
+    n_blocks = -(-ens.n_paths // simulate.BLOCK_PATHS)
+    config.log_fields.update(substreams=n_blocks * ens.n_times,
+                             workers=min(int(cfg["workers"]), n_blocks))
     writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
     _atomic_write(config.out, lambda tmp: writer(ens, tmp))
     return 0
@@ -366,15 +369,17 @@ def _run_verify(config: RunConfig) -> int:
     from . import empirics, simulate
 
     cfg = config.params
-    ens = simulate.load_ensemble(cfg["ensemble"])
-    si = ens.time_index(float(cfg["s"]))
-    ti = ens.time_index(float(cfg["t"]))
+    head = simulate.read_header(cfg["ensemble"])
+    si = head.time_index(float(cfg["s"]))
+    ti = head.time_index(float(cfg["t"]))
     if si >= ti:
         raise ValueError("need s < t")
-    s, t = float(ens.grid[si]), float(ens.grid[ti])
+    # only the columns of s and t are read
+    s, t = float(head.grid[si]), float(head.grid[ti])
+    ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
     p = simulate.known_params(ens.kind)
 
-    pe = empirics.path_empirics(ens, si, ti)
+    pe = empirics.path_empirics(ens, 0, 1)
     fit = pe.fit
     if fit is None:
         raise ValueError("the quadratic fit needs at least 3 distinct values of X_t")
@@ -395,16 +400,17 @@ def _run_verify(config: RunConfig) -> int:
                          pe.lotv.se, 4.0))
 
     # the bins are display only: no verdict reads them
-    binned = empirics.estimate_conditional(ens, si, ti, int(cfg["bins"]), "backward")
+    binned = empirics.estimate_conditional(ens, 0, 1, int(cfg["bins"]), "backward")
     config.log_fields.update(bins_requested=int(cfg["bins"]), bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
-                             weights_floored=pe.weights_floored, row_blocks=pe.row_blocks)
+                             weights_floored=pe.weights_floored, row_blocks=pe.row_blocks,
+                             columns_read=ens.n_times)
 
     all_pass = all(c["pass"] for c in checks)
     bins = binned.rows()
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
-                     "n_paths": ens.n_paths, "grid": ens.grid.tolist()},
+                     "n_paths": ens.n_paths, "grid": head.grid.tolist()},
         "s": s,
         "t": t,
         "checks": checks,
@@ -521,23 +527,28 @@ def _run_tails(config: RunConfig) -> int:
     from . import empirics, simulate
 
     cfg = config.params
-    ens = simulate.load_ensemble(cfg["ensemble"])
-    si = ens.time_index(float(cfg["s"]))
-    ti = ens.time_index(float(cfg["t"]))
+    head = simulate.read_header(cfg["ensemble"])
+    si = head.time_index(float(cfg["s"]))
+    ti = head.time_index(float(cfg["t"]))
     normalize = not bool(cfg.get("raw"))
     if cfg.get("k") is not None:
         k = int(cfg["k"])
-        if not (1 <= k < ens.n_paths / 2):
-            raise ValueError(f"--k must satisfy 1 <= k < n/2 = {ens.n_paths / 2}, got {k}")
+        if not (1 <= k < head.n_paths / 2):
+            raise ValueError(f"--k must satisfy 1 <= k < n/2 = {head.n_paths / 2}, got {k}")
     else:
-        k = max(1, ens.n_paths // 100)
+        k = max(1, head.n_paths // 100)
 
     thresholds = _float_list(cfg["thresholds"]) if cfg.get("thresholds") is not None else None
-    curve = empirics.tail_curve(ens, si, ti, thresholds, normalize=normalize)
-    samples = ens.paths[:, ti]
+    # checked here: tail_curve's own check sees only the two loaded columns
+    if not si < ti:
+        raise ValueError(f"need 0 <= s_index < t_index < {head.grid.size}")
+    # only the columns of s and t are read
+    s, t = float(head.grid[si]), float(head.grid[ti])
+    ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
+    curve = empirics.tail_curve(ens, 0, 1, thresholds, normalize=normalize)
     hill_info: dict[str, Any]
     try:
-        hill = empirics.hill_tail_index(samples, k)
+        hill = empirics.hill_tail_index(ens.paths[:, 1], k)
         hill_info = {"alpha": hill.alpha, "ci_low": hill.ci_low, "ci_high": hill.ci_high,
                      "k": hill.k, "n": hill.n}
     except ValueError as exc:
@@ -546,14 +557,16 @@ def _run_tails(config: RunConfig) -> int:
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
                      "n_paths": ens.n_paths},
-        "s": float(ens.grid[si]),
-        "t": float(ens.grid[ti]),
+        "s": s,
+        "t": t,
         "normalized": normalize,
         "thresholds": curve.thresholds.tolist(),
         "n_values": curve.n_values.tolist(),
         "n_samples": curve.n_samples,
         "hill": hill_info,
     }
+    config.log_fields.update(columns_read=ens.n_times, thresholds=curve.thresholds.size,
+                             hill_k=k)
     header = ["threshold", "n_value"]
     rows = [[float(a), float(b)] for a, b in zip(curve.thresholds, curve.n_values)]
     _emit(config, results, (header, rows))

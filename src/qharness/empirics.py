@@ -15,6 +15,11 @@ per-bin standard errors when the conditioning variable is heavy tailed.
 Pass thresholds are a fixed multiple of the standard error (3 by default),
 configurable by the caller; the predictions come from the same closed-form
 code path the rest of the package uses, never from a re-derivation.
+
+Binning works in place: the squared residual is formed in the sorted
+conditioning column's buffer, and each column's deviations from its bin
+means in that column's own buffer, so it holds two column copies beyond its
+input.  ``tail_curve`` and ``hill_tail_index`` hold one.
 """
 
 from __future__ import annotations
@@ -173,12 +178,16 @@ def estimate_conditional(
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
     # one argsort lists the paths bin by bin: sorted positions [starts[b],
-    # starts[b+1]) hold exactly bin b's values, and equal values share a bin
+    # starts[b+1]) hold exactly bin b's values, and equal values share a bin.
+    # The sorted column is np.sort's: ties are equal values, so it equals
+    # cond[order] (but for a column holding both -0.0 and 0.0)
     order = np.argsort(cond)
-    c = cond[order]
     y = target[order]
     del order
-    distinct = np.concatenate(([True], c[1:] != c[:-1]))
+    c = np.sort(cond)
+    distinct = np.empty(c.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(c[1:], c[:-1], out=distinct[1:])
     n_uniq = int(np.count_nonzero(distinct))
     if n_uniq < 2:
         raise ValueError("conditioning variable is degenerate (constant)")
@@ -195,29 +204,30 @@ def estimate_conditional(
     # than 0 for an empty one, so it runs over the filled bins only
     filled = count > 0
     at, n = starts[filled], count[filled]
-    r2 = c * -slope
-    r2 += y
-    r2 *= r2
     x_mean = np.zeros(nb)
     x_mean[filled] = np.add.reduceat(c, at) / n
-    del c
+    # r^2 = (y - slope*c)^2 in c's buffer
+    r2 = c
+    r2 *= -slope
+    r2 += y
+    r2 *= r2
     mean = np.zeros(nb)
     var = np.zeros(nb)
     se_mean = np.zeros(nb)
     se_var = np.zeros(nb)
-    # two-pass standard errors, as np.std(ddof=1) forms them; a one-path bin
-    # keeps 0
+    # two-pass standard errors, as np.std(ddof=1) forms them, with each
+    # column's deviations formed in its own buffer; a one-path bin keeps 0
     several = n > 1
+    bounds = list(zip(at.tolist(), (at + n).tolist()))
     for col, se, values in ((mean, se_mean, y), (var, se_var, r2)):
         m = np.add.reduceat(values, at) / n
         col[filled] = m
-        dev = np.repeat(m, n)
-        np.subtract(values, dev, out=dev)
-        dev *= dev
-        ssq = np.add.reduceat(dev, at)
+        for (lo, hi), mb in zip(bounds, m):
+            values[lo:hi] -= mb
+        values *= values
+        ssq = np.add.reduceat(values, at)
         se[np.flatnonzero(filled)[several]] = (
             np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
-        del dev  # before the next column's copy, to keep one alive at a time
 
     p = known_params(e.kind)
     var_fn = core.var_forward if direction == "forward" else core.var_backward
@@ -492,22 +502,26 @@ def tail_curve(
     max(99.5% quantile, 2*lo) of |Y|.
     """
     _check_pair(e, s_index, t_index)
-    # np.abs makes fresh columns, so scale and sort them in place
-    xs = np.abs(e.paths[:, s_index])
-    ys = np.abs(e.paths[:, t_index])
-    if normalize:
-        xs /= math.sqrt(float(e.grid[s_index]))
-        ys /= math.sqrt(float(e.grid[t_index]))
-    xs.sort()
-    ys.sort()
+
+    def sorted_abs(j: int) -> np.ndarray:
+        # np.abs makes a fresh column, so scale and sort it in place
+        col = np.abs(e.paths[:, j])
+        if normalize:
+            col /= math.sqrt(float(e.grid[j]))
+        col.sort()
+        return col
+
+    # one sorted column at a time: |Y| gives the ladder and Pr(|Y| > t)
+    ys = sorted_abs(t_index)
     if thresholds is None:
         median, top = sorted_quantiles(ys, [0.5, 0.995]).tolist()
         lo = max(median, 1e-9)
         thresholds = np.geomspace(lo, max(top, lo * 2.0), 50)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    n = xs.size
-    px = 1.0 - np.searchsorted(xs, thresholds, side="right") / n
+    n = ys.size
     py = 1.0 - np.searchsorted(ys, thresholds, side="right") / n
+    del ys
+    px = 1.0 - np.searchsorted(sorted_abs(s_index), thresholds, side="right") / n
     return TailCurve(thresholds=thresholds, n_values=px + py, n_samples=n)
 
 
@@ -606,12 +620,15 @@ def hill_tail_index(samples, k: int) -> HillEstimate:
     """Hill estimator of the polynomial tail exponent on the top-k order
     statistics of |samples|, with the asymptotic 95% interval
     alpha * (1 -+ 1.96/sqrt(k))."""
-    x = np.abs(np.asarray(samples, dtype=np.float64).ravel())
+    # np.abs copies a strided column once and ravel keeps that copy, which
+    # is then partitioned in place
+    x = np.abs(np.asarray(samples, dtype=np.float64)).ravel()
     n = x.size
     if k < 1 or k >= n / 2:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
     # only the top k+1 order statistics are needed: partition, then sort those
-    top = np.sort(np.partition(x, n - k - 1)[n - k - 1 :])[::-1]
+    x.partition(n - k - 1)
+    top = np.sort(x[n - k - 1 :])[::-1]
     if top[-1] <= 0.0:
         raise ValueError("top-k order statistics must be positive")
     logs = np.log(top)

@@ -8,8 +8,13 @@ sigma*tau = 0 processes are simulated; verification for sigma*tau > 0 is
 certificate/formula based.
 
 Randomness is counter-based: each (path block, grid step) pair owns a Philox
-substream keyed by (seed, block, step), so regenerating an ensemble is
-bit-identical regardless of how many worker threads assemble it.
+substream keyed by (seed, block << 32 | step) with counter 0, so regenerating
+an ensemble is bit-identical regardless of how many worker threads assemble
+it.  Each worker re-keys one Philox per substream instead of building a new
+one; that sets the same state, so the stream layout is unchanged.
+
+``load_ensemble`` reads the container in blocks of rows through one buffer
+and can keep only some grid columns, as ``verify`` and ``tails`` do.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -34,6 +40,8 @@ __all__ = [
     "sample_ensemble",
     "exact_marginal_moments",
     "save_ensemble",
+    "Header",
+    "read_header",
     "load_ensemble",
     "ensemble_to_csv",
 ]
@@ -42,8 +50,26 @@ __all__ = [
 # the sampled ensembles).
 BLOCK_PATHS = 4096
 
+# rows per block when reading a container: each block passes through one
+# reused buffer of READ_ROWS x n_times values
+READ_ROWS = 8192
+
 _MAGIC = b"QHE1"
 _HEADER = struct.Struct("<4sBxxxdQQQ")
+
+
+def _check_grid(grid: np.ndarray) -> None:
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d array")
+    if not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly ascending and positive")
+
+
+def _time_index(grid: np.ndarray, t: float) -> int:
+    idx = np.nonzero(np.isclose(grid, t, rtol=1e-12, atol=1e-12))[0]
+    if idx.size != 1:
+        raise ValueError(f"time {t} is not on the grid {grid.tolist()}")
+    return int(idx[0])
 
 
 @dataclass(frozen=True)
@@ -91,10 +117,7 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("grid must be a non-empty 1-d array")
-        if not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly ascending and positive")
+        _check_grid(grid)
         if self.paths.shape != (self.paths.shape[0], grid.size):
             raise ValueError("paths must be n_paths x n_times")
         if not np.all(np.isfinite(self.paths)):
@@ -109,14 +132,27 @@ class Ensemble:
         return self.grid.size
 
     def time_index(self, t: float) -> int:
-        idx = np.nonzero(np.isclose(self.grid, t, rtol=1e-12, atol=1e-12))[0]
-        if idx.size != 1:
-            raise ValueError(f"time {t} is not on the grid {self.grid.tolist()}")
-        return int(idx[0])
+        return _time_index(self.grid, t)
 
 
-def _substream(seed: int, block: int, step: int) -> Generator:
-    return Generator(Philox(key=[np.uint64(seed), np.uint64((block << 32) | step)]))
+class _Substreams:
+    """One Philox and its Generator, re-keyed for each (block, step)
+    substream into the state ``Philox(key=[seed, block << 32 | step])``
+    starts in: that key, counter 0 and an empty output buffer."""
+
+    def __init__(self, seed: int) -> None:
+        self._key = np.array([seed, 0], dtype=np.uint64)
+        self._bits = Philox(key=self._key)
+        self._gen = Generator(self._bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": zeros, "key": self._key},
+                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def __call__(self, block: int, step: int) -> Generator:
+        self._key[1] = (block << 32) | step
+        self._bits.state = self._state
+        return self._gen
 
 
 def sample_ensemble(
@@ -146,25 +182,32 @@ def sample_ensemble(
     dts = np.diff(grid, prepend=0.0)
     out = np.empty((n_paths, grid.size), dtype=np.float64)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
+    n_workers = min(n_workers, n_blocks)
     draw = kind.record.draw
     mu, scale = kind.record.centring(kind.q)
 
-    def fill_block(block: int) -> None:
-        lo = block * BLOCK_PATHS
-        hi = min(lo + BLOCK_PATHS, n_paths)
-        acc = np.zeros(hi - lo)
-        for step, dt in enumerate(dts):
-            # accumulate the raw draws and centre once per column, so equal
-            # lattice counts give bit-equal path values (exact lattice)
-            acc += draw(_substream(seed, block, step), float(dt), hi - lo, kind.q)
-            out[lo:hi, step] = (acc - grid[step] * mu) * scale
+    def work(first: int) -> None:
+        """Fill blocks first, first + n_workers, ... with one re-keyed Philox."""
+        substream = _Substreams(seed)
+        for block in range(first, n_blocks, n_workers):
+            lo = block * BLOCK_PATHS
+            hi = min(lo + BLOCK_PATHS, n_paths)
+            acc = np.zeros(hi - lo)
+            for step, dt in enumerate(dts):
+                # accumulate the raw draws and centre once per column, so equal
+                # lattice counts give bit-equal path values (exact lattice)
+                acc += draw(substream(block, step), float(dt), hi - lo, kind.q)
+                out[lo:hi, step] = (acc - grid[step] * mu) * scale
 
-    if n_workers == 1 or n_blocks == 1:
-        for block in range(n_blocks):
-            fill_block(block)
+    if n_workers == 1:
+        work(0)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill_block, range(n_blocks)))
+        # the calling thread is worker 0
+        with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
+            others = [pool.submit(work, w) for w in range(1, n_workers)]
+            work(0)
+            for f in others:
+                f.result()
 
     return Ensemble(kind=kind, grid=grid, paths=out, seed=seed)
 
@@ -187,26 +230,67 @@ def save_ensemble(e: Ensemble, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(e.paths, dtype="<f8")))
 
 
-def load_ensemble(path) -> Ensemble:
-    """Read a container; a file shorter than its header's shape is a ValueError."""
+class Header(NamedTuple):
+    """A container's header and grid: its kind, seed, path count and grid."""
+
+    kind: ProcessKind
+    seed: int
+    n_paths: int
+    grid: np.ndarray
+
+    def time_index(self, t: float) -> int:
+        return _time_index(self.grid, t)
+
+
+def _read_header(fh, path) -> Header:
+    raw = fh.read(_HEADER.size)
+    if len(raw) != _HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    magic, code, q, seed, n_paths, n_times = _HEADER.unpack(raw)
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not an ensemble container (bad magic {magic!r})")
+    if code >= len(PROCESS_KINDS):
+        raise ValueError(f"{path}: unknown kind code {code}")
+    record = PROCESS_KINDS[code]
+    kind = ProcessKind(record.name, q if record.takes_q else None)
+    need = _HEADER.size + 8 * n_times * (n_paths + 1)
+    size = os.fstat(fh.fileno()).st_size
+    if size < need:
+        raise ValueError(f"{path}: truncated container: {size} bytes, header needs {need}")
+    grid = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
+    _check_grid(grid)
+    return Header(kind, seed, n_paths, grid)
+
+
+def read_header(path) -> Header:
+    """Read a container's header and grid; a file shorter than the header's
+    shape, or one with a bad magic, kind code or grid, is a ValueError."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, code, q, seed, n_paths, n_times = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not an ensemble container (bad magic {magic!r})")
-        if code >= len(PROCESS_KINDS):
-            raise ValueError(f"{path}: unknown kind code {code}")
-        record = PROCESS_KINDS[code]
-        kind = ProcessKind(record.name, q if record.takes_q else None)
-        need = _HEADER.size + 8 * n_times * (n_paths + 1)
-        size = os.fstat(fh.fileno()).st_size
-        if size < need:
-            raise ValueError(f"{path}: truncated container: {size} bytes, header needs {need}")
-        grid = np.fromfile(fh, dtype="<f8", count=n_times)
-        paths = np.fromfile(fh, dtype="<f8", count=n_paths * n_times)
-    return Ensemble(kind=kind, grid=grid, paths=paths.reshape(n_paths, n_times), seed=seed)
+        return _read_header(fh, path)
+
+
+def load_ensemble(path, times=None) -> Ensemble:
+    """Read a container, keeping the grid columns at ``times`` (all of them
+    when None; the times must be ascending and each on the grid).
+
+    The rows pass through one reused buffer of READ_ROWS rows, so only the
+    kept columns are held in full.
+    """
+    with open(path, "rb") as fh:
+        head = _read_header(fh, path)
+        n, width = head.n_paths, head.grid.size
+        cols = (np.arange(width) if times is None
+                else np.array([head.time_index(float(t)) for t in times], dtype=np.intp))
+        paths = np.empty((n, cols.size), dtype="<f8")
+        buf = np.empty((min(READ_ROWS, n), width), dtype="<f8")
+        for lo in range(0, n, READ_ROWS):
+            rows = buf[: n - lo]
+            if fh.readinto(rows) != rows.nbytes:
+                raise ValueError(f"{path}: truncated container")
+            # mode="clip" writes straight into out, where the default mode
+            # would buffer it; cols are valid indices
+            np.take(rows, cols, axis=1, out=paths[lo : lo + rows.shape[0]], mode="clip")
+    return Ensemble(kind=head.kind, grid=head.grid[cols], paths=paths, seed=head.seed)
 
 
 def ensemble_to_csv(e: Ensemble, path) -> None:

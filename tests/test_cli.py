@@ -14,7 +14,13 @@ from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
 from qharness.core import KINDS
 from qharness.empirics import estimate_conditional, path_empirics
-from qharness.simulate import load_ensemble
+from qharness.simulate import (
+    BLOCK_PATHS,
+    ProcessKind,
+    load_ensemble,
+    sample_ensemble,
+    save_ensemble,
+)
 
 
 def run_cli(argv):
@@ -450,6 +456,84 @@ class TestSimulateAndVerify:
         assert err.count("\n") == 1 and "truncated" in err
 
 
+def sidecar_fields(path) -> dict[str, str]:
+    """The key=value fields of the last line of the artifact's .log sidecar."""
+    line = Path(str(path) + ".log").read_text().splitlines()[-1]
+    return dict(f.split("=", 1) for f in line.split())
+
+
+class TestTwoColumnHandlers:
+    """verify and tails resolve --s/--t on the full grid, then read two columns."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ens") / "g.qhe"
+        assert run_cli(["simulate", "--process", "gamma", "--grid", "0.25,0.5,0.75,1.0",
+                        "--paths", "20000", "--seed", "3", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command, s, t, message", [
+        ("verify", "1.0", "0.5", "need s < t"),
+        ("verify", "0.5", "0.5", "need s < t"),
+        ("verify", "0.3", "1.0", "time 0.3 is not on the grid [0.25, 0.5, 0.75, 1.0]"),
+        ("tails", "1.0", "0.5", "need 0 <= s_index < t_index < 4"),
+        ("tails", "0.5", "0.5", "need 0 <= s_index < t_index < 4"),
+        ("tails", "0.3", "1.0", "time 0.3 is not on the grid [0.25, 0.5, 0.75, 1.0]"),
+    ])
+    def test_bad_pair_exits_two(self, tmp_path, capsys, ensemble, command, s, t, message):
+        out = tmp_path / "a.json"
+        capsys.readouterr()
+        code = run_cli([command, str(ensemble), "--s", s, "--t", t, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"qharness {command}: error: {message}\n"
+
+    def test_verify_echoes_the_full_grid(self, tmp_path, ensemble):
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", str(ensemble), "--s", "0.25", "--t", "0.75",
+                        "--out", str(out)]) in (0, 1)
+        res = json.loads(out.read_text())["results"]
+        assert res["ensemble"]["grid"] == [0.25, 0.5, 0.75, 1.0]
+        assert (res["s"], res["t"]) == (0.25, 0.75)
+        assert sidecar_fields(out)["columns_read"] == "2"
+
+    def test_tails_sidecar(self, tmp_path, ensemble):
+        out = tmp_path / "t.json"
+        assert run_cli(["tails", str(ensemble), "--s", "0.5", "--t", "1.0", "--k", "70",
+                        "--thresholds", "0.5,1,2", "--out", str(out)]) == 0
+        fields = sidecar_fields(out)
+        assert (fields["columns_read"], fields["thresholds"], fields["hill_k"]) == ("2", "3", "70")
+        assert run_cli(["tails", str(ensemble), "--s", "0.5", "--t", "1.0",
+                        "--out", str(out)]) == 0
+        fields = sidecar_fields(out)
+        assert (fields["thresholds"], fields["hill_k"]) == ("50", "200")
+
+    @pytest.mark.parametrize("raw", [[], ["--raw"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tails_artifact_without_sidecar_is_identical(self, tmp_path, capsys, ensemble,
+                                                         raw, fmt):
+        out = tmp_path / f"t.{fmt}"
+        args = ["tails", str(ensemble), "--s", "0.25", "--t", "0.75", "--format", fmt, *raw]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert Path(str(out) + ".log").exists()
+        capsys.readouterr()
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("paths, workers, substreams, used", [
+        (100, 3, 4, 1), (2 * BLOCK_PATHS + 1, 2, 12, 2), (2 * BLOCK_PATHS + 1, 5, 12, 3)])
+    def test_simulate_sidecar_and_artifact(self, tmp_path, paths, workers, substreams, used):
+        out, direct = tmp_path / "p.qhe", tmp_path / "direct.qhe"
+        assert run_cli(["simulate", "--process", "pascal", "--grid", "0.25,0.5,0.75,1.0",
+                        "--paths", str(paths), "--workers", str(workers), "--seed", "8",
+                        "--out", str(out)]) == 0
+        fields = sidecar_fields(out)
+        assert (fields["substreams"], fields["workers"]) == (str(substreams), str(used))
+        # the artifact is the container the library writes, with no sidecar
+        save_ensemble(sample_ensemble(ProcessKind("pascal", 0.5), [0.25, 0.5, 0.75, 1.0],
+                                      paths, seed=8), direct)
+        assert out.read_bytes() == direct.read_bytes()
+
+
 class TestMomentsCommand:
     def test_two_point_at_gamma_minus_one(self, tmp_path):
         out = tmp_path / "m.json"
@@ -707,7 +791,7 @@ _EXPORTS = (
     "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
     "estimate_conditional", "exact_marginal_moments",
     "gaussian_pair_tail_curve", "hankel3", "hankel3_closed_form", "hill_tail_index",
-    "integrability_constant", "known_params", "load_ensemble",
+    "integrability_constant", "known_params", "load_ensemble", "read_header",
     "make_certificate", "moments", "one_sided_mean",
     "optimize_constant", "path_empirics", "pfail_upper", "pmax_certified",
     "replay_certificate",

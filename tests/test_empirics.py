@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,3 +559,55 @@ class TestHillMatchesFullSort:
         samples = pascal_ens.paths[:, 3]
         est = hill_tail_index(samples, k)
         assert (est.alpha, est.ci_low, est.ci_high) == full_sort_hill(samples, k)
+
+    def test_input_left_unchanged(self):
+        # the partition runs on the |samples| copy, never on the caller's array
+        samples = np.random.default_rng(1).standard_cauchy(10_000)
+        before = samples.copy()
+        hill_tail_index(samples, 100)
+        assert np.array_equal(samples, before)
+
+
+def traced_peak(fn) -> int:
+    """Bytes the call allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryContract:
+    """The kernels hold at most two (binning) or one (tails, Hill) column
+    copies beyond their input, on a pair of strided ensemble columns."""
+
+    N = 300_000
+    MIB = 2**20
+
+    @pytest.fixture(scope="class")
+    def ensembles(self):
+        return [sample_ensemble(kind_of(name), (0.5, 1.0), self.N, seed=SEED)
+                for name in ("gamma", "pascal")]
+
+    @pytest.mark.parametrize("n_bins, direction", [(40, "backward"), (400, "backward"),
+                                                   (40, "forward")])
+    def test_binning(self, ensembles, n_bins, direction):
+        bound = 2 * 8 * self.N + self.MIB
+        for e in ensembles:
+            estimate_conditional(e, 0, 1, n_bins, direction)  # first-call allocations
+            assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins, direction)) <= bound
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tail_curve(self, ensembles, normalize):
+        for e in ensembles:
+            tail_curve(e, 0, 1, normalize=normalize)
+            assert traced_peak(lambda: tail_curve(e, 0, 1, normalize=normalize)) <= (
+                8 * self.N + self.MIB)
+
+    def test_hill(self, ensembles):
+        for e in ensembles:
+            hill_tail_index(e.paths[:, 1], self.N // 100)
+            assert traced_peak(lambda: hill_tail_index(e.paths[:, 1], self.N // 100)) <= (
+                8 * self.N + self.MIB)

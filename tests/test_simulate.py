@@ -1,12 +1,16 @@
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from qharness.core import KINDS, one_sided_mean, var_backward
 from qharness.moments import hankel3
 from qharness.simulate import (
+    BLOCK_PATHS,
+    READ_ROWS,
     Ensemble,
     ProcessKind,
     ensemble_to_csv,
@@ -14,6 +18,7 @@ from qharness.simulate import (
     known_params,
     load_ensemble,
     pascal_theta,
+    read_header,
     sample_ensemble,
     save_ensemble,
 )
@@ -149,6 +154,52 @@ class TestSampling:
             sample_ensemble(kind_of("wiener"), GRID, 0, seed=0)
 
 
+def fresh_philox_reference(kind, grid, n_paths, seed):
+    """The stream layout built independently: a new Philox keyed by
+    (seed, block << 32 | step) for every substream, the draws accumulated
+    per block and centred per column as the kind's record says."""
+    grid = np.asarray(grid, dtype=np.float64)
+    dts = np.diff(grid, prepend=0.0)
+    mu, scale = kind.record.centring(kind.q)
+    out = np.empty((n_paths, grid.size))
+    for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
+        m = min(BLOCK_PATHS, n_paths - lo)
+        acc = np.zeros(m)
+        for step, dt in enumerate(dts):
+            gen = Generator(Philox(key=[np.uint64(seed), np.uint64((block << 32) | step)]))
+            acc += kind.record.draw(gen, float(dt), m, kind.q)
+            out[lo : lo + m, step] = (acc - grid[step] * mu) * scale
+    return out
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("name", KINDS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_fresh_philox_per_substream(self, name, workers):
+        # three blocks, the last one short: each worker re-keys its one Philox
+        # across blocks and steps, so a state left over from the previous
+        # substream (counter or buffered output) would show here
+        n = 2 * BLOCK_PATHS + 17
+        seed = 2**64 - 5
+        ref = fresh_philox_reference(kind_of(name), GRID, n, seed)
+        got = sample_ensemble(kind_of(name), GRID, n, seed=seed, n_workers=workers)
+        assert np.array_equal(got.paths, ref)
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # each worker must own its Philox: one shared between threads would
+        # be re-keyed under another's draws once the interpreter switches
+        # threads mid-block
+        n = 12 * BLOCK_PATHS + 5
+        ref = fresh_philox_reference(kind_of("gamma"), GRID, n, 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_ensemble(kind_of("gamma"), GRID, n, seed=9, n_workers=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.paths, ref)
+
+
 class TestStatistics:
     def test_mean_and_covariance(self, all_ensembles):
         for name, e in all_ensembles.items():
@@ -214,6 +265,50 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_ensemble(path)
+
+    def test_read_header(self, tmp_path):
+        e = sample_ensemble(kind_of("pascal"), GRID, 100, seed=21)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        head = read_header(path)
+        assert (head.kind, head.seed, head.n_paths) == (e.kind, 21, 100)
+        assert head.grid.tolist() == GRID
+        assert head.time_index(0.75) == 2
+
+    @pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS, READ_ROWS + 1,
+                                      3 * READ_ROWS + 7])
+    def test_column_load_matches_full_load(self, tmp_path, rows):
+        e = sample_ensemble(kind_of("gamma"), GRID, rows, seed=4)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        full = load_ensemble(path)
+        assert np.array_equal(full.paths, e.paths) and np.array_equal(full.grid, e.grid)
+        for times in ([0.5, 1.0], [0.25, 0.75], [1.0], GRID):
+            cols = [GRID.index(t) for t in times]
+            part = load_ensemble(path, times)
+            assert part.grid.tolist() == times
+            assert part.paths.flags.c_contiguous
+            assert np.array_equal(part.paths, full.paths[:, cols])
+            assert (part.kind, part.seed) == (full.kind, full.seed)
+
+    def test_load_errors_keep_their_messages(self, tmp_path):
+        e = sample_ensemble(kind_of("wiener"), GRID, 100, seed=0)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        raw = path.read_bytes()
+        with pytest.raises(ValueError, match=r"time 0\.3 is not on the grid "
+                                             r"\[0\.25, 0\.5, 0\.75, 1\.0\]"):
+            load_ensemble(path, [0.5, 0.3])
+        cases = [(raw[:20], "truncated header$"),
+                 (raw[:-16], f"truncated container: {len(raw) - 16} bytes, "
+                             f"header needs {len(raw)}$"),
+                 (b"NOPE" + raw[4:], r"not an ensemble container \(bad magic b'NOPE'\)$"),
+                 (raw[:4] + bytes([9]) + raw[5:], "unknown kind code 9$")]
+        for data, message in cases:
+            path.write_bytes(data)
+            for read in (read_header, load_ensemble, lambda p: load_ensemble(p, [0.5, 1.0])):
+                with pytest.raises(ValueError, match=message):
+                    read(path)
 
     def test_csv_export(self, tmp_path):
         e = sample_ensemble(kind_of("wiener"), [0.5, 1.0], 10, seed=4)
