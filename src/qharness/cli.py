@@ -349,6 +349,7 @@ def _run_simulate(config: RunConfig) -> int:
                              workers=min(int(cfg["workers"]), n_blocks))
     writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
     _atomic_write(config.out, lambda tmp: writer(ens, tmp))
+    config.log_fields.update(bytes_written=os.path.getsize(config.out))
     return 0
 
 
@@ -545,14 +546,12 @@ def _run_tails(config: RunConfig) -> int:
     # only the columns of s and t are read
     s, t = float(head.grid[si]), float(head.grid[ti])
     ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
-    curve = empirics.tail_curve(ens, 0, 1, thresholds, normalize=normalize)
-    hill_info: dict[str, Any]
-    try:
-        hill = empirics.hill_tail_index(ens.paths[:, 1], k)
-        hill_info = {"alpha": hill.alpha, "ci_low": hill.ci_low, "ci_high": hill.ci_high,
-                     "k": hill.k, "n": hill.n}
-    except ValueError as exc:
-        hill_info = {"error": str(exc)}
+    # Hill comes from the |X_t| column the curve sorts: one sort per column
+    curve = empirics.tail_curve(ens, 0, 1, thresholds, normalize=normalize, hill_k=k)
+    hill = curve.hill
+    hill_info = ({"error": hill} if isinstance(hill, str) else
+                 {"alpha": hill.alpha, "ci_low": hill.ci_low, "ci_high": hill.ci_high,
+                  "k": hill.k, "n": hill.n})
 
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,

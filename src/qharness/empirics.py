@@ -19,13 +19,14 @@ code path the rest of the package uses, never from a re-derivation.
 Binning works in place: the squared residual is formed in the sorted
 conditioning column's buffer, and each column's deviations from its bin
 means in that column's own buffer, so it holds two column copies beyond its
-input.  ``tail_curve`` and ``hill_tail_index`` hold one.
+input.  ``tail_curve`` and ``hill_tail_index`` hold one: ``tail_curve``
+sorts each |column| once, and reads the Hill estimate off the sorted |X_t|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +59,10 @@ MIN_BIN_COUNT = 30
 ROW_BLOCK = 8 * BLOCK_PATHS
 # the regression weight 1/v^2 floors v at this share of s(t-s)/(t+tau)
 WEIGHT_FLOOR = 1e-2
+# a binned prediction pref * (1 + lin + quad) within this many eps of
+# pref * (1 + |lin| + quad) is rounding noise and is shown as +0.0: the
+# first-order bound on its evaluation error is 11 unit roundoffs (5.5 eps)
+ROUNDING_ULPS = 8
 
 
 def gaussian_tail(t: float) -> float:
@@ -230,9 +235,16 @@ def estimate_conditional(
             np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
 
     p = known_params(e.kind)
-    var_fn = core.var_forward if direction == "forward" else core.var_backward
     pred_mean = np.where(filled, core.one_sided_mean(direction, s, t, x_mean), 0.0)
-    pred_var = np.where(filled, var_fn(p, s, t, x_mean).value, 0.0)
+    # at a root of the variance, such as a lattice's lowest value, the
+    # closed form gives rounding noise of either sign, shown as +0.0.  Its
+    # size pref * (1 + |lin| + quad) is the same formula at |eta|, |theta|
+    # and |x| (sigma, tau >= 0).  core itself clamps nothing
+    var_fn = core.var_forward if direction == "forward" else core.var_backward
+    pred = var_fn(p, s, t, x_mean).value
+    size = var_fn(replace(p, eta=abs(p.eta), theta=abs(p.theta)), s, t, np.abs(x_mean)).value
+    noise = ROUNDING_ULPS * np.finfo(np.float64).eps * size
+    pred_var = np.where(filled & (np.abs(pred) > noise), pred, 0.0)
 
     confident = count >= MIN_BIN_COUNT
     return BinnedConditional(
@@ -467,12 +479,15 @@ class TailCurve:
     """Two-variable tail function N(t) on a threshold ladder.
 
     n_samples is None for exact (analytic) curves: then the sampling
-    tolerance is zero.
+    tolerance is zero.  ``hill`` is the Hill estimate that ``tail_curve``
+    read off the sorted |Y| column when asked for one, or the message of the
+    ValueError it raised.
     """
 
     thresholds: np.ndarray
     n_values: np.ndarray
     n_samples: int | None
+    hill: HillEstimate | str | None = None
 
     def __post_init__(self) -> None:
         th = np.asarray(self.thresholds, dtype=np.float64)
@@ -493,6 +508,7 @@ def tail_curve(
     t_index: int,
     thresholds=None,
     normalize: bool = True,
+    hill_k: int | None = None,
 ) -> TailCurve:
     """Empirical N(t) = Pr(|X| > t) + Pr(|Y| > t) for the pair (X_s, X_t).
 
@@ -500,19 +516,35 @@ def tail_curve(
     (unit variances, correlation sqrt(s/t)).  Without thresholds the ladder
     is 50 geometric points from lo = max(median, 1e-9) to
     max(99.5% quantile, 2*lo) of |Y|.
+
+    Each column is sorted once, then divided by its sqrt(time) in place:
+    division by a positive constant is monotone, so the scaled column is
+    sorted too, bit for bit.  With hill_k, the Hill estimate of |Y| at
+    hill_k (``hill_tail_index(X_t, hill_k)``) is read off the top of the
+    sorted column before it is scaled.
     """
     _check_pair(e, s_index, t_index)
 
     def sorted_abs(j: int) -> np.ndarray:
-        # np.abs makes a fresh column, so scale and sort it in place
+        # np.abs makes a fresh column, so sort it in place
         col = np.abs(e.paths[:, j])
-        if normalize:
-            col /= math.sqrt(float(e.grid[j]))
         col.sort()
         return col
 
-    # one sorted column at a time: |Y| gives the ladder and Pr(|Y| > t)
+    def scale(col: np.ndarray, j: int) -> np.ndarray:
+        if normalize:
+            col /= math.sqrt(float(e.grid[j]))
+        return col
+
+    # one sorted column at a time: |Y| gives Hill, the ladder and Pr(|Y| > t)
     ys = sorted_abs(t_index)
+    hill = None
+    if hill_k is not None:
+        try:
+            hill = _hill(ys, hill_k)
+        except ValueError as exc:
+            hill = str(exc)
+    scale(ys, t_index)
     if thresholds is None:
         median, top = sorted_quantiles(ys, [0.5, 0.995]).tolist()
         lo = max(median, 1e-9)
@@ -521,8 +553,8 @@ def tail_curve(
     n = ys.size
     py = 1.0 - np.searchsorted(ys, thresholds, side="right") / n
     del ys
-    px = 1.0 - np.searchsorted(sorted_abs(s_index), thresholds, side="right") / n
-    return TailCurve(thresholds=thresholds, n_values=px + py, n_samples=n)
+    px = 1.0 - np.searchsorted(scale(sorted_abs(s_index), s_index), thresholds, side="right") / n
+    return TailCurve(thresholds=thresholds, n_values=px + py, n_samples=n, hill=hill)
 
 
 def gaussian_pair_tail_curve(thresholds) -> TailCurve:
@@ -616,19 +648,13 @@ class HillEstimate:
     n: int
 
 
-def hill_tail_index(samples, k: int) -> HillEstimate:
-    """Hill estimator of the polynomial tail exponent on the top-k order
-    statistics of |samples|, with the asymptotic 95% interval
-    alpha * (1 -+ 1.96/sqrt(k))."""
-    # np.abs copies a strided column once and ravel keeps that copy, which
-    # is then partitioned in place
-    x = np.abs(np.asarray(samples, dtype=np.float64)).ravel()
+def _hill(x: np.ndarray, k: int) -> HillEstimate:
+    """The Hill estimate at k of a non-negative column whose last k+1
+    entries are its top order statistics in ascending order."""
     n = x.size
     if k < 1 or k >= n / 2:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
-    # only the top k+1 order statistics are needed: partition, then sort those
-    x.partition(n - k - 1)
-    top = np.sort(x[n - k - 1 :])[::-1]
+    top = x[n - k - 1 :][::-1]
     if top[-1] <= 0.0:
         raise ValueError("top-k order statistics must be positive")
     logs = np.log(top)
@@ -644,3 +670,20 @@ def hill_tail_index(samples, k: int) -> HillEstimate:
         k=k,
         n=n,
     )
+
+
+def hill_tail_index(samples, k: int) -> HillEstimate:
+    """Hill estimator of the polynomial tail exponent on the top-k order
+    statistics of |samples|, with the asymptotic 95% interval
+    alpha * (1 -+ 1.96/sqrt(k)).  ``tail_curve`` gives the same estimate
+    from the column it sorts."""
+    # np.abs copies a strided column once and ravel keeps that copy, which
+    # is then partitioned in place
+    x = np.abs(np.asarray(samples, dtype=np.float64)).ravel()
+    n = x.size
+    # only the top k+1 order statistics are needed: partition, then sort
+    # those; _hill rejects a k out of range
+    if 0 <= k < n:
+        x.partition(n - k - 1)
+        x[n - k - 1 :].sort()
+    return _hill(x, k)

@@ -296,9 +296,12 @@ def load_ensemble(path, times=None) -> Ensemble:
 def ensemble_to_csv(e: Ensemble, path) -> None:
     """CSV export: path_id, then one column per grid time.
 
-    Written one block of BLOCK_PATHS rows at a time (bounded memory); within
-    a block each distinct value is formatted once, keyed on its bit pattern,
-    so -0.0 and 0.0 keep their own text.
+    Written one block of BLOCK_PATHS rows at a time (bounded memory).  Within
+    a block each distinct value is formatted once, keyed on its bit pattern
+    (so -0.0 and 0.0 keep their own text), into two tables: ",value" and
+    ",value\\n" for the last column.  The block's cells are gathered from
+    those tables by object-array indexing, next to a path_id column, and the
+    block is written as one join: no Python code runs per row or per cell.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ",".join(f"t_{t!r}" for t in e.grid.tolist())
@@ -306,7 +309,13 @@ def ensemble_to_csv(e: Ensemble, path) -> None:
         for lo in range(0, e.n_paths, BLOCK_PATHS):
             block = e.paths[lo : lo + BLOCK_PATHS]
             bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = list(map(repr, bits.view(np.float64).tolist()))
-            cells = map(text.__getitem__, inverse.ravel().tolist())
-            rows = map(",".join, zip(*[cells] * e.n_times))
-            fh.writelines(map("{},{}\n".format, range(lo, lo + len(block)), rows))
+            # numpy 1.x gives a flat inverse, 2.x one of the block's shape
+            inverse = inverse.reshape(block.shape)
+            mid = "," + np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            # distinct value i's cell is table[i] mid-row and table[u + i] last
+            table = np.concatenate((mid, mid + "\n"))
+            inverse[:, -1] += mid.size
+            cells = np.empty((block.shape[0], e.n_times + 1), dtype=object)
+            cells[:, 0] = list(map(str, range(lo, lo + block.shape[0])))
+            cells[:, 1:] = table[inverse]
+            fh.write("".join(cells.ravel().tolist()))

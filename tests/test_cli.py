@@ -13,10 +13,12 @@ from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
 from qharness.core import KINDS
-from qharness.empirics import estimate_conditional, path_empirics
+from qharness.empirics import estimate_conditional, hill_tail_index, path_empirics
 from qharness.simulate import (
     BLOCK_PATHS,
+    Ensemble,
     ProcessKind,
+    ensemble_to_csv,
     load_ensemble,
     sample_ensemble,
     save_ensemble,
@@ -528,9 +530,21 @@ class TestTwoColumnHandlers:
                         "--out", str(out)]) == 0
         fields = sidecar_fields(out)
         assert (fields["substreams"], fields["workers"]) == (str(substreams), str(used))
+        assert int(fields["bytes_written"]) == out.stat().st_size
         # the artifact is the container the library writes, with no sidecar
         save_ensemble(sample_ensemble(ProcessKind("pascal", 0.5), [0.25, 0.5, 0.75, 1.0],
                                       paths, seed=8), direct)
+        assert out.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("paths", [1, 2 * BLOCK_PATHS + 1])
+    def test_simulate_csv_sidecar_and_artifact(self, tmp_path, paths):
+        out, direct = tmp_path / "p.csv", tmp_path / "direct.csv"
+        assert run_cli(["simulate", "--process", "pascal", "--grid", "0.25,0.5,0.75,1.0",
+                        "--paths", str(paths), "--seed", "8", "--format", "csv",
+                        "--out", str(out)]) == 0
+        assert int(sidecar_fields(out)["bytes_written"]) == out.stat().st_size
+        ensemble_to_csv(sample_ensemble(ProcessKind("pascal", 0.5), [0.25, 0.5, 0.75, 1.0],
+                                        paths, seed=8), direct)
         assert out.read_bytes() == direct.read_bytes()
 
 
@@ -729,6 +743,98 @@ class TestTailsCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# version=")
         assert "threshold,n_value" in lines
+
+
+def two_sort_tails(path, s, t, thresholds, raw, k) -> dict:
+    """The tails results the two-sort way: each |column| scaled, then
+    sorted, for the curve (its ladder from np.quantile), and
+    ``hill_tail_index`` partitioning a copy of the raw X_t column."""
+    ens = load_ensemble(path, times=(s, t))
+
+    def sorted_abs(j: int, time: float) -> np.ndarray:
+        col = np.abs(ens.paths[:, j])
+        return np.sort(col if raw else col / math.sqrt(time))
+
+    ys = sorted_abs(1, t)
+    if thresholds is None:
+        lo = max(float(np.quantile(ys, 0.5)), 1e-9)
+        thresholds = np.geomspace(lo, max(float(np.quantile(ys, 0.995)), lo * 2.0), 50)
+    th = np.asarray(thresholds, dtype=np.float64)
+    n = ys.size
+    py = 1.0 - np.searchsorted(ys, th, side="right") / n
+    px = 1.0 - np.searchsorted(sorted_abs(0, s), th, side="right") / n
+    try:
+        h = hill_tail_index(ens.paths[:, 1], k)
+        hill = {"alpha": h.alpha, "ci_low": h.ci_low, "ci_high": h.ci_high, "k": h.k, "n": h.n}
+    except ValueError as exc:
+        hill = {"error": str(exc)}
+    return {"thresholds": th.tolist(), "n_values": (px + py).tolist(), "n_samples": n,
+            "hill": hill}
+
+
+class TestTailsMatchesTwoSortReference:
+    """tails sorts each column once and reads Hill off the sorted |X_t|; its
+    artifact equals the one the separate curve and Hill sorts give."""
+
+    N = 20_001
+
+    @pytest.fixture(scope="class")
+    def ensembles(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("tails-ref")
+        out = {}
+        for kind in ("gamma", "pascal"):
+            out[kind] = d / f"{kind}.qhe"
+            assert run_cli(["simulate", "--process", kind, "--grid", "0.25,0.5,0.75,1.0",
+                            "--paths", str(self.N), "--seed", "4", "--out", str(out[kind])]) == 0
+        # Hill's errors: the top k+1 of |X_t| reach 0, or are all equal
+        grid = np.array([0.5, 1.0])
+        zeros = np.zeros((40, 2))
+        zeros[:5] = [1.0, 2.0]
+        equal = np.ones((40, 2))
+        equal[::3, 1] = -1.0
+        for name, paths in (("zeros", zeros), ("equal", equal)):
+            out[name] = d / f"{name}.qhe"
+            save_ensemble(Ensemble(ProcessKind("wiener"), grid, paths, seed=0), out[name])
+        return out
+
+    def check(self, tmp_path, path, s, t, *, raw=False, thresholds=None, k=None):
+        out = tmp_path / "tails.json"
+        argv = ["tails", str(path), "--s", repr(s), "--t", repr(t), "--out", str(out)]
+        argv += (["--raw"] if raw else []) + (["--k", str(k)] if k is not None else [])
+        if thresholds is not None:
+            argv += ["--thresholds", ",".join(map(repr, thresholds))]
+        assert run_cli(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        n = load_ensemble(path, times=(t,)).n_paths
+        ref = two_sort_tails(path, s, t, thresholds, raw, max(1, n // 100) if k is None else k)
+        assert {key: res[key] for key in ref} == ref
+        return res["hill"]
+
+    @pytest.mark.parametrize("kind", ["gamma", "pascal"])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_off_unit_time(self, tmp_path, ensembles, kind, raw):
+        assert "alpha" in self.check(tmp_path, ensembles[kind], 0.25, 0.75, raw=raw)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_user_thresholds(self, tmp_path, ensembles, raw):
+        self.check(tmp_path, ensembles["gamma"], 0.5, 0.75, raw=raw,
+                   thresholds=[0.05, 0.5, 1.0, 2.0, 8.0])
+
+    @pytest.mark.parametrize("k", [1, (N - 1) // 2])
+    @pytest.mark.parametrize("kind", ["gamma", "pascal"])
+    def test_smallest_and_largest_k(self, tmp_path, ensembles, kind, k):
+        # at k = 1 the pascal lattice's top two values tie: a Hill error
+        self.check(tmp_path, ensembles[kind], 0.25, 0.75, k=k)
+
+    @pytest.mark.parametrize("name, k, message", [
+        ("zeros", 10, "top-k order statistics must be positive"),
+        ("equal", 10, "degenerate sample: top order statistics are all equal"),
+        ("equal", 19, "degenerate sample: top order statistics are all equal"),
+    ])
+    def test_hill_errors(self, tmp_path, ensembles, name, k, message):
+        for raw in (False, True):
+            assert self.check(tmp_path, ensembles[name], 0.5, 1.0, raw=raw, k=k) == {
+                "error": message}
 
 
 class TestSharedParser:

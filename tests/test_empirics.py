@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,18 @@ from qharness.empirics import (
 from qharness.simulate import BLOCK_PATHS, Ensemble, ProcessKind, known_params, sample_ensemble
 
 from conftest import GRID, SEED, kind_of
+
+
+def display_var(p, s, t, x, value, direction):
+    """The binned table's predicted variance: +0.0 where the closed form's
+    value is within 8 eps of pref * (1 + |linear term| + quadratic term),
+    its rounding bound, and the value itself otherwise."""
+    if direction == "forward":
+        pref, lin, quad = (t - s) / (1.0 + p.sigma * s), p.eta * x, p.sigma * x * x
+    else:
+        pref, r = s * (t - s) / (t + p.tau), x / t
+        lin, quad = p.theta * r, p.tau * r * r
+    return 0.0 if abs(value) <= 8 * sys.float_info.epsilon * pref * (1 + abs(lin) + quad) else value
 
 
 def masked_reference(e, s_index, t_index, n_bins, direction):
@@ -60,7 +73,7 @@ def masked_reference(e, s_index, t_index, n_bins, direction):
             cols["se_var"][b] = r2.std(ddof=1) / math.sqrt(n)
         x = float(cols["x_mean"][b])
         cols["pred_mean"][b] = core.one_sided_mean(direction, s, t, x)
-        cols["pred_var"][b] = var_fn(p, s, t, x).value
+        cols["pred_var"][b] = display_var(p, s, t, x, var_fn(p, s, t, x).value, direction)
     return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count,
                 confident=count >= MIN_BIN_COUNT)
 
@@ -99,6 +112,33 @@ class TestEstimateConditional:
             if b.count[i]:
                 expect = var_backward(p, b.s, b.t, float(b.x_mean[i])).value
                 assert b.pred_var[i] == expect
+
+    def test_rounding_noise_at_a_root_shows_as_zero(self):
+        # the lowest pascal lattice value is the root of the backward
+        # variance; the closed form gives -1.39e-17 there, the table +0.0
+        e = sample_ensemble(ProcessKind("pascal", 0.5), GRID, 200_000, seed=5)
+        b = estimate_conditional(e, 1, 3, 40, "backward")
+        raw = var_backward(known_params(e.kind), b.s, b.t, float(b.x_mean[0])).value
+        assert raw == -1.3877787807814457e-17
+        assert b.pred_var[0] == 0.0 and math.copysign(1.0, b.pred_var[0]) == 1.0
+        assert np.all(b.pred_var[1:] > 0.0)
+
+    def test_negatives_beyond_rounding_are_kept(self):
+        # at t = 1 the pascal backward variance is negative for X_t between
+        # the roots of 1 + theta*x + x^2; the upper root is the lattice's
+        # lowest value.  X_t well inside and just (1e-12) beyond it gives
+        # negatives beyond the rounding bound, which stay as they are
+        kind = ProcessKind("pascal", 0.5)
+        theta = known_params(kind).theta
+        root = (-theta + math.sqrt(theta * theta - 4.0)) / 2.0
+        values = np.array([-1.0, root - 1e-12, 1.0, 2.0, 3.0])
+        xt = np.repeat(values, 40)
+        paths = np.column_stack((np.random.default_rng(4).standard_normal(xt.size), xt))
+        b = estimate_conditional(Ensemble(kind, np.array([0.5, 1.0]), paths, seed=0),
+                                 0, 1, 5, "backward")
+        expect = var_backward(known_params(kind), 0.5, 1.0, b.x_mean).value
+        assert np.all(expect[:2] < 0.0)
+        assert b.pred_var.tolist() == expect.tolist()
 
     def test_counts_partition_paths(self, poisson_ens):
         b = estimate_conditional(poisson_ens, 1, 3, 40, "backward")
@@ -560,6 +600,32 @@ class TestHillMatchesFullSort:
         est = hill_tail_index(samples, k)
         assert (est.alpha, est.ci_low, est.ci_high) == full_sort_hill(samples, k)
 
+    @pytest.mark.parametrize("k", [1, 7, 333, 20_000, 49_999, 50_000])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tail_curve_reads_the_same_estimate(self, k, normalize):
+        # tail_curve's Hill comes off the sorted |X_t| column before it is
+        # scaled; k = 50000 = n/2 is out of range, an error either way
+        rng = np.random.default_rng(2)
+        for column in (rng.standard_cauchy(100_000), -rng.pareto(2.5, 100_000)):
+            paths = np.column_stack((rng.standard_normal(column.size), column))
+            e = Ensemble(ProcessKind("wiener"), np.array([0.5, 2.0]), paths, seed=0)
+            got = tail_curve(e, 0, 1, normalize=normalize, hill_k=k).hill
+            try:
+                assert got == hill_tail_index(column, k)
+            except ValueError as exc:
+                assert got == str(exc)
+
+    def test_tail_curve_hill_errors(self):
+        grid = np.array([0.5, 1.0])
+        for column, message in ((np.r_[np.zeros(30), 1.0, 2.0], "must be positive"),
+                                (np.r_[np.ones(30), -1.0], "degenerate sample"),
+                                (np.ones(1), "need 1 <= k < n/2, got k=1, n=1")):
+            e = Ensemble(ProcessKind("wiener"), grid, np.column_stack((column, column)), seed=0)
+            with pytest.raises(ValueError, match=message):
+                hill_tail_index(column, 4 if column.size > 1 else 1)
+            got = tail_curve(e, 0, 1, hill_k=4 if column.size > 1 else 1).hill
+            assert isinstance(got, str) and message in got
+
     def test_input_left_unchanged(self):
         # the partition runs on the |samples| copy, never on the caller's array
         samples = np.random.default_rng(1).standard_cauchy(10_000)
@@ -580,8 +646,9 @@ def traced_peak(fn) -> int:
 
 
 class TestMemoryContract:
-    """The kernels hold at most two (binning) or one (tails, Hill) column
-    copies beyond their input, on a pair of strided ensemble columns."""
+    """The kernels hold at most two (binning) or one (tails with or without
+    Hill, Hill alone) column copies beyond their input, on a pair of strided
+    ensemble columns."""
 
     N = 300_000
     MIB = 2**20
@@ -605,6 +672,15 @@ class TestMemoryContract:
             tail_curve(e, 0, 1, normalize=normalize)
             assert traced_peak(lambda: tail_curve(e, 0, 1, normalize=normalize)) <= (
                 8 * self.N + self.MIB)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tails_with_hill(self, ensembles, normalize):
+        # the curve and Hill from one sort per column: still one column copy
+        for e in ensembles:
+            def tails():
+                return tail_curve(e, 0, 1, normalize=normalize, hill_k=self.N // 100)
+            tails()
+            assert traced_peak(tails) <= 8 * self.N + self.MIB
 
     def test_hill(self, ensembles):
         for e in ensembles:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -347,6 +348,61 @@ class TestCsvMatchesRowLoop:
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "ref.csv").read_text()
         assert text.splitlines()[2] == "1,-0.0,0.0,-1.5"
+
+    @pytest.mark.parametrize("name, grid, n", [
+        ("gamma", [1.0], 300),                        # a one-time grid
+        ("pascal", GRID, 1),
+        ("pascal", GRID, BLOCK_PATHS),
+        ("gamma", GRID, 2 * BLOCK_PATHS + 17),
+        ("poisson", GRID, 2 * BLOCK_PATHS + 17),
+        ("wiener", [0.5, 1.0], BLOCK_PATHS + 1),
+    ])
+    def test_shapes_and_kinds(self, tmp_path, name, grid, n):
+        e = sample_ensemble(kind_of(name), grid, n, seed=21)
+        ensemble_to_csv(e, tmp_path / "new.csv")
+        row_loop_csv(e, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_fortran_ordered_paths(self, tmp_path):
+        e = sample_ensemble(kind_of("pascal"), GRID, BLOCK_PATHS + 5, seed=2)
+        f = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
+        assert f.paths.flags.f_contiguous and not f.paths.flags.c_contiguous
+        ensemble_to_csv(f, tmp_path / "new.csv")
+        row_loop_csv(e, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_signed_zeros_across_a_block_boundary(self, tmp_path):
+        # the last row of block 0 holds -0.0 where the first row of block 1
+        # holds 0.0 and the other way round, so each block keys both zeros
+        paths = np.ones((BLOCK_PATHS + 2, 3))
+        paths[BLOCK_PATHS - 1] = [-0.0, 0.0, -0.0]
+        paths[BLOCK_PATHS] = [0.0, -0.0, 0.0]
+        paths[BLOCK_PATHS + 1] = [-0.0, -0.0, 2.5]
+        e = Ensemble(kind_of("wiener"), np.array([0.25, 0.5, 1.0]), paths, seed=0)
+        ensemble_to_csv(e, tmp_path / "new.csv")
+        row_loop_csv(e, tmp_path / "ref.csv")
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert text.splitlines()[BLOCK_PATHS:] == [
+            f"{BLOCK_PATHS - 1},-0.0,0.0,-0.0", f"{BLOCK_PATHS},0.0,-0.0,0.0",
+            f"{BLOCK_PATHS + 1},-0.0,-0.0,2.5"]
+
+    @pytest.mark.parametrize("name", ["pascal", "gamma"])
+    def test_peak_memory_does_not_grow_with_paths(self, tmp_path, name):
+        def peak(n: int) -> int:
+            e = sample_ensemble(kind_of(name), GRID, n, seed=6)
+            ensemble_to_csv(e, tmp_path / "e.csv")  # first-call allocations
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ensemble_to_csv(e, tmp_path / "e.csv")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # one block's tables, cells and text, whatever the path count
+        small, large = peak(2 * BLOCK_PATHS), peak(16 * BLOCK_PATHS)
+        assert large <= 1.02 * small + 2**16
 
 
 class TestEnsembleValidation:
