@@ -366,17 +366,25 @@ def _check(name: str, value: float, expected: float, se: float, max_se: float) -
     }
 
 
-def _run_verify(config: RunConfig) -> int:
-    from . import empirics, simulate
+def _resolve_pair(cfg: dict):
+    """The container's header and the grid times s < t that --s and --t name;
+    read from the header alone, before any column."""
+    from . import simulate
 
-    cfg = config.params
     head = simulate.read_header(cfg["ensemble"])
     si = head.time_index(float(cfg["s"]))
     ti = head.time_index(float(cfg["t"]))
     if si >= ti:
         raise ValueError("need s < t")
+    return head, float(head.grid[si]), float(head.grid[ti])
+
+
+def _run_verify(config: RunConfig) -> int:
+    from . import empirics, simulate
+
+    cfg = config.params
+    head, s, t = _resolve_pair(cfg)
     # only the columns of s and t are read
-    s, t = float(head.grid[si]), float(head.grid[ti])
     ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
     p = simulate.known_params(ens.kind)
 
@@ -425,6 +433,12 @@ def _run_verify(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
+def _two_point_json(law: moments.TwoPointLaw) -> dict:
+    """A two-point law's atoms and weights, as moments and hankel report them."""
+    return {"atom_lo": law.atom_lo, "atom_hi": law.atom_hi,
+            "weight_lo": law.weight_lo, "weight_hi": law.weight_hi}
+
+
 def _run_moments(config: RunConfig) -> int:
     cfg = config.params
     p = _params_from(cfg)
@@ -449,13 +463,7 @@ def _run_moments(config: RunConfig) -> int:
 
     if p.gamma == -1.0:
         law = moments.two_point_from_moments(t, 0.0)
-        results["two_point"] = {
-            "third_moment_assumed": 0.0,
-            "atom_lo": law.atom_lo,
-            "atom_hi": law.atom_hi,
-            "weight_lo": law.weight_lo,
-            "weight_hi": law.weight_hi,
-        }
+        results["two_point"] = {"third_moment_assumed": 0.0, **_two_point_json(law)}
 
     if cfg.get("s") is not None and cfg.get("u") is not None:
         s, u = float(cfg["s"]), float(cfg["u"])
@@ -479,10 +487,7 @@ def _run_hankel(config: RunConfig) -> int:
     if mv.m1 == 0.0 and mv.m2 > 0.0:
         law = moments.two_point_from_moments(mv.m2, mv.m3)
         results["two_point"] = {
-            "atom_lo": law.atom_lo,
-            "atom_hi": law.atom_hi,
-            "weight_lo": law.weight_lo,
-            "weight_hi": law.weight_hi,
+            **_two_point_json(law),
             "reproduces_m4": bool(abs(law.moment(4) - mv.m4) <= 1e-10 * max(1.0, abs(mv.m4))),
         }
     _emit(config, results)
@@ -528,23 +533,14 @@ def _run_tails(config: RunConfig) -> int:
     from . import empirics, simulate
 
     cfg = config.params
-    head = simulate.read_header(cfg["ensemble"])
-    si = head.time_index(float(cfg["s"]))
-    ti = head.time_index(float(cfg["t"]))
+    head, s, t = _resolve_pair(cfg)
     normalize = not bool(cfg.get("raw"))
-    if cfg.get("k") is not None:
-        k = int(cfg["k"])
-        if not (1 <= k < head.n_paths / 2):
-            raise ValueError(f"--k must satisfy 1 <= k < n/2 = {head.n_paths / 2}, got {k}")
-    else:
-        k = max(1, head.n_paths // 100)
-
+    # the default k too is checked here, so tail_curve never meets a bad one
+    k = int(cfg["k"]) if cfg.get("k") is not None else max(1, head.n_paths // 100)
+    if not (1 <= k < head.n_paths / 2):
+        raise ValueError(f"--k must satisfy 1 <= k < n/2 = {head.n_paths / 2}, got {k}")
     thresholds = _float_list(cfg["thresholds"]) if cfg.get("thresholds") is not None else None
-    # checked here: tail_curve's own check sees only the two loaded columns
-    if not si < ti:
-        raise ValueError(f"need 0 <= s_index < t_index < {head.grid.size}")
     # only the columns of s and t are read
-    s, t = float(head.grid[si]), float(head.grid[ti])
     ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
     # Hill comes from the |X_t| column the curve sorts: one sort per column
     curve = empirics.tail_curve(ens, 0, 1, thresholds, normalize=normalize, hill_k=k)

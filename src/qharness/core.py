@@ -51,9 +51,6 @@ class HarnessParams:
     tau: float
     gamma: float
 
-    def sigma_tau(self) -> float:
-        return self.sigma * self.tau
-
 
 def pascal_theta(q: float) -> float:
     """Linear backward-variance coefficient (2-q)/sqrt(1-q) of the standardized

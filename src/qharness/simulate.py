@@ -58,11 +58,15 @@ _MAGIC = b"QHE1"
 _HEADER = struct.Struct("<4sBxxxdQQQ")
 
 
-def _check_grid(grid: np.ndarray) -> None:
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float64 array of finite, positive, strictly ascending
+    times (the one grid check: sampler, ensembles and containers)."""
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array")
-    if not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly ascending and positive")
+    if not np.all(np.isfinite(grid)) or not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be finite, positive and strictly ascending")
+    return grid
 
 
 def _time_index(grid: np.ndarray, t: float) -> int:
@@ -116,9 +120,9 @@ class Ensemble:
     seed: int
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=np.float64)
-        _check_grid(grid)
-        if self.paths.shape != (self.paths.shape[0], grid.size):
+        # frozen: store the validated float64 grid in place of what was given
+        object.__setattr__(self, "grid", _check_grid(self.grid))
+        if self.paths.shape != (self.paths.shape[0], self.grid.size):
             raise ValueError("paths must be n_paths x n_times")
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("path values must be finite")
@@ -167,11 +171,7 @@ def sample_ensemble(
     Deterministic per (kind, grid, n_paths, seed): the worker count only
     distributes blocks, it never changes the streams.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d sequence of times")
-    if not np.all(np.isfinite(grid)) or not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be finite, positive and strictly ascending")
+    grid = _check_grid(grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if not (0 <= seed < 2**64):
@@ -257,8 +257,7 @@ def _read_header(fh, path) -> Header:
     size = os.fstat(fh.fileno()).st_size
     if size < need:
         raise ValueError(f"{path}: truncated container: {size} bytes, header needs {need}")
-    grid = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-    _check_grid(grid)
+    grid = _check_grid(np.frombuffer(fh.read(8 * n_times), dtype="<f8"))
     return Header(kind, seed, n_paths, grid)
 
 

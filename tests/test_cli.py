@@ -478,8 +478,8 @@ class TestTwoColumnHandlers:
         ("verify", "1.0", "0.5", "need s < t"),
         ("verify", "0.5", "0.5", "need s < t"),
         ("verify", "0.3", "1.0", "time 0.3 is not on the grid [0.25, 0.5, 0.75, 1.0]"),
-        ("tails", "1.0", "0.5", "need 0 <= s_index < t_index < 4"),
-        ("tails", "0.5", "0.5", "need 0 <= s_index < t_index < 4"),
+        ("tails", "1.0", "0.5", "need s < t"),
+        ("tails", "0.5", "0.5", "need s < t"),
         ("tails", "0.3", "1.0", "time 0.3 is not on the grid [0.25, 0.5, 0.75, 1.0]"),
     ])
     def test_bad_pair_exits_two(self, tmp_path, capsys, ensemble, command, s, t, message):
@@ -546,6 +546,32 @@ class TestTwoColumnHandlers:
         ensemble_to_csv(sample_ensemble(ProcessKind("pascal", 0.5), [0.25, 0.5, 0.75, 1.0],
                                         paths, seed=8), direct)
         assert out.read_bytes() == direct.read_bytes()
+
+
+class TestInfiniteGridTime:
+    """A container whose last grid time is +inf is rejected from its header,
+    as the sampler rejects that grid."""
+
+    @pytest.fixture(scope="class")
+    def container(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("inf") / "g.qhe"
+        assert run_cli(["simulate", "--process", "gamma", "--grid", "0.5,1.0",
+                        "--paths", "1000", "--seed", "3", "--out", str(path)]) == 0
+        raw = bytearray(path.read_bytes())
+        # the grid's two float64 times follow the 40-byte header
+        raw[48:56] = np.array([np.inf], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize("command", ["verify", "tails"])
+    @pytest.mark.parametrize("t", ["1.0", "inf"])
+    def test_exits_two(self, tmp_path, capsys, container, command, t):
+        out = tmp_path / "a.json"
+        capsys.readouterr()
+        code = run_cli([command, str(container), "--s", "0.5", "--t", t, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"qharness {command}: error: grid must be finite, positive and strictly ascending\n")
 
 
 class TestMomentsCommand:
@@ -731,6 +757,25 @@ class TestTailsCommand:
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
         assert err.startswith("qharness tails: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_default_k_is_checked_too(self, tmp_path, capsys, n):
+        # k = max(1, n // 100) = 1 is out of range below 3 paths
+        ens_path, out = tmp_path / "w.qhe", tmp_path / "tails.json"
+        paths = np.arange(1.0, 2 * n + 1).reshape(n, 2)
+        save_ensemble(Ensemble(ProcessKind("wiener"), [0.5, 1.0], paths, seed=0), ens_path)
+        capsys.readouterr()
+        code = run_cli(["tails", str(ens_path), "--s", "0.5", "--t", "1.0", "--out", str(out)])
+        assert code == 2 and not out.exists() and not Path(f"{out}.log").exists()
+        assert capsys.readouterr().err == (
+            f"qharness tails: error: --k must satisfy 1 <= k < n/2 = {n / 2}, got 1\n")
+
+    def test_default_k_on_three_paths(self, tmp_path):
+        ens_path, out = tmp_path / "w.qhe", tmp_path / "tails.json"
+        paths = np.arange(1.0, 7.0).reshape(3, 2)
+        save_ensemble(Ensemble(ProcessKind("wiener"), [0.5, 1.0], paths, seed=0), ens_path)
+        assert run_cli(["tails", str(ens_path), "--s", "0.5", "--t", "1.0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["hill"]["k"] == 1
 
     def test_csv_format(self, tmp_path):
         ens_path = tmp_path / "w.qhe"

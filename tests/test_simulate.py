@@ -311,6 +311,21 @@ class TestContainer:
                 with pytest.raises(ValueError, match=message):
                     read(path)
 
+    @pytest.mark.parametrize("grid", [(0.5, np.inf), (0.5, np.nan), (1.0, 0.5), (0.0, 1.0)])
+    def test_bad_grid_rejected_as_the_sampler_rejects_it(self, tmp_path, grid):
+        e = sample_ensemble(kind_of("wiener"), [0.5, 1.0], 10, seed=0)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        raw = path.read_bytes()
+        # the grid's two float64 times follow the 40-byte header
+        path.write_bytes(raw[:40] + np.array(grid, dtype="<f8").tobytes() + raw[56:])
+        with pytest.raises(ValueError) as sampled:
+            sample_ensemble(kind_of("wiener"), grid, 10, seed=0)
+        for read in (read_header, load_ensemble, lambda p: load_ensemble(p, [0.5])):
+            with pytest.raises(ValueError) as loaded:
+                read(path)
+            assert str(loaded.value) == str(sampled.value)
+
     def test_csv_export(self, tmp_path):
         e = sample_ensemble(kind_of("wiener"), [0.5, 1.0], 10, seed=4)
         path = tmp_path / "e.csv"
@@ -409,6 +424,17 @@ class TestEnsembleValidation:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             Ensemble(kind_of("wiener"), np.array([1.0, 1.0]), np.zeros((3, 2)), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_grid_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="grid must be finite, positive and strictly ascending"):
+            Ensemble(kind_of("wiener"), np.array([0.5, bad]), np.zeros((3, 2)), seed=0)
+
+    def test_list_grid_is_kept_as_a_float64_array(self):
+        e = Ensemble(kind_of("wiener"), [0.5, 1], np.zeros((3, 2)), seed=0)
+        assert isinstance(e.grid, np.ndarray) and e.grid.dtype == np.float64
+        assert e.grid.tolist() == [0.5, 1.0] and e.n_times == 2
+        assert e.time_index(1.0) == 1
 
     def test_values_must_be_finite(self):
         paths = np.zeros((3, 2))
