@@ -61,4 +61,4 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

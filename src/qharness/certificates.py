@@ -220,7 +220,10 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
 def _k_power(u: float, p: float) -> tuple[float, float]:
     """K = 1 + x, x = 2u/(1-u), and K^(p+1), restoring the exact rounding error
     d = x - (k-1) of k = 1 + x that k^(p+1) alone would amplify p-fold (where k
-    is exact, d = 0 and this is k^(p+1)).  Overflow is a ValueError naming p."""
+    is exact, d = 0 and this is k^(p+1)).  Overflow is a ValueError naming p;
+    u and p are taken as Python floats, whose power raises on overflow where a
+    numpy scalar's gives inf."""
+    u, p = float(u), float(p)
     x = 2.0 * u / (1.0 - u)
     k = 1.0 + x
     d = x - (k - 1.0)

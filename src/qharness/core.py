@@ -14,12 +14,15 @@ parameter/state combination.
 
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
 elementwise; the scalar times are validated once per call.  ``PROCESS_KINDS``
-is the table of the process kinds that `simulate` samples.
+is the table of the process kinds that `simulate` samples; the pascal kind
+draws its increments by inverting the cached CDF tables of ``_nb_cdf``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -58,6 +61,66 @@ def pascal_theta(q: float) -> float:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0,1), got {q}")
     return (2.0 - q) / math.sqrt(1.0 - q)
+
+
+# Resolution of numpy's uniforms: Generator.random() returns multiples of
+# 2**-53 in [0, 1), so an untabulated tail below it changes no draw's law by
+# more than one uniform step.
+_NB_TAIL = 2.0**-53
+# Longest pascal inversion table; where NB(dt, q) needs more, or q**dt
+# underflows, the increment is drawn as a gamma-mixed Poisson instead.
+_NB_TABLE_CAP = 1 << 16
+
+
+@functools.lru_cache(maxsize=256)
+def _nb_cdf(dt: float, q: float):
+    """The read-only CDF table F(0), ..., F(m-1) of NB(dt, q), or None where
+    inversion does not run (q**dt below the smallest normal float, or m would
+    pass ``_NB_TABLE_CAP``).
+
+    The pmf follows P(0) = q**dt, P(k+1) = P(k) * (k+dt)/(k+1) * (1-q), and F
+    is its running sum.  The ratio r_j = (j+dt)/(j+1) * (1-q) is at most
+    rho_k = (1-q) * max(k+dt, k+1)/(k+1) for every j >= k (it rises towards
+    1-q when dt < 1 and falls towards it when dt >= 1), so when rho_k < 1
+
+        P(K > k) <= P(k) * rho_k / (1 - rho_k).
+
+    m is the first k where P(k) * rho_k < 2**-53 * (1 - rho_k), so the mass
+    past m, the untabulated tail, is below 2**-53.  A draw is the number of
+    entries at or below a uniform U, so K = m takes 1 - F(m-1): P(m) plus that
+    tail (Devroye 1986, Non-Uniform Random Variate Generation, III.2).
+    """
+    import numpy as np
+
+    p0 = q**dt
+    if p0 < sys.float_info.min:
+        return None
+    size = 64
+    while True:
+        # the products and sums run in index order, so a longer attempt
+        # repeats a shorter one's entries bit for bit
+        k = np.arange(size, dtype=np.float64)
+        ratio = (k + dt) / (k + 1.0) * (1.0 - q)
+        pmf = np.concatenate(([p0], ratio[:-1])).cumprod()
+        rho = (1.0 - q) * np.maximum(k + dt, k + 1.0) / (k + 1.0)
+        stop = pmf * rho < _NB_TAIL * (1.0 - rho)
+        if stop.any():
+            break
+        if size >= _NB_TABLE_CAP:
+            return None
+        size *= 4
+    cdf = pmf[: stop.argmax()].cumsum()
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _pascal_draw(rng, dt: float, n: int, q: float):
+    """n NB(dt, q) increments: table inversion, one uniform per draw, or
+    numpy's gamma-mixed Poisson where ``_nb_cdf`` gives no table."""
+    cdf = _nb_cdf(dt, q)
+    if cdf is None:
+        return rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float)
+    return cdf.searchsorted(rng.random(n), side="right").astype(float)
 
 
 @dataclass(frozen=True)
@@ -104,8 +167,7 @@ PROCESS_KINDS = (
         params=lambda q: HarnessParams(0.0, pascal_theta(q), 0.0, 1.0, 1.0),
         cumulants=lambda q, t: (t * (2.0 - q) / math.sqrt(1.0 - q),
                                 t * (6.0 - 6.0 * q + q * q) / (1.0 - q)),
-        # negative binomial NB(dt, q) as a gamma-mixed Poisson
-        draw=lambda rng, dt, n, q: rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float),
+        draw=_pascal_draw,  # negative binomial NB(dt, q)
         centring=lambda q: ((1.0 - q) / q, q / math.sqrt(1.0 - q)),
         takes_q=True,
     ),

@@ -120,9 +120,10 @@ class Ensemble:
     seed: int
 
     def __post_init__(self) -> None:
-        # frozen: store the validated float64 grid in place of what was given
+        # frozen: store the validated float64 grid and paths in place of what was given
         object.__setattr__(self, "grid", _check_grid(self.grid))
-        if self.paths.shape != (self.paths.shape[0], self.grid.size):
+        object.__setattr__(self, "paths", np.asarray(self.paths, dtype=np.float64))
+        if self.paths.ndim != 2 or self.paths.shape[1] != self.grid.size:
             raise ValueError("paths must be n_paths x n_times")
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("path values must be finite")

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,20 @@ class TestExactOptimum:
     def test_overflow_is_value_error(self):
         with pytest.raises(ValueError, match=r"p=1000\.0, rho=0\.52"):
             make_certificate(1000.0, contraction_rule="exact", u=1 - 0.52)
+
+    @pytest.mark.parametrize("p, u", [(np.float64(1e6), 0.01), (1e6, np.float64(0.01)),
+                                      (np.float64(1e6), np.float64(0.01))])
+    def test_overflow_with_numpy_scalars_is_value_error(self, p, u):
+        # a numpy scalar's power overflows to inf with a RuntimeWarning where a
+        # Python float's raises; both must end in the ValueError naming p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"p=1000000\.0, rho=0\.99"):
+                make_certificate(p, contraction_rule="exact", u=u)
+
+    def test_numpy_scalars_give_the_float_certificate(self):
+        cert = make_certificate(np.float64(8.0), contraction_rule="exact", u=np.float64(0.1))
+        assert cert == make_certificate(8.0, contraction_rule="exact", u=0.1)
 
     @pytest.mark.parametrize("p", [4.0, 8.0, 128.0])
     @pytest.mark.parametrize("knobs", KNOB_SETS)

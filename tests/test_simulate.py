@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from qharness.core import KINDS, one_sided_mean, var_backward
+from qharness.core import _NB_TABLE_CAP, KINDS, _nb_cdf, kind_record, one_sided_mean, var_backward
 from qharness.moments import hankel3
 from qharness.simulate import (
     BLOCK_PATHS,
@@ -186,6 +186,17 @@ class TestStreamLayout:
         got = sample_ensemble(kind_of(name), GRID, n, seed=seed, n_workers=workers)
         assert np.array_equal(got.paths, ref)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pascal_fallback_matches_fresh_philox_per_substream(self, workers):
+        # at q = 1e-4 NB(dt, q) has no inversion table, so every increment
+        # is a gamma-mixed Poisson draw
+        kind = ProcessKind("pascal", 1e-4)
+        assert all(_nb_cdf(dt, 1e-4) is None for dt in np.diff(GRID, prepend=0.0).tolist())
+        n = 2 * BLOCK_PATHS + 17
+        ref = fresh_philox_reference(kind, GRID, n, 31)
+        got = sample_ensemble(kind, GRID, n, seed=31, n_workers=workers)
+        assert np.array_equal(got.paths, ref)
+
     def test_more_workers_than_cores_under_fast_switching(self):
         # each worker must own its Philox: one shared between threads would
         # be re-keyed under another's draws once the interpreter switches
@@ -199,6 +210,126 @@ class TestStreamLayout:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got.paths, ref)
+
+
+def nb_inversion_reference(u, dt, q):
+    """One NB(dt, q) draw from the uniform u, walking the pmf recursion
+    P(k+1) = P(k) * (k+dt)/(k+1) * (1-q) from P(0) = q**dt: the first k with
+    u < F(k), or the k at which the tail bound P(k) * rho / (1 - rho) first
+    falls below 2**-53, whichever comes first."""
+    k, p = 0, q**dt
+    f = p
+    while True:
+        rho = (1.0 - q) * max(k + dt, k + 1.0) / (k + 1.0)
+        if u < f or p * rho < 2.0**-53 * (1.0 - rho):
+            return k
+        p *= (k + dt) / (k + 1.0) * (1.0 - q)
+        k += 1
+        f += p
+
+
+def nb_pmf(dt, q, kmax):
+    """P(K = k) of NB(dt, q) for k = 0..kmax, from log-gamma functions."""
+    return np.array([math.exp(math.lgamma(k + dt) - math.lgamma(dt) - math.lgamma(k + 1.0)
+                              + dt * math.log(q) + k * math.log1p(-q))
+                     for k in range(kmax + 1)])
+
+
+class FixedUniforms:
+    """A stand-in generator whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+def pascal_draws(dt, q, n, key=17):
+    """n pascal increments from a fresh Philox, and a second generator on
+    the same stream for a reference to draw from."""
+    gen = Generator(Philox(key=[key, 3]))
+    return kind_record("pascal").draw(gen, dt, n, q), Generator(Philox(key=[key, 3]))
+
+
+INVERTED = [(0.25, 0.5), (1.0, 0.1), (3.0, 0.9), (0.25, 0.3), (1000.0, 0.5)]
+FALLBACK = [(1.0, 1e-4), (2000.0, 0.5), (0.25, 1e-4)]
+
+
+class TestPascalInversion:
+    @pytest.mark.parametrize("dt, q", INVERTED)
+    def test_equals_per_draw_reference(self, dt, q):
+        n = 5000 if dt < 100 else 300  # the walk takes about dt steps per draw
+        got, gen = pascal_draws(dt, q, n)
+        want = [nb_inversion_reference(u, dt, q) for u in gen.random(n).tolist()]
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    @pytest.mark.parametrize("dt, q", INVERTED)
+    def test_equals_reference_at_table_entries(self, dt, q):
+        # uniforms on and next to the first and last CDF entries, and the
+        # smallest and largest uniforms, which sampled streams seldom hit
+        cdf = _nb_cdf(dt, q).tolist()
+        near = [v for f in cdf[:3] + cdf[-3:]
+                for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 1.0))]
+        u = [v for v in [0.0, 1.0 - 2.0**-53] + near if v < 1.0]
+        got = kind_record("pascal").draw(FixedUniforms(u), dt, len(u), q)
+        assert got.tolist() == [nb_inversion_reference(v, dt, q) for v in u]
+        assert got.max() <= len(cdf)
+
+    @pytest.mark.parametrize("dt, q", FALLBACK)
+    def test_fallback_is_the_gamma_mixed_poisson(self, dt, q):
+        assert _nb_cdf(dt, q) is None
+        got, gen = pascal_draws(dt, q, 5000)
+        assert np.array_equal(got, gen.poisson(gen.gamma(dt, (1.0 - q) / q, 5000)).astype(float))
+
+    @pytest.mark.parametrize("dt, q", INVERTED[:3] + FALLBACK[:2])
+    def test_empirical_pmf_matches_negative_binomial(self, dt, q):
+        # 40 cells of about equal NB probability (an atom above 1/40 is a cell
+        # of its own); each cell's frequency within 5 standard errors
+        n, cells = 200_000, 40
+        mean, sd = dt * (1.0 - q) / q, math.sqrt(dt * (1.0 - q)) / q
+        kmax = int(mean + 40.0 * sd) + 10
+        pmf = nb_pmf(dt, q, kmax)
+        below = np.cumsum(pmf) - pmf
+        cell = np.minimum((below * cells).astype(int), cells - 1)
+        want = np.bincount(cell, weights=pmf, minlength=cells)
+        want[cell[-1]] += 1.0 - pmf.sum()
+        draws, _ = pascal_draws(dt, q, n)
+        assert np.all(draws == np.round(draws)) and draws.min() >= 0
+        got = np.bincount(cell[np.minimum(draws.astype(int), kmax)], minlength=cells) / n
+        used = want > 0
+        se = np.sqrt(want[used] * (1.0 - want[used]) / n)
+        assert np.all(np.abs(got[used] - want[used]) <= 5.0 * se)
+        assert got[~used].sum() == 0
+
+    @pytest.mark.parametrize("dt, q", INVERTED)
+    def test_table_is_cached_and_read_only(self, dt, q):
+        cdf = _nb_cdf(dt, q)
+        assert _nb_cdf(dt, q) is cdf and not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+        assert np.all(np.diff(cdf) >= 0)
+
+    @pytest.mark.parametrize("dt, q", INVERTED)
+    def test_tail_bound_below_uniform_resolution(self, dt, q):
+        # the table stops at the first k = m whose bound P(m) rho/(1 - rho) on
+        # P(K > m) is below 2**-53; the bound holds for the exact tail too
+        m = _nb_cdf(dt, q).size
+        pmf = nb_pmf(dt, q, m + 20_000)
+
+        def bound(k):
+            rho = (1.0 - q) * max(k + dt, k + 1.0) / (k + 1.0)
+            return pmf[k] * rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+        assert bound(m) < 2.0**-53
+        assert m == 0 or bound(m - 1) >= 2.0**-53 * (1.0 - 1e-9)
+        assert math.fsum(pmf[m + 1 :].tolist()) <= bound(m) * (1.0 + 1e-9)
+
+    def test_table_length_cap(self):
+        # q = 1e-3 needs about 36.7k entries, q = 1e-4 about 367k: past the cap
+        assert 0.5 * _NB_TABLE_CAP < _nb_cdf(1.0, 1e-3).size < _NB_TABLE_CAP
+        assert _nb_cdf(1.0, 1e-4) is None
 
 
 class TestStatistics:
@@ -435,6 +566,16 @@ class TestEnsembleValidation:
         assert isinstance(e.grid, np.ndarray) and e.grid.dtype == np.float64
         assert e.grid.tolist() == [0.5, 1.0] and e.n_times == 2
         assert e.time_index(1.0) == 1
+
+    def test_list_paths_are_kept_as_a_float64_array(self):
+        e = Ensemble(ProcessKind("wiener"), [0.5, 1.0], [[1.0, 2.0]], seed=0)
+        assert isinstance(e.paths, np.ndarray) and e.paths.dtype == np.float64
+        assert e.paths.tolist() == [[1.0, 2.0]] and e.n_paths == 1
+
+    @pytest.mark.parametrize("paths", [1.0, [1.0, 2.0], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]])
+    def test_paths_must_be_a_matrix_over_the_grid(self, paths):
+        with pytest.raises(ValueError, match="paths must be n_paths x n_times"):
+            Ensemble(ProcessKind("wiener"), [0.5, 1.0], paths, seed=0)
 
     def test_values_must_be_finite(self):
         paths = np.zeros((3, 2))
