@@ -68,8 +68,22 @@ def pascal_theta(q: float) -> float:
 # more than one uniform step.
 _NB_TAIL = 2.0**-53
 # Longest pascal inversion table; where NB(dt, q) needs more, or q**dt
-# underflows, the increment is drawn as a gamma-mixed Poisson instead.
-_NB_TABLE_CAP = 1 << 16
+# underflows, the increment is drawn as a gamma-mixed Poisson instead.  On
+# 4096-draw blocks (numpy 2.4, 2-vCPU VM, dt from 0.25 to 300) the mixed
+# Poisson takes 1.09x-2.8x the inversion's time at 2**11 entries, but down to
+# 0.92x at 2**12 and 0.56x at 2**16: past L1 the searchsorted probes miss cache.
+_NB_TABLE_CAP = 1 << 11
+
+
+def _nb_tail_below(k: int, dt: float, q: float) -> bool:
+    """Whether ``_nb_cdf``'s tail bound P(k) * rho_k / (1 - rho_k) is below
+    2**-53, with P(k) from log-gamma functions: O(1) at any k."""
+    rho = (1.0 - q) * max(k + dt, k + 1.0) / (k + 1.0)
+    if rho >= 1.0:
+        return False
+    log_p = (math.lgamma(k + dt) - math.lgamma(dt) - math.lgamma(k + 1.0)
+             + dt * math.log(q) + k * math.log1p(-q))
+    return log_p + math.log(rho / (1.0 - rho)) < math.log(_NB_TAIL)
 
 
 @functools.lru_cache(maxsize=256)
@@ -89,13 +103,23 @@ def _nb_cdf(dt: float, q: float):
     past m, the untabulated tail, is below 2**-53.  A draw is the number of
     entries at or below a uniform U, so K = m takes 1 - F(m-1): P(m) plus that
     tail (Devroye 1986, Non-Uniform Random Variate Generation, III.2).
+
+    The test fails while rho_k >= 1, and once rho_k < 1 the bound falls with
+    k, so it holds from m on and fails before it: the log-gamma form of it
+    decides the cap at k = cap - 1 and bisects for m before any array is
+    built.  The table's own test, on the running product, may place m one
+    entry away, so the table is built a few entries longer.
     """
     import numpy as np
 
     p0 = q**dt
-    if p0 < sys.float_info.min:
+    if p0 < sys.float_info.min or not _nb_tail_below(_NB_TABLE_CAP - 1, dt, q):
         return None
-    size = 64
+    lo, hi = 0, _NB_TABLE_CAP - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _nb_tail_below(mid, dt, q) else (mid + 1, hi)
+    size = min(hi + 8, _NB_TABLE_CAP)
     while True:
         # the products and sums run in index order, so a longer attempt
         # repeats a shorter one's entries bit for bit
@@ -108,33 +132,35 @@ def _nb_cdf(dt: float, q: float):
             break
         if size >= _NB_TABLE_CAP:
             return None
-        size *= 4
+        size = min(2 * size, _NB_TABLE_CAP)
     cdf = pmf[: stop.argmax()].cumsum()
     cdf.flags.writeable = False
     return cdf
 
 
-def _pascal_draw(rng, dt: float, n: int, q: float):
-    """n NB(dt, q) increments: table inversion, one uniform per draw, or
-    numpy's gamma-mixed Poisson where ``_nb_cdf`` gives no table."""
+def _pascal_sampler(dt: float, q: float):
+    """The NB(dt, q) increment draw for one step: table inversion, one
+    uniform per draw, or numpy's gamma-mixed Poisson where ``_nb_cdf`` gives
+    no table."""
     cdf = _nb_cdf(dt, q)
     if cdf is None:
-        return rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float)
-    return cdf.searchsorted(rng.random(n), side="right").astype(float)
+        return lambda rng, n: rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float)
+    return lambda rng, n: cdf.searchsorted(rng.random(n), side="right").astype(float)
 
 
 @dataclass(frozen=True)
 class KindRecord:
     """One process kind: its exact harness tuple ``params(q)``, marginal
-    ``cumulants(q, t)`` = (kappa3, kappa4), ``draw(rng, dt, n, q)`` giving n raw
-    increments over dt from the numpy Generator it is handed, and
+    ``cumulants(q, t)`` = (kappa3, kappa4), ``sampler(dt, q)`` giving the
+    draw ``(rng, n)`` of n raw increments over dt from the numpy Generator it
+    is handed (built once per step, so a kind can precompute for it), and
     ``centring(q)`` = (mu, scale): a path is (sum of draws - t*mu) * scale.
     ``takes_q`` marks a kind with a parameter q in (0, 1)."""
 
     name: str
     params: Callable[[float | None], HarnessParams]
     cumulants: Callable[[float | None, float], tuple[float, float]]
-    draw: Callable[..., Any]
+    sampler: Callable[[float, float | None], Callable[..., Any]]
     centring: Callable[[float | None], tuple[float, float]] = lambda q: (0.0, 1.0)
     takes_q: bool = False
 
@@ -147,27 +173,27 @@ PROCESS_KINDS = (
         "wiener",
         params=lambda q: HarnessParams(0.0, 0.0, 0.0, 0.0, 1.0),
         cumulants=lambda q, t: (0.0, 0.0),
-        draw=lambda rng, dt, n, q: rng.standard_normal(n) * math.sqrt(dt),
+        sampler=lambda dt, q: lambda rng, n: rng.standard_normal(n) * math.sqrt(dt),
     ),
     KindRecord(
         "poisson",  # binomial bridge
         params=lambda q: HarnessParams(0.0, 1.0, 0.0, 0.0, 1.0),
         cumulants=lambda q, t: (t, t),
-        draw=lambda rng, dt, n, q: rng.poisson(dt, n).astype(float),
+        sampler=lambda dt, q: lambda rng, n: rng.poisson(dt, n).astype(float),
         centring=lambda q: (1.0, 1.0),
     ),
     KindRecord(
         "gamma",  # beta bridge
         params=lambda q: HarnessParams(0.0, 2.0, 0.0, 1.0, 1.0),
         cumulants=lambda q, t: (2.0 * t, 6.0 * t),
-        draw=lambda rng, dt, n, q: rng.gamma(dt, 1.0, n) - dt,
+        sampler=lambda dt, q: lambda rng, n: rng.gamma(dt, 1.0, n) - dt,
     ),
     KindRecord(
         "pascal",  # beta-binomial bridge; q is the success probability
         params=lambda q: HarnessParams(0.0, pascal_theta(q), 0.0, 1.0, 1.0),
         cumulants=lambda q, t: (t * (2.0 - q) / math.sqrt(1.0 - q),
                                 t * (6.0 - 6.0 * q + q * q) / (1.0 - q)),
-        draw=_pascal_draw,  # negative binomial NB(dt, q)
+        sampler=_pascal_sampler,  # negative binomial NB(dt, q)
         centring=lambda q: ((1.0 - q) / q, q / math.sqrt(1.0 - q)),
         takes_q=True,
     ),

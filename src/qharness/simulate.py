@@ -184,7 +184,11 @@ def sample_ensemble(
     out = np.empty((n_paths, grid.size), dtype=np.float64)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     n_workers = min(n_workers, n_blocks)
-    draw = kind.record.draw
+    # one draw per distinct step, made before the blocks are handed out, so
+    # a kind's per-step precomputation (a pascal table) runs once per call
+    steps = dts.tolist()
+    samplers = {dt: kind.record.sampler(dt, kind.q) for dt in set(steps)}
+    draws = [samplers[dt] for dt in steps]
     mu, scale = kind.record.centring(kind.q)
 
     def work(first: int) -> None:
@@ -194,10 +198,10 @@ def sample_ensemble(
             lo = block * BLOCK_PATHS
             hi = min(lo + BLOCK_PATHS, n_paths)
             acc = np.zeros(hi - lo)
-            for step, dt in enumerate(dts):
+            for step, draw in enumerate(draws):
                 # accumulate the raw draws and centre once per column, so equal
                 # lattice counts give bit-equal path values (exact lattice)
-                acc += draw(substream(block, step), float(dt), hi - lo, kind.q)
+                acc += draw(substream(block, step), hi - lo)
                 out[lo:hi, step] = (acc - grid[step] * mu) * scale
 
     if n_workers == 1:

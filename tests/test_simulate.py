@@ -168,7 +168,7 @@ def fresh_philox_reference(kind, grid, n_paths, seed):
         acc = np.zeros(m)
         for step, dt in enumerate(dts):
             gen = Generator(Philox(key=[np.uint64(seed), np.uint64((block << 32) | step)]))
-            acc += kind.record.draw(gen, float(dt), m, kind.q)
+            acc += kind.record.sampler(float(dt), kind.q)(gen, m)
             out[lo : lo + m, step] = (acc - grid[step] * mu) * scale
     return out
 
@@ -250,7 +250,7 @@ def pascal_draws(dt, q, n, key=17):
     """n pascal increments from a fresh Philox, and a second generator on
     the same stream for a reference to draw from."""
     gen = Generator(Philox(key=[key, 3]))
-    return kind_record("pascal").draw(gen, dt, n, q), Generator(Philox(key=[key, 3]))
+    return kind_record("pascal").sampler(dt, q)(gen, n), Generator(Philox(key=[key, 3]))
 
 
 INVERTED = [(0.25, 0.5), (1.0, 0.1), (3.0, 0.9), (0.25, 0.3), (1000.0, 0.5)]
@@ -273,7 +273,7 @@ class TestPascalInversion:
         near = [v for f in cdf[:3] + cdf[-3:]
                 for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 1.0))]
         u = [v for v in [0.0, 1.0 - 2.0**-53] + near if v < 1.0]
-        got = kind_record("pascal").draw(FixedUniforms(u), dt, len(u), q)
+        got = kind_record("pascal").sampler(dt, q)(FixedUniforms(u), len(u))
         assert got.tolist() == [nb_inversion_reference(v, dt, q) for v in u]
         assert got.max() <= len(cdf)
 
@@ -327,9 +327,50 @@ class TestPascalInversion:
         assert math.fsum(pmf[m + 1 :].tolist()) <= bound(m) * (1.0 + 1e-9)
 
     def test_table_length_cap(self):
-        # q = 1e-3 needs about 36.7k entries, q = 1e-4 about 367k: past the cap
-        assert 0.5 * _NB_TABLE_CAP < _nb_cdf(1.0, 1e-3).size < _NB_TABLE_CAP
-        assert _nb_cdf(1.0, 1e-4) is None
+        # q = 0.025 needs about 1.46k entries, q = 0.01 about 3.66k and
+        # q = 1e-4 about 367k: the last two are past the cap
+        assert 0.5 * _NB_TABLE_CAP < _nb_cdf(1.0, 0.025).size < _NB_TABLE_CAP
+        assert _nb_cdf(1.0, 0.01) is None and _nb_cdf(1.0, 1e-4) is None
+
+    @pytest.mark.parametrize("dt", [0.25, 1.0, 16.0, 300.0])
+    def test_cap_decision_matches_the_table_walk(self, dt):
+        # q runs across the cap at each dt: a table exactly where the walk of
+        # the pmf recursion stops before the cap, and of the walk's length
+        for q in np.geomspace(0.01, 0.25, 40).tolist():
+            k, p = 0, q**dt
+            while True:
+                rho = (1.0 - q) * max(k + dt, k + 1.0) / (k + 1.0)
+                if p * rho < 2.0**-53 * (1.0 - rho) or k == _NB_TABLE_CAP:
+                    break
+                p *= (k + dt) / (k + 1.0) * (1.0 - q)
+                k += 1
+            cdf = _nb_cdf(dt, q)
+            assert (None if k == _NB_TABLE_CAP else k) == (None if cdf is None else cdf.size), q
+
+    @pytest.mark.parametrize("dt, q", INVERTED + FALLBACK)
+    def test_one_array_pass(self, dt, q, monkeypatch):
+        # the log-gamma bound decides the cap and sizes the table, so a
+        # fallback builds no array and a table is built once, a few entries
+        # longer than it keeps
+        sizes = []
+        arange = np.arange
+        monkeypatch.setattr(np, "arange", lambda n, **kw: sizes.append(n) or arange(n, **kw))
+        cdf = _nb_cdf.__wrapped__(dt, q)
+        if cdf is None:
+            assert sizes == []
+        else:
+            assert len(sizes) == 1 and cdf.size < sizes[0] <= cdf.size + 9
+
+    @pytest.mark.parametrize("q", [0.5, 1e-4])
+    def test_one_table_per_distinct_step_per_call(self, q):
+        # more distinct steps than the cache holds, over two blocks: each
+        # step's table is fetched once, not once per block
+        grid = np.geomspace(1e-3, 1.0, 300)
+        steps = len(set(np.diff(grid, prepend=0.0).tolist()))
+        assert steps > _nb_cdf.cache_info().maxsize
+        _nb_cdf.cache_clear()
+        sample_ensemble(ProcessKind("pascal", q), grid, BLOCK_PATHS + 1, seed=5)
+        assert _nb_cdf.cache_info().misses == steps
 
 
 class TestStatistics:
