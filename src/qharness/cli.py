@@ -384,6 +384,9 @@ def _run_verify(config: RunConfig) -> int:
 
     cfg = config.params
     head, s, t = _resolve_pair(cfg)
+    n_bins = int(cfg["bins"])
+    if n_bins < 5:
+        raise ValueError(f"need n_bins >= 5, got {n_bins}")
     # only the columns of s and t are read
     ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
     p = simulate.known_params(ens.kind)
@@ -409,8 +412,8 @@ def _run_verify(config: RunConfig) -> int:
                          pe.lotv.se, 4.0))
 
     # the bins are display only: no verdict reads them
-    binned = empirics.estimate_conditional(ens, 0, 1, int(cfg["bins"]), "backward")
-    config.log_fields.update(bins_requested=int(cfg["bins"]), bins_returned=binned.n_bins,
+    binned = empirics.estimate_conditional(ens, 0, 1, n_bins, "backward")
+    config.log_fields.update(bins_requested=n_bins, bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
                              weights_floored=pe.weights_floored, row_blocks=pe.row_blocks,
                              columns_read=ens.n_times)
@@ -441,10 +444,12 @@ def _two_point_json(law: moments.TwoPointLaw) -> dict:
 
 def _run_moments(config: RunConfig) -> int:
     cfg = config.params
+    t = float(cfg["t"])
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"--t must be positive and finite, got {t}")
     p = _params_from(cfg)
     warnings = core.validate_params(p)
     region = moments.classify_moment_region(p)
-    t = float(cfg["t"])
 
     results: dict[str, Any] = {
         "params": {"eta": p.eta, "theta": p.theta, "sigma": p.sigma, "tau": p.tau,

@@ -75,17 +75,6 @@ _NB_TAIL = 2.0**-53
 _NB_TABLE_CAP = 1 << 11
 
 
-def _nb_tail_below(k: int, dt: float, q: float) -> bool:
-    """Whether ``_nb_cdf``'s tail bound P(k) * rho_k / (1 - rho_k) is below
-    2**-53, with P(k) from log-gamma functions: O(1) at any k."""
-    rho = (1.0 - q) * max(k + dt, k + 1.0) / (k + 1.0)
-    if rho >= 1.0:
-        return False
-    log_p = (math.lgamma(k + dt) - math.lgamma(dt) - math.lgamma(k + 1.0)
-             + dt * math.log(q) + k * math.log1p(-q))
-    return log_p + math.log(rho / (1.0 - rho)) < math.log(_NB_TAIL)
-
-
 @functools.lru_cache(maxsize=256)
 def _nb_cdf(dt: float, q: float):
     """The read-only CDF table F(0), ..., F(m-1) of NB(dt, q), or None where
@@ -102,37 +91,21 @@ def _nb_cdf(dt: float, q: float):
     m is the first k where P(k) * rho_k < 2**-53 * (1 - rho_k), so the mass
     past m, the untabulated tail, is below 2**-53.  A draw is the number of
     entries at or below a uniform U, so K = m takes 1 - F(m-1): P(m) plus that
-    tail (Devroye 1986, Non-Uniform Random Variate Generation, III.2).
-
-    The test fails while rho_k >= 1, and once rho_k < 1 the bound falls with
-    k, so it holds from m on and fails before it: the log-gamma form of it
-    decides the cap at k = cap - 1 and bisects for m before any array is
-    built.  The table's own test, on the running product, may place m one
-    entry away, so the table is built a few entries longer.
+    tail (Devroye 1986, Non-Uniform Random Variate Generation, III.2).  The
+    pmf is built once over the cap's ``_NB_TABLE_CAP`` entries and cut at m.
     """
     import numpy as np
 
     p0 = q**dt
-    if p0 < sys.float_info.min or not _nb_tail_below(_NB_TABLE_CAP - 1, dt, q):
+    if p0 < sys.float_info.min:
         return None
-    lo, hi = 0, _NB_TABLE_CAP - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _nb_tail_below(mid, dt, q) else (mid + 1, hi)
-    size = min(hi + 8, _NB_TABLE_CAP)
-    while True:
-        # the products and sums run in index order, so a longer attempt
-        # repeats a shorter one's entries bit for bit
-        k = np.arange(size, dtype=np.float64)
-        ratio = (k + dt) / (k + 1.0) * (1.0 - q)
-        pmf = np.concatenate(([p0], ratio[:-1])).cumprod()
-        rho = (1.0 - q) * np.maximum(k + dt, k + 1.0) / (k + 1.0)
-        stop = pmf * rho < _NB_TAIL * (1.0 - rho)
-        if stop.any():
-            break
-        if size >= _NB_TABLE_CAP:
-            return None
-        size = min(2 * size, _NB_TABLE_CAP)
+    k = np.arange(_NB_TABLE_CAP, dtype=np.float64)
+    ratio = (k + dt) / (k + 1.0) * (1.0 - q)
+    pmf = np.concatenate(([p0], ratio[:-1])).cumprod()
+    rho = (1.0 - q) * np.maximum(k + dt, k + 1.0) / (k + 1.0)
+    stop = pmf * rho < _NB_TAIL * (1.0 - rho)
+    if not stop.any():
+        return None
     cdf = pmf[: stop.argmax()].cumsum()
     cdf.flags.writeable = False
     return cdf

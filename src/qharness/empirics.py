@@ -316,27 +316,19 @@ def _row_blocks(e: Ensemble, s_index: int, t_index: int):
         yield xy
 
 
-# exponents (i, j) of the centred moments sum(a^i b^j) that pass 2 adds up,
-# in the order of its dot products, and of its features a, b, a^2, b^2, ab
-_MOMENTS = np.array([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-                     (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
-_FEATURES = np.array([(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
-
-
 def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
     """Covariances, mean slopes, law of total variance and the quadratic
     backward-variance fit of the pair, in two passes over blocks of rows.
 
-    Pass 1 sums raw powers: the means, and the Gram matrix and right-hand
-    side of the weighted regression of r^2 = (X_s - (s/t) X_t)^2 on
-    (1, X_t, X_t^2).  Each path weighs 1/v^2, where v = ``core.var_backward``
-    at its X_t, floored at WEIGHT_FLOOR * s(t-s)/(t+tau).  Pass 2 sums
-    centred powers: the moments a^i b^j (i + j <= 4) of a = X_s - mean and
-    b = X_t - mean, and of v - mean(v), which give the standard errors of
-    the means and the slopes with their HC0 (White 1980) numerators; and the
-    HC0 meat of the fit at its coefficients, so the weights affect only
-    efficiency, not the validity of the standard errors.  Every sum is a dot
-    product over the block.
+    Pass 1 gives the estimates: the means of X_s^2, X_s X_t, X_t^2 and of v,
+    the slopes, and the weighted regression of r^2 = (X_s - (s/t) X_t)^2 on
+    (1, X_t, X_t^2), each path weighing 1/v^2 with v = ``core.var_backward``
+    at its X_t, floored at WEIGHT_FLOOR * s(t-s)/(t+tau).  Pass 2 gives each
+    standard error as the sum of squares of a per-path influence value: the
+    deviation from the mean (corrected two-pass, ddof 1), the residual times
+    the centred regressor for a slope (HC0, White 1980), and the weighted
+    residual times the basis for the fit's HC0 meat, so the weights affect
+    only efficiency, not the validity of the standard errors.
     """
     _check_pair(e, s_index, t_index)
     n = e.n_paths
@@ -360,10 +352,12 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
         r2 *= r2
         return v, w, r2
 
-    # the fit's basis is (1, z, z^2) with z = X_t - shift, shift being the
-    # first block's weighted mean of X_t: centring keeps the Gram matrix well
-    # conditioned where the weights pile up, as at a lattice's floored values
-    raw = np.zeros(12)
+    # the slopes sum X_s, X_t less the first block's means, and the fit's
+    # basis is (1, z, z^2) with z = X_t - shift, shift being the first block's
+    # weighted mean of X_t: centring keeps the slopes clear of cancellation
+    # and the Gram matrix well conditioned where the weights pile up, as at a
+    # lattice's floored values
+    raw = np.zeros(18)
     shift = None
     floored = blocks = 0
     for x, y in _row_blocks(e, s_index, t_index):
@@ -371,103 +365,81 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
         v, w, r2 = weighted(x, y)
         if shift is None:
             shift = np.dot(w, y) / np.dot(w, one)
-        z = y - shift
+            x0, y0 = np.dot(x, one) / x.size, np.dot(y, one) / x.size
+        a, b, z = x - x0, y - y0, y - shift
         wz = w * z
         wz2 = wz * z
-        raw += (np.dot(x, one), np.dot(y, one), np.dot(v, one),
+        raw += (np.dot(x, x), np.dot(x, y), np.dot(y, y), np.dot(v, one),
+                np.dot(a, one), np.dot(b, one), np.dot(a, a), np.dot(a, b), np.dot(b, b),
                 np.dot(w, one), np.dot(w, z), np.dot(wz, z), np.dot(wz2, z), np.dot(wz2, z * z),
                 np.dot(w, r2), np.dot(wz, r2), np.dot(wz2, r2), np.dot(w * r2, r2))
         floored += int(np.count_nonzero(v < floor))
         blocks += 1
-    mx, my, mv = raw[:3] / n
-    g = raw[3:8]
-    gram = np.array([g[0:3], g[1:4], g[2:5]])
-    rhs = raw[8:11]
-    ss_tot = raw[11] - rhs[0] * rhs[0] / g[0]
-    # a constant X_t (zero diagonal) is rejected after pass 2
+    means = raw[:4] / n
+    sa, sb, saa, sab, sbb = raw[4:9]
+    sxx, sxy, syy = saa - sa * sa / n, sab - sa * sb / n, sbb - sb * sb / n
+    if not (sxx > 0.0 and syy > 0.0):
+        raise ValueError("X_s or X_t is constant across paths")
+    mx, my, fwd, bwd = x0 + sa / n, y0 + sb / n, sxy / sxx, sxy / syy
+
+    def hankel(h):
+        return np.array([h[0:3], h[1:4], h[2:5]])
+
+    gram, rhs = hankel(raw[9:14]), raw[14:17]
     diag = np.diag(gram)
     full_rank = bool(np.all(diag > 0)) and np.linalg.matrix_rank(
         gram / np.sqrt(np.outer(diag, diag)), tol=1e-12) == 3
     b0, b1, b2 = np.linalg.solve(gram, rhs) if full_rank else (0.0, 0.0, 0.0)
 
-    centre = np.array([[mx], [my]])
-    feat = np.empty((5, ones.size))
-    sums = np.zeros(len(_MOMENTS))
-    cen = np.zeros(8)
-    for xy in _row_blocks(e, s_index, t_index):
-        x, y = xy
+    # the influence values, each formed in one reused row that stays in
+    # cache: the deviations of X_s^2, X_s X_t, X_t^2 and v from their means,
+    # with their plain sums, then each slope's residual times its centred
+    # regressor; sums[10:] are the fit's weighted squared residual and meat
+    row = np.empty(ones.size)
+    sums = np.zeros(16)
+    for x, y in _row_blocks(e, s_index, t_index):
         one = ones[: x.size]
         v, w, r2 = weighted(x, y)
-        f = feat[:, : x.size]
-        a, b, aa, bb, ab = f
-        np.subtract(xy, centre, out=f[0:2])
-        np.multiply(f[0:2], f[0:2], out=f[2:4])
-        np.multiply(a, b, out=ab)
-        sums += (np.dot(a, one), np.dot(b, one), np.dot(a, a), np.dot(a, b), np.dot(b, b),
-                 np.dot(aa, a), np.dot(aa, b), np.dot(ab, b), np.dot(bb, b),
-                 np.dot(aa, aa), np.dot(aa, ab), np.dot(ab, ab), np.dot(ab, bb), np.dot(bb, bb))
-        v -= mv
-        z = y - shift
-        res = z * b2
-        res += b1
-        res *= z
-        res += b0
-        np.subtract(r2, res, out=res)
+        a, b, z = x - mx, y - my, y - shift
+        r = row[: x.size]
+        for i, (f, g) in enumerate(((x, x), (x, y), (y, y), (v, one))):
+            np.multiply(f, g, out=r)
+            r -= means[i]
+            sums[i] += np.dot(r, one)
+            sums[4 + i] += np.dot(r, r)
+        for i, (f, g, beta) in enumerate(((a, b, fwd), (b, a, bwd)), 8):
+            np.multiply(f, -beta, out=r)
+            r += g
+            r *= f
+            sums[i] += np.dot(r, r)
+        res = r2 - ((b2 * z + b1) * z + b0)
         u = w * res
         uz = u * z
         uz2 = uz * z
-        cen += (np.dot(v, one), np.dot(v, v), np.dot(u, res),
-                np.dot(u, u), np.dot(u, uz), np.dot(uz, uz), np.dot(uz, uz2), np.dot(uz2, uz2))
+        sums[10:] += (np.dot(u, res), np.dot(u, u), np.dot(u, uz), np.dot(uz, uz),
+                      np.dot(uz, uz2), np.dot(uz2, uz2))
 
-    # co-moments of the features (sums of products of two features are
-    # moments too): c @ cm @ c is the centred sum of squares of the
-    # combination c of the features
-    mom = np.zeros((5, 5))
-    mom[_MOMENTS[:, 0], _MOMENTS[:, 1]] = sums
-    pair = _FEATURES[:, None] + _FEATURES[None, :]
-    tot = mom[_FEATURES[:, 0], _FEATURES[:, 1]]
-    cm = mom[pair[..., 0], pair[..., 1]] - np.outer(tot, tot) / n
-    if cm[0, 0] == 0.0 or cm[1, 1] == 0.0:
-        raise ValueError("X_s or X_t is constant across paths")
-    a, b, aa, bb, ab = tot / n
-
-    def mean(value: float, c) -> Estimate:
-        return Estimate(value, math.sqrt(max(np.dot(c, cm @ c), 0.0) / (n - 1) / n))
-
-    covariance = (
-        mean(mx * mx + 2 * mx * a + aa, [2 * mx, 0, 1, 0, 0]),
-        mean(mx * my + my * a + mx * b + ab, [my, mx, 0, 0, 1]),
-        mean(my * my + 2 * my * b + bb, [0, 2 * my, 0, 1, 0]),
-    )
-    # the corrected two-pass formula: a constant v gives exactly 0
-    sv, svv, ss_res = cen[:3]
-    lotv = Estimate(mv + sv / n, math.sqrt(max(svv - sv * sv / n, 0.0) / (n - 1) / n))
-    mt = cen[3:8]
-    meat = np.array([mt[0:3], mt[1:4], mt[2:5]])
-
-    def slope(sxy: float, sxx: float, c) -> Estimate:
-        # c: the residual times the centred regressor, whose sum is 0 at the slope
-        return Estimate(sxy / sxx, math.sqrt(max(np.dot(c, cm @ c), 0.0)) / sxx)
-
-    fwd = cm[0, 1] / cm[0, 0]
-    bwd = cm[0, 1] / cm[1, 1]
-    slope_forward = slope(cm[0, 1], cm[0, 0], [2 * fwd * a - b, -a, -fwd, 0, 1])
-    slope_backward = slope(cm[0, 1], cm[1, 1], [-b, 2 * bwd * b - a, 0, -bwd, 1])
+    def mean(i: int) -> Estimate:
+        # the corrected two-pass formula: a constant column gives exactly 0
+        sd, ssq = sums[i], sums[4 + i]
+        return Estimate(float(means[i] + sd / n),
+                        math.sqrt(max(ssq - sd * sd / n, 0.0) / (n - 1) / n))
 
     fit = None
     if full_rank:
         # back from the basis (1, z, z^2) to (1, X_t, X_t^2)
         back = np.array([[1.0, -shift, shift * shift], [0.0, 1.0, -2.0 * shift], [0.0, 0.0, 1.0]])
         c0, c1, c2 = back @ (b0, b1, b2)
-        sandwich = back @ np.linalg.solve(gram, np.linalg.solve(gram, meat).T) @ back.T
+        sandwich = back @ np.linalg.solve(gram, np.linalg.solve(gram, hankel(sums[11:])).T) @ back.T
+        ss_tot = raw[17] - rhs[0] * rhs[0] / raw[9]
         fit = QuadraticFit(float(c0), float(c1), float(c2),
                            tuple(float(v) for v in np.sqrt(np.diag(sandwich))),
-                           1.0 if ss_tot == 0.0 else float(1.0 - ss_res / ss_tot))
+                           1.0 if ss_tot == 0.0 else float(1.0 - sums[10] / ss_tot))
     return PathEmpirics(
-        covariance=covariance,
-        slope_forward=slope_forward,
-        slope_backward=slope_backward,
-        lotv=lotv,
+        covariance=(mean(0), mean(1), mean(2)),
+        slope_forward=Estimate(float(fwd), float(math.sqrt(sums[8]) / sxx)),
+        slope_backward=Estimate(float(bwd), float(math.sqrt(sums[9]) / syy)),
+        lotv=mean(3),
         fit=fit,
         weights_floored=floored,
         row_blocks=blocks,

@@ -112,8 +112,8 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     ``t**2 * hankel3_closed_form(known_params(kind), t)`` to 1e-15 at every
     t, so the two agree at t = 1 only (Wiener: 2t against 2t^3).
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     st = p.sigma * p.tau
     den = 1.0 - (2.0 + p.gamma) * st
     if den == 0.0:
@@ -131,10 +131,10 @@ def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
     """The unique two-point law with mean 0, variance t and third moment m3.
 
     Atoms a > 0 > -b solve a*b = t and a - b = m3/t; the weights are b/(a+b)
-    and a/(a+b).  Always solvable for t > 0.
+    and a/(a+b).  Always solvable for finite t > 0.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     d = m3 / t
     disc = math.sqrt(d * d + 4.0 * t)
     a = 0.5 * (d + disc)

@@ -489,6 +489,21 @@ class TestTwoColumnHandlers:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == f"qharness {command}: error: {message}\n"
 
+    @pytest.mark.parametrize("bins", ["4", "0"])
+    def test_too_few_bins_exit_two_before_any_column(self, tmp_path, capsys, monkeypatch,
+                                                     ensemble, bins):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_ensemble called")
+
+        monkeypatch.setattr("qharness.simulate.load_ensemble", no_load)
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        code = run_cli(["verify", str(ensemble), "--s", "0.5", "--t", "1.0", "--bins", bins,
+                        "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"qharness verify: error: need n_bins >= 5, got {bins}\n")
+
     def test_verify_echoes_the_full_grid(self, tmp_path, ensemble):
         out = tmp_path / "v.json"
         assert run_cli(["verify", str(ensemble), "--s", "0.25", "--t", "0.75",
@@ -599,6 +614,15 @@ class TestMomentsCommand:
         run_cli(["moments", "--sigma", "0", "--tau", "0", "--out", str(out)])
         res = json.loads(out.read_text())["results"]
         assert res["pmax_certified"] == "inf"
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_t_exits_two(self, tmp_path, capsys, t):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run_cli(["moments", f"--t={t}", "--out", str(out)]) == 2
+        assert not out.exists() and not Path(f"{out}.log").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qharness moments: error: ") and err.count("\n") == 1
 
 
 class TestHankelCommand:

@@ -300,6 +300,18 @@ class TestPathEmpirics:
         for g, want in zip(pe.fit.se, se):
             assert close(g, want, 1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_slopes_are_translation_invariant(self, block_ensembles, kind, c):
+        # the slopes' sums are of shifted columns, so a common offset of the
+        # paths cancels instead of swamping the co-moments
+        e = block_ensembles[kind]
+        moved = Ensemble(e.kind, e.grid, e.paths + c, seed=e.seed)
+        pe, pm = path_empirics(e, 1, 3), path_empirics(moved, 1, 3)
+        for got, want in ((pm.slope_forward, pe.slope_forward),
+                          (pm.slope_backward, pe.slope_backward)):
+            assert close(got.value, want.value, 1e-9) and close(got.se, want.se, 1e-9)
+
     def test_weights_floored_and_counted(self, block_ensembles):
         e = block_ensembles["poisson"]
         s, t = float(e.grid[1]), float(e.grid[3])

@@ -139,6 +139,13 @@ class TestTwoPoint:
         with pytest.raises(ValueError):
             two_point_from_moments(0.0, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_t_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            two_point_from_moments(t, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            hankel3_closed_form(HarnessParams(0.0, 0.0, 0.0, 0.0, 0.0), t)
+
 
 class TestThresholds:
     def test_fourth_moment_threshold_exact(self):
