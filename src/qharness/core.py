@@ -15,12 +15,11 @@ parameter/state combination.
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
 elementwise; the scalar times are validated once per call.  ``PROCESS_KINDS``
 is the table of the process kinds that `simulate` samples; the pascal kind
-draws its increments by inverting the cached CDF tables of ``_nb_cdf``.
+draws its increments by inverting the CDF tables of ``_nb_cdf``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,9 +74,8 @@ _NB_TAIL = 2.0**-53
 _NB_TABLE_CAP = 1 << 11
 
 
-@functools.lru_cache(maxsize=256)
 def _nb_cdf(dt: float, q: float):
-    """The read-only CDF table F(0), ..., F(m-1) of NB(dt, q), or None where
+    """The CDF table F(0), ..., F(m-1) of NB(dt, q), or None where
     inversion does not run (q**dt below the smallest normal float, or m would
     pass ``_NB_TABLE_CAP``).
 
@@ -93,6 +91,7 @@ def _nb_cdf(dt: float, q: float):
     entries at or below a uniform U, so K = m takes 1 - F(m-1): P(m) plus that
     tail (Devroye 1986, Non-Uniform Random Variate Generation, III.2).  The
     pmf is built once over the cap's ``_NB_TABLE_CAP`` entries and cut at m.
+    Not cached: ``sample_ensemble`` builds one table per distinct step per call.
     """
     import numpy as np
 
@@ -106,9 +105,7 @@ def _nb_cdf(dt: float, q: float):
     stop = pmf * rho < _NB_TAIL * (1.0 - rho)
     if not stop.any():
         return None
-    cdf = pmf[: stop.argmax()].cumsum()
-    cdf.flags.writeable = False
-    return cdf
+    return pmf[: stop.argmax()].cumsum()
 
 
 def _pascal_sampler(dt: float, q: float):
@@ -126,9 +123,10 @@ class KindRecord:
     """One process kind: its exact harness tuple ``params(q)``, marginal
     ``cumulants(q, t)`` = (kappa3, kappa4), ``sampler(dt, q)`` giving the
     draw ``(rng, n)`` of n raw increments over dt from the numpy Generator it
-    is handed (built once per step, so a kind can precompute for it), and
-    ``centring(q)`` = (mu, scale): a path is (sum of draws - t*mu) * scale.
-    ``takes_q`` marks a kind with a parameter q in (0, 1)."""
+    is handed (built once per distinct step per call and shared by the workers,
+    so a kind can precompute for it), and ``centring(q)`` = (mu, scale): a
+    path is (sum of draws - t*mu) * scale.  ``takes_q`` marks a kind with a
+    parameter q in (0, 1)."""
 
     name: str
     params: Callable[[float | None], HarnessParams]

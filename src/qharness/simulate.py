@@ -10,8 +10,9 @@ certificate/formula based.
 Randomness is counter-based: each (path block, grid step) pair owns a Philox
 substream keyed by (seed, block << 32 | step) with counter 0, so regenerating
 an ensemble is bit-identical regardless of how many worker threads assemble
-it.  Each worker re-keys one Philox per substream instead of building a new
-one; that sets the same state, so the stream layout is unchanged.
+it.  ``sample_ensemble`` runs W workers on a pool of W threads; worker w fills
+blocks w, w+W, ... and re-keys one Philox per substream instead of building a
+new one, which sets the same state, so the stream layout is unchanged.
 
 ``load_ensemble`` reads the container in blocks of rows through one buffer
 and can keep only some grid columns, as ``verify`` and ``tails`` do.
@@ -204,15 +205,8 @@ def sample_ensemble(
                 acc += draw(substream(block, step), hi - lo)
                 out[lo:hi, step] = (acc - grid[step] * mu) * scale
 
-    if n_workers == 1:
-        work(0)
-    else:
-        # the calling thread is worker 0
-        with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
-            others = [pool.submit(work, w) for w in range(1, n_workers)]
-            work(0)
-            for f in others:
-                f.result()
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(work, range(n_workers)))
 
     return Ensemble(kind=kind, grid=grid, paths=out, seed=seed)
 
