@@ -179,8 +179,8 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
     u, delta, A, B = chain.u, chain.delta, chain.A, chain.B
     if not (0.0 < u < 1.0):
         raise ValueError(f"u = 1 - rho must lie in (0, 1), got {u}")
-    if A < 0.0 or B < 0.0:
-        raise ValueError("A and B must be >= 0")
+    if not (0.0 <= A < math.inf and 0.0 <= B < math.inf):
+        raise ValueError(f"A and B must be finite and >= 0, got A={A}, B={B}")
 
     rho = 1.0 - u
     a_max = rho * rho * u / (2.0 - rho)
@@ -270,7 +270,6 @@ class Certificate:
             "delta": self.chain.delta,
             "delta_rule": self.delta_rule,
             "contraction_rule": self.contraction_rule,
-            "split_w": None,  # the weight is pinned at 1/sqrt(2); key kept for the layout
             "K": self.chain.K,
             "A": self.chain.A,
             "B": self.chain.B,

@@ -462,8 +462,11 @@ class TailCurve:
     hill: HillEstimate | str | None = None
 
     def __post_init__(self) -> None:
+        # frozen: store the validated float64 arrays in place of what was given
         th = np.asarray(self.thresholds, dtype=np.float64)
         nv = np.asarray(self.n_values, dtype=np.float64)
+        object.__setattr__(self, "thresholds", th)
+        object.__setattr__(self, "n_values", nv)
         if th.ndim != 1 or th.size == 0 or nv.shape != th.shape:
             raise ValueError("thresholds and n_values must be matching 1-d arrays")
         if not np.all(th > 0) or not np.all(np.diff(th) > 0):

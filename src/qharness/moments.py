@@ -143,7 +143,7 @@ def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
 
 
 def _check_sigma_tau(sigma: float, tau: float) -> float:
-    if sigma < 0 or tau < 0:
+    if not (sigma >= 0 and tau >= 0):  # NaN fails this too
         raise ValueError(f"sigma and tau must be >= 0, got {sigma}, {tau}")
     return sigma * tau
 

@@ -105,8 +105,8 @@ def known_params(kind: ProcessKind) -> HarnessParams:
 def exact_marginal_moments(kind: ProcessKind, t: float) -> MomentVector:
     """Exact raw moments m1..m4 of the standardized marginal at time t, from
     the cumulants kappa2 = t and the record's (kappa3, kappa4)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     k3, k4 = kind.record.cumulants(kind.q, t)
     return MomentVector(1.0, 0.0, t, k3, k4 + 3.0 * t * t)
 

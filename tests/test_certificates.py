@@ -182,6 +182,15 @@ class TestTailRecursionCoeffs:
             0.0 if b_lin == 0.0 else b_lin / (tb.a_split * u * u))
         assert tb.q == 4.0 * delta / (w2 * u)
 
+    @pytest.mark.parametrize("field", ["A", "B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_coefficient_named(self, field, value):
+        chain = ChainParams(p=4.0, u=0.2, delta=0.001, K=_k_power(0.2, 4.0)[0], **{field: value})
+        with pytest.raises(ValueError, match=f"A and B must be finite and >= 0, got .*{field}={value}"):
+            tail_recursion_coeffs(chain)
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            make_certificate(4.0, contraction_rule="exact", **{field: value})
+
     def test_unknown_margin_rule_rejected(self):
         chain = ChainParams(p=3.0, u=1 - 0.75, delta=0.001, K=_k_power(1 - 0.75, 3.0)[0])
         with pytest.raises(ValueError, match="margin_rule must be one of"):
@@ -392,7 +401,7 @@ class TestOptimizer:
         tied = optimize_constant(8.0, ["exact-k", "exact-margin", "rho"])
         freed = optimize_constant(8.0, ["exact-k", "exact-margin", "rho", "split"])
         assert freed.constant <= tied.constant + 1e-9
-        assert freed.to_json_dict()["split_w"] is None
+        assert "split_w" not in freed.to_json_dict()
 
     def test_deterministic(self):
         a = optimize_constant(5.0, ["exact-k", "exact-margin", "rho", "split"])
@@ -476,7 +485,7 @@ class TestExactOptimum:
         base = knobs.split(",")
         freed = optimize_constant(p, base + ["split"])
         assert freed == optimize_constant(p, [k for k in base if k != "split"])
-        assert freed.to_json_dict()["split_w"] is None
+        assert "split_w" not in freed.to_json_dict()
 
     @pytest.mark.parametrize("knobs, evaluations", [
         ([], 1), (["exact-k"], 1), (["exact-k", "exact-margin", "rho"], 2),
@@ -500,3 +509,43 @@ class TestLiftMonotoneInOrder:
         values = [lift_step(p, 1e-6, rule).lhs for p in rungs]
         assert rungs[0] <= 2.0 and rungs[-1] == p0
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def student_certificate(nu: float, rho: float, **kwargs) -> Certificate | None:
+    """The certificate for order nu (lifting past p = nu - 1) of the
+    standardized bivariate Student t pair with nu degrees of freedom and
+    correlation rho, or None where K^nu overflows (which certifies nothing).
+
+    Var(X | Y) = A + (1 - rho^2) Y^2/(nu - 1) with A = (1 - rho^2)(nu - 2)/(nu - 1)
+    (Kotz & Nadarajah 2004, Multivariate t Distributions), so the pair meets
+    the hypothesis with B = 0 and delta = (1 + rho)/(rho (nu - 1)).
+    """
+    try:
+        return make_certificate(nu - 1.0, A=(1.0 - rho * rho) * (nu - 2.0) / (nu - 1.0),
+                                B=0.0, delta=(1.0 + rho) / (rho * (nu - 1.0)), **kwargs)
+    except ValueError as err:
+        assert "overflows" in str(err)
+        return None
+
+
+class TestHeavyTailedSoundness:
+    """The Student t pair meets the hypothesis exactly, yet E|X|^nu = inf: a
+    sound chain never certifies order nu for it.  Its contraction step is
+    q K^nu = 8 delta K^nu/u > 16 e^(2x)/x >= 32e with x = u nu, whatever
+    the margin step says."""
+
+    @given(st.floats(3.0, 1e6), st.floats(0.5, 1.0 - 1e-6, exclude_min=True),
+           st.sampled_from(["margin-64", "margin-exact"]))
+    def test_order_nu_never_certified(self, nu, rho, margin_rule):
+        cert = student_certificate(nu, rho, contraction_rule="exact",
+                                   margin_rule=margin_rule, u=1.0 - rho)
+        assert cert is None or not cert.valid and cert.steps[-1].lhs > 32.0 * math.e
+
+    @pytest.mark.parametrize("nu", [3.0, 4.5, 10.0, 100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("rule, floor", [("paper", 240.0), ("exact", 32.0 * math.e)])
+    @pytest.mark.parametrize("margin_rule", ["margin-64", "margin-exact"])
+    def test_tied_order_never_certified(self, nu, rule, floor, margin_rule):
+        # the tied u = 1/(p+1) = 1/nu; the paper's step is 120 delta nu > 240
+        cert = student_certificate(nu, 1.0 - 1.0 / nu, contraction_rule=rule,
+                                   margin_rule=margin_rule)
+        assert not cert.valid and cert.chain.u == 1.0 / nu and cert.steps[-1].lhs > floor

@@ -554,6 +554,15 @@ class TestTailRecursionCheck:
         worst = max(report.rows, key=lambda r: r.violation)
         assert worst.violation > 0 and worst.t in thresholds
 
+    def test_list_input_gives_the_array_report(self):
+        cert = make_certificate(3.0, contraction_rule="exact", u=1 - 0.75,
+                                A=1.0, B=0.0, delta=0.0)
+        thresholds, n_values = [0.5, 1, 2, 4, 8], [1, 0.5, 0.1, 0.01, 0]
+        listed = TailCurve(thresholds=thresholds, n_values=n_values, n_samples=None)
+        assert listed.thresholds.dtype == listed.n_values.dtype == np.float64
+        arrays = TailCurve(np.array(thresholds, dtype=float), np.array(n_values, dtype=float), None)
+        assert check_tail_recursion(listed, cert) == check_tail_recursion(arrays, cert)
+
     def test_insufficient_coverage_rejected(self):
         cert = make_certificate(3.0, contraction_rule="exact", u=1 - 0.75,
                                 A=1.0, B=0.0, delta=0.0)

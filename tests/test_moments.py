@@ -167,6 +167,12 @@ class TestThresholds:
         with pytest.raises(ValueError):
             pfail_upper(1.0, -1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="sigma and tau must be >= 0, got nan"):
+            pmax_certified(math.nan)
+        with pytest.raises(ValueError, match="sigma and tau must be >= 0, got 1.0, nan"):
+            pfail_upper(1.0, math.nan)
+
     def test_depends_only_on_product(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -202,3 +208,7 @@ class TestRegionClassifier:
 
     def test_far_gamma_outside(self):
         assert classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, 5.0)).region == "outside"
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma and tau must be >= 0"):
+            classify_moment_region(HarnessParams(0, 0, math.nan, 0.01, 1.0))

@@ -114,6 +114,11 @@ class TestExactMarginalMoments:
         assert mv.m3 == pytest.approx((2 - q) / math.sqrt(1 - q))
         assert mv.m4 == pytest.approx((6 - 6 * q + q * q) / (1 - q) + 3.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_t_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match=f"t must be positive and finite, got {t}"):
+            exact_marginal_moments(kind_of("gamma"), t)
+
     def test_hankel_positivity(self):
         for name in KINDS:
             for t in (0.25, 0.5, 1.0, 2.0, 5.0):
