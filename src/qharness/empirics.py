@@ -471,7 +471,7 @@ class TailCurve:
             raise ValueError("thresholds and n_values must be matching 1-d arrays")
         if not np.all(th > 0) or not np.all(np.diff(th) > 0):
             raise ValueError("thresholds must be ascending and positive")
-        if np.any(nv < 0) or np.any(nv > 2):
+        if not np.all((nv >= 0) & (nv <= 2)):  # NaN fails this too
             raise ValueError("tail values must lie in [0, 2]")
         if np.any(np.diff(nv) > 1e-12):
             raise ValueError("tail values must be non-increasing")

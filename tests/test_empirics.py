@@ -429,6 +429,8 @@ class TestTailCurve:
             TailCurve(np.array([0.5, 1.0]), np.array([1.0, 3.0]), 10)
         with pytest.raises(ValueError):
             TailCurve(np.array([0.5, 1.0]), np.array([0.5, 1.0]), 10)  # increasing
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            TailCurve(np.array([0.5, 1.0]), np.array([np.nan, np.nan]), 10)
 
 
 def scalar_tail_recursion(tc, cert, se_multiplier=3.0):
