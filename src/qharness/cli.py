@@ -14,15 +14,14 @@ I/O or any other error (one ``qharness <cmd>: error: ...`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
 from . import __version__, core, moments
@@ -239,79 +238,122 @@ def parse_args(argv: list[str]) -> RunConfig:
 # artifact emission
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dump(obj, nl: str | None) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True)``: with ``indent=2`` when ``nl``
+    is a newline plus the current indentation, on one line when it is None.  It
+    converts as it writes: numpy scalars and arrays through ``tolist()``, tuples
+    as lists, and the floats inf, -inf and nan as the strings "inf", "-inf", "nan"."""
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return float(obj)
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return '"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"'
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        inner = nl and nl + "  "
+        return _join("{}", [f"{_ESCAPE(k)}: {_dump(obj[k], inner)}" for k in sorted(obj)], nl)
+    if isinstance(obj, (list, tuple)):
+        inner = nl and nl + "  "
+        return _join("[]", [_dump(v, inner) for v in obj], nl)
     if hasattr(obj, "tolist"):  # numpy scalars and arrays, without importing numpy
-        return _jsonify(obj.tolist())
-    return obj
+        return _dump(obj.tolist(), nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _atomic_write(path: str, writer: Callable[[str], Any]) -> None:
-    """Run ``writer`` on a temporary file beside ``path``, then rename it onto ``path``
-    with the mode a plain ``open`` gives (0o666 less the umask), not mkstemp's 0o600."""
+def _join(brackets: str, items: list[str], nl: str | None) -> str:
+    """A container's items between its brackets, laid out as json.dumps lays them."""
+    if not items:
+        return brackets
+    if nl is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _atomic_write(path: str, content: bytes | Callable[[str], Any]) -> None:
+    """Write ``content`` (bytes, or a callable given the file name to write) to a
+    temporary file beside ``path``, then rename it onto ``path``.
+
+    The hidden ``.qharness-<hex>`` temporary is created once with ``open(tmp, "xb")``:
+    O_CREAT|O_EXCL at mode 0o666, so the kernel applies the umask, as for a plain
+    ``open``.  The directory is made only when that create finds it missing.  On
+    any error the temporary is removed and ``path`` keeps what it held."""
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qharness-")
-    os.close(fd)
-    umask = os.umask(0)
-    os.umask(umask)
+    made_dir = False
+    while True:
+        tmp = os.path.join(d, f".qharness-{os.urandom(6).hex()}")
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            if made_dir:
+                raise
+            os.makedirs(d, exist_ok=True)
+            made_dir = True
     try:
-        os.chmod(tmp, 0o666 & ~umask)
-        writer(tmp)
+        with fh:
+            if isinstance(content, bytes):
+                fh.write(content)
+        if callable(content):
+            content(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
 
 def _emit(config: RunConfig, results: dict, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
-    """Write (or print) the artifact as CSV rows when format=csv, else as JSON."""
-    artifact = {
-        "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "config": _jsonify(config.params),
-        "results": _jsonify(results),
-    }
+    """Write (or print) the artifact as CSV rows when format=csv, else as JSON
+    (2-space indent, sorted keys); the time taken goes to the sidecar as emit_s."""
+    started = time.perf_counter()
     if config.format == "csv":
         header, rows = csv_rows
         lines = [
             f"# version={__version__}",
             f"# command={config.command}",
             f"# seed={config.seed}",
-            f"# config={json.dumps(_jsonify(config.params), sort_keys=True)}",
+            f"# config={_dump(config.params, None)}",
             ",".join(header),
         ]
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        payload = ("\n".join(lines) + "\n").encode()
+        text = "\n".join(lines) + "\n"
     else:
-        payload = (json.dumps(artifact, indent=2, sort_keys=True) + "\n").encode()
+        artifact = {"version": __version__, "command": config.command, "seed": config.seed,
+                    "config": config.params, "results": results}
+        text = _dump(artifact, "\n") + "\n"
 
     if config.out is None:
-        sys.stdout.write(payload.decode())
+        sys.stdout.write(text)
     else:
-        _atomic_write(config.out, lambda tmp: Path(tmp).write_bytes(payload))
+        _atomic_write(config.out, text.encode())
+        config.log_fields["emit_s"] = time.perf_counter() - started
 
 
 def _sidecar(config: RunConfig, started: float) -> None:
     if config.out is None:
         return
+    fields = dict(config.log_fields)
+    emit_s = fields.pop("emit_s", 0.0)
     line = (
         f"command={config.command} out={config.out} "
         f"wall_clock={time.strftime('%Y-%m-%dT%H:%M:%S%z')} "
-        f"elapsed_s={time.monotonic() - started:.3f}"
-        + "".join(f" {k}={json.dumps(v)}" for k, v in config.log_fields.items())
+        f"elapsed_s={time.monotonic() - started:.3f} emit_s={emit_s:.6f}"
+        + "".join(f" {k}={json.dumps(v)}" for k, v in fields.items())
         + "\n"
     )
     with open(config.out + ".log", "a", encoding="utf-8") as fh:
@@ -348,8 +390,10 @@ def _run_simulate(config: RunConfig) -> int:
     config.log_fields.update(substreams=n_blocks * ens.n_times,
                              workers=min(int(cfg["workers"]), n_blocks))
     writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
+    started = time.perf_counter()
     _atomic_write(config.out, lambda tmp: writer(ens, tmp))
-    config.log_fields.update(bytes_written=os.path.getsize(config.out))
+    config.log_fields.update(emit_s=time.perf_counter() - started,
+                             bytes_written=os.path.getsize(config.out))
     return 0
 
 

@@ -202,6 +202,8 @@ class MomentRegion:
 def classify_moment_region(p: HarnessParams) -> MomentRegion:
     """Classify (sigma, tau, gamma) into the conjectured moment regions."""
     st = _check_sigma_tau(p.sigma, p.tau)
+    if math.isnan(p.gamma):  # every comparison below would be False
+        raise ValueError(f"gamma must be a number, got {p.gamma}")
     root = 2.0 * math.sqrt(st)
     in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)
     in_all = -1.0 <= p.gamma <= 1.0 - root

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
@@ -1019,3 +1020,170 @@ class TestNumpyFreeStartup:
         assert qharness.tail_curve is qharness.empirics.tail_curve
         with pytest.raises(AttributeError):
             qharness.no_such_name
+
+
+def old_jsonify(obj):
+    """The converter the artifact writer replaced, kept as its oracle: its output
+    went through json.dumps(..., indent=2, sort_keys=True)."""
+    if isinstance(obj, dict):
+        return {k: old_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_jsonify(v) for v in obj]
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return float(obj)
+    if hasattr(obj, "tolist"):
+        return old_jsonify(obj.tolist())
+    return obj
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                2.2250738585072014e-308, 1.7e308, -1.7e308]
+_json_text = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=6)
+_json_scalars = st.one_of(
+    st.floats() | st.sampled_from(_EDGE_FLOATS),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    _json_text,
+    (st.floats() | st.sampled_from(_EDGE_FLOATS)).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), max_size=6).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4)
+    .map(lambda v: np.array(v, dtype=np.int64).reshape(2, 2)),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_text, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestArtifactWriter:
+    """The one-walk writer gives the bytes of json.dumps over the old converter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_matches_json_dumps_of_old_converter(self, value):
+        want = old_jsonify(value)
+        assert cli._dump(value, "\n") == json.dumps(want, indent=2, sort_keys=True)
+        assert cli._dump(value, None) == json.dumps(want, sort_keys=True)
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dump({"a": [object()]}, "\n")
+
+    def test_artifact_matches_json_dumps(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--t", "1e308", "--sigma", "0.01", "--tau", "0.02",
+                        "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _leftovers(directory) -> list[str]:
+    return sorted(p.name for p in Path(directory).iterdir() if p.name.startswith(".qharness-"))
+
+
+class TestAtomicWrite:
+    """A failed write leaves the earlier artifact as it was and no temporary."""
+
+    def test_failed_container_write_leaves_earlier_artifact(self, tmp_path, monkeypatch, capsys):
+        from qharness import simulate
+
+        out = tmp_path / "e.qhe"
+        argv = ["simulate", "--process", "wiener", "--grid", "0.5,1.0", "--paths", "500",
+                "--out", str(out)]
+        assert run_cli(argv) == 0
+        before = out.read_bytes()
+
+        def broken(ens, path):
+            with open(path, "wb") as fh:
+                fh.write(b"QHE1 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simulate, "save_ensemble", broken)
+        assert run_cli(argv[:-2] + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qharness simulate: error: disk full\n"
+        assert out.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    def test_failed_payload_write_leaves_earlier_artifact(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "cert.json"
+        assert run_cli(["certificate", "--p", "4", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        assert run_cli(["certificate", "--p", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qharness certificate: error: disk full\n"
+        assert out.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    def test_nested_missing_directory_is_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c" / "h.json"
+        assert run_cli(["hankel", "--moments", "1,0,1,0,3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["nonneg"] is True
+        assert _leftovers(out.parent) == []
+
+    def test_file_in_the_directory_path_exits_two(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "h.json"
+        assert run_cli(["hankel", "--moments", "1,0,1,0,3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("qharness hankel: error: ")
+        assert (tmp_path / "f").read_text() == ""
+
+    def test_existing_temporary_name_is_skipped(self, tmp_path, monkeypatch):
+        names = iter([b"\x00" * 6, b"\x00" * 6, b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        taken = tmp_path / ".qharness-000000000000"
+        taken.write_text("someone else's")
+        out = tmp_path / "h.json"
+        assert run_cli(["hankel", "--moments", "1,0,1,0,3", "--out", str(out)]) == 0
+        assert taken.read_text() == "someone else's"
+        assert _leftovers(tmp_path) == [taken.name]
+        assert json.loads(out.read_text())["command"] == "hankel"
+
+    def test_umask_is_never_changed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "umask", lambda mask: pytest.fail("os.umask called"))
+        out = tmp_path / "h.json"
+        assert run_cli(["hankel", "--moments", "1,0,1,0,3", "--out", str(out)]) == 0
+
+
+class TestEmitTime:
+    @pytest.mark.parametrize("argv, fmt", [
+        (["certificate", "--p", "4"], "json"),
+        (["simulate", "--process", "wiener", "--grid", "0.5,1.0", "--paths", "100"], "qhe"),
+        (["simulate", "--process", "wiener", "--grid", "0.5,1.0", "--paths", "100",
+          "--format", "csv"], "csv"),
+    ])
+    def test_sidecar_reports_emit_time_after_elapsed(self, tmp_path, argv, fmt):
+        out = tmp_path / f"a.{fmt}"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        line = Path(f"{out}.log").read_text()
+        keys = [f.split("=", 1)[0] for f in line.split()]
+        assert keys[keys.index("elapsed_s") + 1] == "emit_s"
+        emit_s = float(sidecar_fields(out)["emit_s"])
+        assert 0.0 <= emit_s <= float(sidecar_fields(out)["elapsed_s"]) + 1e-3
+        assert b"emit_s" not in out.read_bytes()

@@ -212,3 +212,12 @@ class TestRegionClassifier:
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma and tau must be >= 0"):
             classify_moment_region(HarnessParams(0, 0, math.nan, 0.01, 1.0))
+
+    @pytest.mark.parametrize("st", [(0.01, 0.01), (0.0, 0.0)])
+    def test_nan_gamma_rejected(self, st):
+        with pytest.raises(ValueError, match="^gamma must be a number, got nan$"):
+            classify_moment_region(HarnessParams(0, 0, *st, math.nan))
+
+    @pytest.mark.parametrize("gamma, region", [(math.inf, "outside"), (-math.inf, "outside")])
+    def test_infinite_gamma_classified(self, gamma, region):
+        assert classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, gamma)).region == region
