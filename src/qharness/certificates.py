@@ -62,6 +62,8 @@ __all__ = [
     "optimize_constant",
 ]
 
+_PAPER_CONSTANT = 240.0  # the constant of the printed chain
+
 # Witness nudge: inequality steps are recorded just inside the certified range.
 _WITNESS = 1.0 - 2.0**-40
 
@@ -70,9 +72,9 @@ _CONTRACTION_RULES = ("paper", "exact")
 
 
 def u_for_order(p: float) -> float:
-    """Order-tied u = 1 - rho = 1/(p+1) for lifting moments of order p; needs p > 1."""
-    if not (p > 1.0):
-        raise ValueError(f"need p > 1, got {p}")
+    """Order-tied u = 1 - rho = 1/(p+1) for lifting moments of order p; needs a finite p > 1."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"need p > 1 and finite, got {p}")
     return 1.0 / (p + 1.0)
 
 
@@ -330,7 +332,7 @@ def _constant_closed_form(
     r = 1.0 - u
 
     if contraction_rule == "paper":
-        c_contr = 240.0
+        c_contr = _PAPER_CONSTANT
     else:
         c_contr = 16.0 * _k_power(u, p)[1] / denom
 
@@ -377,7 +379,7 @@ def make_certificate(
     tb = tail_recursion_coeffs(chain, margin_rule=margin_rule)
 
     if contraction_rule == "paper":
-        contr_value = 120.0 * delta * (p + 1.0)
+        contr_value = _PAPER_CONSTANT / 2.0 * delta * (p + 1.0)
     else:
         contr_value = tb.q * k_pow
     contr = Step("contraction", contr_value, 1.0, contr_value < 1.0)
@@ -464,6 +466,7 @@ def optimize_constant(
     unknown = knob_set - frozenset(_KNOBS)
     if unknown:
         raise ValueError(f"unknown knobs: {sorted(unknown)}")
+    u_for_order(p)  # checks p before the closed-form u* and u_x divide by p + 1
     stats = SearchStats() if stats is None else stats
 
     contraction_rule = "exact" if "exact-k" in knob_set else "paper"

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable
 
 from . import __version__, core, moments
@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--process", choices=core.KINDS, default=None, help=" | ".join(core.KINDS))
     p.add_argument("--pascal-q", type=float, default=None,
-                   help="success probability of the pascal kind (default 0.5); "
+                   help="success probability of the pascal kind (default "
+                   f"{core.kind_record('pascal').q_default}); "
                    "an error with a kind that takes no parameter")
     p.add_argument("--grid", default=None, help="comma-separated ascending times")
     p.add_argument("--paths", type=int, default=None, help="number of sample paths")
@@ -134,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="moment-order thresholds, region classification, the closed-form "
         "order-3 Hankel determinant, and the forced two-point law at gamma=-1",
     )
-    for flag in ("eta", "theta", "sigma", "tau", "gamma"):
-        p.add_argument(f"--{flag}", type=float, default=None)
+    for f in fields(core.HarnessParams):
+        p.add_argument(f"--{f.name}", type=float, default=None)
     p.add_argument("--t", type=float, default=None, help="marginal time (default 1)")
     p.add_argument("--s", type=float, default=None,
                    help="with --t/--u: also report the two-sided variance scale")
@@ -364,23 +365,13 @@ def _sidecar(config: RunConfig, started: float) -> None:
 # subcommand handlers
 
 
-def _params_from(cfg: dict) -> core.HarnessParams:
-    return core.HarnessParams(
-        eta=float(cfg["eta"]),
-        theta=float(cfg["theta"]),
-        sigma=float(cfg["sigma"]),
-        tau=float(cfg["tau"]),
-        gamma=float(cfg["gamma"]),
-    )
-
-
 def _run_simulate(config: RunConfig) -> int:
     from . import simulate
 
     cfg = config.params
     q = cfg.get("pascal_q")
-    if q is None and core.kind_record(cfg["process"]).takes_q:
-        q = 0.5
+    if q is None:
+        q = core.kind_record(cfg["process"]).q_default
     kind = simulate.ProcessKind(cfg["process"], None if q is None else float(q))
     grid = _float_list(cfg["grid"])
     ens = simulate.sample_ensemble(
@@ -488,16 +479,13 @@ def _two_point_json(law: moments.TwoPointLaw) -> dict:
 
 def _run_moments(config: RunConfig) -> int:
     cfg = config.params
-    t = float(cfg["t"])
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"--t must be positive and finite, got {t}")
-    p = _params_from(cfg)
+    t = core._check_time("--t", float(cfg["t"]))
+    p = core.HarnessParams(**{f.name: float(cfg[f.name]) for f in fields(core.HarnessParams)})
     warnings = core.validate_params(p)
     region = moments.classify_moment_region(p)
 
     results: dict[str, Any] = {
-        "params": {"eta": p.eta, "theta": p.theta, "sigma": p.sigma, "tau": p.tau,
-                   "gamma": p.gamma},
+        "params": asdict(p),
         "t": t,
         "warnings": warnings,
         "region": {"region": region.region, "bound": region.bound},
@@ -588,7 +576,9 @@ def _run_tails(config: RunConfig) -> int:
     k = int(cfg["k"]) if cfg.get("k") is not None else max(1, head.n_paths // 100)
     if not (1 <= k < head.n_paths / 2):
         raise ValueError(f"--k must satisfy 1 <= k < n/2 = {head.n_paths / 2}, got {k}")
-    thresholds = _float_list(cfg["thresholds"]) if cfg.get("thresholds") is not None else None
+    thresholds = cfg.get("thresholds")
+    if thresholds is not None:
+        thresholds = empirics._check_thresholds(_float_list(thresholds))
     # only the columns of s and t are read
     ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
     # Hill comes from the |X_t| column the curve sorts: one sort per column

@@ -3,8 +3,8 @@
 A quadratic harness is a centered process with covariance min(s, t), a
 martingale one-sided mean structure, and conditional variances that are
 quadratic polynomials in the conditioning values.  The family is driven by
-five constants (eta, theta, sigma, tau, gamma); sigma and tau must be
-non-negative.
+five constants (eta, theta, sigma, tau, gamma), checked once, when a
+``HarnessParams`` is built.
 
 Every function here is a pure evaluator of the corresponding formula: no
 tolerances are applied and nothing is clamped.  A formula that evaluates to
@@ -13,7 +13,7 @@ silently truncated, so downstream verification can see the inadmissible
 parameter/state combination.
 
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
-elementwise; the scalar times are validated once per call.  ``PROCESS_KINDS``
+elementwise; ``_check_time`` checks each time once per call.  ``PROCESS_KINDS``
 is the table of the process kinds that `simulate` samples; the pascal kind
 draws its increments by inverting the CDF tables of ``_nb_cdf``.
 """
@@ -44,7 +44,8 @@ class HarnessParams:
 
     eta and theta scale the linear terms of the forward/backward conditional
     variances, sigma and tau the quadratic terms, and gamma the cross term of
-    the two-sided conditional variance.
+    the two-sided conditional variance.  A NaN field, a negative sigma or tau
+    and a NaN sigma*tau (inf*0) are refused when it is built.
     """
 
     eta: float
@@ -52,6 +53,29 @@ class HarnessParams:
     sigma: float
     tau: float
     gamma: float
+
+    def __post_init__(self) -> None:
+        _check_sigma_tau(self.sigma, self.tau)
+        for name, x in vars(self).items():
+            if x != x:
+                raise ValueError(f"{name} must be a number, got {x}")
+
+
+def _check_sigma_tau(sigma: float, tau: float) -> float:
+    """sigma*tau, for sigma, tau >= 0 whose product is a number (not inf*0)."""
+    if not (sigma >= 0 and tau >= 0):  # NaN fails this too
+        raise ValueError(f"sigma and tau must be >= 0, got {sigma}, {tau}")
+    st = sigma * tau
+    if st != st:
+        raise ValueError(f"sigma*tau is not a number at sigma={sigma}, tau={tau}")
+    return st
+
+
+def _check_time(name: str, x: float) -> float:
+    """x, when it is a positive and finite time; NaN fails this too."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
 
 
 def pascal_theta(q: float) -> float:
@@ -125,15 +149,15 @@ class KindRecord:
     draw ``(rng, n)`` of n raw increments over dt from the numpy Generator it
     is handed (built once per distinct step per call and shared by the workers,
     so a kind can precompute for it), and ``centring(q)`` = (mu, scale): a
-    path is (sum of draws - t*mu) * scale.  ``takes_q`` marks a kind with a
-    parameter q in (0, 1)."""
+    path is (sum of draws - t*mu) * scale.  ``q_default`` is the default of a
+    kind's parameter q in (0, 1), None for a kind without one."""
 
     name: str
     params: Callable[[float | None], HarnessParams]
     cumulants: Callable[[float | None, float], tuple[float, float]]
     sampler: Callable[[float, float | None], Callable[..., Any]]
     centring: Callable[[float | None], tuple[float, float]] = lambda q: (0.0, 1.0)
-    takes_q: bool = False
+    q_default: float | None = None
 
 
 # The kinds `simulate` samples: sigma*tau = 0 martingales with independent
@@ -166,7 +190,7 @@ PROCESS_KINDS = (
                                 t * (6.0 - 6.0 * q + q * q) / (1.0 - q)),
         sampler=_pascal_sampler,  # negative binomial NB(dt, q)
         centring=lambda q: ((1.0 - q) / q, q / math.sqrt(1.0 - q)),
-        takes_q=True,
+        q_default=0.5,
     ),
 )
 KINDS = tuple(k.name for k in PROCESS_KINDS)
@@ -186,24 +210,15 @@ class Variance(NamedTuple):
     admissible: bool
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def validate_params(p: HarnessParams) -> list[str]:
-    """Validate a parameter tuple; return soft warnings, raise on hard errors.
+    """The command line's stricter rule: an infinite field is a hard error.
 
-    sigma < 0, tau < 0 or any non-finite field is a hard error.  gamma outside
-    [-1, 1 + 2*sqrt(sigma*tau)] is outside the window covered by the moment
-    region classification and yields a warning only.
+    Returns soft warnings: gamma outside [-1, 1 + 2*sqrt(sigma*tau)] is
+    outside the window of the moment region classification.
     """
-    for name in ("eta", "theta", "sigma", "tau", "gamma"):
-        if not _finite(getattr(p, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(p, name)!r}")
-    if p.sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {p.sigma}")
-    if p.tau < 0:
-        raise ValueError(f"tau must be >= 0, got {p.tau}")
+    for name, x in vars(p).items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
 
     warnings = []
     gamma_hi = 1.0 + 2.0 * math.sqrt(p.sigma * p.tau)
@@ -218,21 +233,13 @@ def validate_params(p: HarnessParams) -> list[str]:
 
 
 def _require_pair(s: float, t: float) -> None:
-    if not (_finite(s) and _finite(t)):
-        raise ValueError("times must be finite")
-    if s <= 0:
-        raise ValueError(f"times must be positive, got s={s}")
-    if s >= t:
+    if _check_time("s", s) >= _check_time("t", t):
         raise ValueError(f"need s < t, got s={s}, t={t}")
 
 
 def covariance(s: float, t: float) -> float:
     """E(X_s X_t) = min(s, t) for positive times; symmetric in (s, t)."""
-    if not (_finite(s) and _finite(t)):
-        raise ValueError("times must be finite")
-    if s <= 0 or t <= 0:
-        raise ValueError(f"times must be positive, got s={s}, t={t}")
-    return min(s, t)
+    return min(_check_time("s", s), _check_time("t", t))
 
 
 def one_sided_mean(direction: str, s: float, t: float, x: float) -> float:
@@ -265,10 +272,8 @@ def var_backward(p: HarnessParams, s: float, t: float, x_t: float) -> Variance:
 
 
 def _require_triple(s: float, t: float, u: float) -> None:
-    if not (_finite(s) and _finite(t) and _finite(u)):
-        raise ValueError("times must be finite")
-    if s <= 0:
-        raise ValueError(f"times must be positive, got s={s}")
+    for name, x in (("s", s), ("t", t), ("u", u)):
+        _check_time(name, x)
     if not (s <= t <= u and s < u):
         raise ValueError(f"need s <= t <= u with s < u, got ({s}, {t}, {u})")
 
@@ -287,9 +292,9 @@ def double_var_scale(p: HarnessParams, s: float, t: float, u: float) -> float:
     """Scale factor (u-t)(t-s) / (u(1+s*sigma) + tau - s*gamma) of the two-sided variance."""
     _require_triple(s, t, u)
     den = u * (1.0 + s * p.sigma) + p.tau - s * p.gamma
-    if den <= 0:
+    if not den > 0:  # NaN (inf - inf) fails this too
         raise ValueError(
-            f"inadmissible parameters on ({s}, {t}, {u}): scale denominator {den} <= 0"
+            f"inadmissible parameters on ({s}, {t}, {u}): scale denominator {den} is not positive"
         )
     return (u - t) * (t - s) / den
 

@@ -446,6 +446,14 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
     )
 
 
+def _check_thresholds(thresholds) -> np.ndarray:
+    """Positive, strictly ascending thresholds: TailCurve's rule and the tails command's."""
+    th = np.asarray(thresholds, dtype=np.float64)
+    if not np.all(th > 0) or not np.all(np.diff(th) > 0):
+        raise ValueError("thresholds must be ascending and positive")
+    return th
+
+
 @dataclass(frozen=True)
 class TailCurve:
     """Two-variable tail function N(t) on a threshold ladder.
@@ -469,8 +477,7 @@ class TailCurve:
         object.__setattr__(self, "n_values", nv)
         if th.ndim != 1 or th.size == 0 or nv.shape != th.shape:
             raise ValueError("thresholds and n_values must be matching 1-d arrays")
-        if not np.all(th > 0) or not np.all(np.diff(th) > 0):
-            raise ValueError("thresholds must be ascending and positive")
+        _check_thresholds(th)
         if not np.all((nv >= 0) & (nv <= 2)):  # NaN fails this too
             raise ValueError("tail values must lie in [0, 2]")
         if np.any(np.diff(nv) > 1e-12):

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import HarnessParams
+from .certificates import _PAPER_CONSTANT
+from .core import HarnessParams, _check_sigma_tau, _check_time
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,8 +113,7 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     ``t**2 * hankel3_closed_form(known_params(kind), t)`` to 1e-15 at every
     t, so the two agree at t = 1 only (Wiener: 2t against 2t^3).
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_time("t", t)
     st = p.sigma * p.tau
     den = 1.0 - (2.0 + p.gamma) * st
     if den == 0.0:
@@ -131,21 +131,16 @@ def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
     """The unique two-point law with mean 0, variance t and third moment m3.
 
     Atoms a > 0 > -b solve a*b = t and a - b = m3/t; the weights are b/(a+b)
-    and a/(a+b).  Always solvable for finite t > 0.
+    and a/(a+b).  Always solvable for finite t > 0 and finite m3.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_time("t", t)
+    if not math.isfinite(m3):
+        raise ValueError(f"m3 must be finite, got {m3}")
     d = m3 / t
     disc = math.sqrt(d * d + 4.0 * t)
     a = 0.5 * (d + disc)
     b = 0.5 * (disc - d)
     return TwoPointLaw(atom_lo=-b, atom_hi=a, weight_lo=a / disc, weight_hi=b / disc)
-
-
-def _check_sigma_tau(sigma: float, tau: float) -> float:
-    if not (sigma >= 0 and tau >= 0):  # NaN fails this too
-        raise ValueError(f"sigma and tau must be >= 0, got {sigma}, {tau}")
-    return sigma * tau
 
 
 def pmax_certified(sigma: float, tau: float = 1.0) -> float:
@@ -156,7 +151,7 @@ def pmax_certified(sigma: float, tau: float = 1.0) -> float:
     st = _check_sigma_tau(sigma, tau)
     if st == 0.0:
         return math.inf
-    return 1.0 / (240.0 * math.sqrt(st))
+    return 1.0 / (_PAPER_CONSTANT * math.sqrt(st))
 
 
 def pfail_upper(sigma: float, tau: float = 1.0) -> float:
@@ -201,9 +196,7 @@ class MomentRegion:
 
 def classify_moment_region(p: HarnessParams) -> MomentRegion:
     """Classify (sigma, tau, gamma) into the conjectured moment regions."""
-    st = _check_sigma_tau(p.sigma, p.tau)
-    if math.isnan(p.gamma):  # every comparison below would be False
-        raise ValueError(f"gamma must be a number, got {p.gamma}")
+    st = p.sigma * p.tau
     root = 2.0 * math.sqrt(st)
     in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)
     in_all = -1.0 <= p.gamma <= 1.0 - root

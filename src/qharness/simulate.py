@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import KINDS, PROCESS_KINDS, HarnessParams, KindRecord, kind_record, pascal_theta
+from .core import (KINDS, PROCESS_KINDS, HarnessParams, KindRecord, _check_time, kind_record,
+                   pascal_theta)
 from .moments import MomentVector
 
 __all__ = [
@@ -85,7 +86,7 @@ class ProcessKind:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        if kind_record(self.name).takes_q:
+        if kind_record(self.name).q_default is not None:
             if self.q is None or not (0.0 < self.q < 1.0):
                 raise ValueError(f"{self.name} needs a success probability in (0,1), got {self.q}")
         elif self.q is not None:
@@ -105,8 +106,7 @@ def known_params(kind: ProcessKind) -> HarnessParams:
 def exact_marginal_moments(kind: ProcessKind, t: float) -> MomentVector:
     """Exact raw moments m1..m4 of the standardized marginal at time t, from
     the cumulants kappa2 = t and the record's (kappa3, kappa4)."""
-    if not 0.0 < t < np.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_time("t", t)
     k3, k4 = kind.record.cumulants(kind.q, t)
     return MomentVector(1.0, 0.0, t, k3, k4 + 3.0 * t * t)
 
@@ -251,7 +251,7 @@ def _read_header(fh, path) -> Header:
     if code >= len(PROCESS_KINDS):
         raise ValueError(f"{path}: unknown kind code {code}")
     record = PROCESS_KINDS[code]
-    kind = ProcessKind(record.name, q if record.takes_q else None)
+    kind = ProcessKind(record.name, None if record.q_default is None else q)
     need = _HEADER.size + 8 * n_times * (n_paths + 1)
     size = os.fstat(fh.fileno()).st_size
     if size < need:

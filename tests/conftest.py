@@ -9,8 +9,8 @@ N_PATHS = 100_000
 
 
 def kind_of(name: str) -> ProcessKind:
-    """The kind under test, from its table record: one that takes q gets q = 0.5."""
-    return ProcessKind(name, 0.5 if kind_record(name).takes_q else None)
+    """The kind under test, with its record's default q."""
+    return ProcessKind(name, kind_record(name).q_default)
 
 
 @pytest.fixture(scope="session")

@@ -616,6 +616,20 @@ class TestMomentsCommand:
         res = json.loads(out.read_text())["results"]
         assert res["pmax_certified"] == "inf"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "nan", "sigma and tau must be >= 0, got nan, 0.0"),
+        ("--tau", "-1", "sigma and tau must be >= 0, got 0.0, -1.0"),
+        ("--sigma", "inf", "sigma*tau is not a number at sigma=inf, tau=0.0"),
+        ("--gamma", "nan", "gamma must be a number, got nan"),
+        ("--eta", "inf", "eta must be finite, got inf"),
+    ])
+    def test_bad_input_named(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run_cli(["moments", flag, value, "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"qharness moments: error: {message}\n"
+
     @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
     def test_nonpositive_or_nonfinite_t_exits_two(self, tmp_path, capsys, t):
         out = tmp_path / "m.json"
@@ -683,6 +697,17 @@ class TestOptimizeCommand:
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("argv", [["certificate", "--p", "inf"],
+                                      ["certificate", "--p", "inf", "--sigma", "1", "--tau", "1"],
+                                      ["optimize", "--p", "inf", "--knobs", "exact-k,rho"],
+                                      ["optimize", "--p", "-1", "--knobs", "exact-k,rho"]])
+    def test_bad_order_named(self, tmp_path, capsys, argv):
+        out = tmp_path / "cert.json"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            f"qharness {argv[0]}: error: need p > 1 and finite, got {float(argv[2])}\n")
+
     def test_unexpected_exception_exits_two(self, monkeypatch, capsys):
         def broken(config):
             raise RuntimeError("handler broke")
@@ -782,6 +807,24 @@ class TestTailsCommand:
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
         assert err.startswith("qharness tails: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("thresholds", ["2,1", "0,1", "1,1", "nan,1"])
+    def test_bad_thresholds_exit_two_before_any_column(self, tmp_path, capsys, monkeypatch,
+                                                       thresholds):
+        ens_path, out = tmp_path / "w.qhe", tmp_path / "tails.json"
+        run_cli(["simulate", "--process", "wiener", "--grid", "0.5,1.0",
+                 "--paths", "500", "--out", str(ens_path)])
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_ensemble called")
+
+        monkeypatch.setattr("qharness.simulate.load_ensemble", no_load)
+        capsys.readouterr()
+        code = run_cli(["tails", str(ens_path), "--s", "0.5", "--t", "1.0",
+                        "--thresholds", thresholds, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "qharness tails: error: thresholds must be ascending and positive\n")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_default_k_is_checked_too(self, tmp_path, capsys, n):
