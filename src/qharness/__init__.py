@@ -22,6 +22,7 @@ from .moments import (
     classify_moment_region,
     hankel3,
     hankel3_closed_form,
+    marginal_moments,
     pfail_upper,
     pmax_certified,
     two_point_from_moments,
@@ -41,8 +42,8 @@ from .certificates import (
 # simulate and empirics need numpy; they and their names are imported on first
 # access (PEP 562), so the analytic entry points start without numpy.
 _LAZY = dict.fromkeys(
-    ("Ensemble", "ProcessKind", "exact_marginal_moments", "known_params",
-     "load_ensemble", "read_header", "sample_ensemble", "save_ensemble"),
+    ("Ensemble", "ProcessKind", "known_params", "load_ensemble", "read_header",
+     "sample_ensemble", "save_ensemble"),
     "simulate",
 ) | dict.fromkeys(
     ("BinnedConditional", "HillEstimate", "PathEmpirics", "TailCurve",

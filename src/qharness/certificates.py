@@ -183,6 +183,8 @@ def tail_recursion_coeffs(chain: ChainParams, *, margin_rule: str = "margin-64")
         raise ValueError(f"u = 1 - rho must lie in (0, 1), got {u}")
     if not (0.0 <= A < math.inf and 0.0 <= B < math.inf):
         raise ValueError(f"A and B must be finite and >= 0, got A={A}, B={B}")
+    if delta != delta:
+        raise ValueError(f"delta must be a number, got {delta}")
 
     rho = 1.0 - u
     a_max = rho * rho * u / (2.0 - rho)

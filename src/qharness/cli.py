@@ -498,9 +498,14 @@ def _run_moments(config: RunConfig) -> int:
         results["hankel3_closed_form"] = None
         results["hankel3_closed_form_error"] = str(exc)
 
-    if p.gamma == -1.0:
-        law = moments.two_point_from_moments(t, 0.0)
-        results["two_point"] = {"third_moment_assumed": 0.0, **_two_point_json(law)}
+    if p.gamma == -1.0:  # the harness's own law: its Hankel determinant vanishes
+        try:
+            m3 = moments.marginal_moments(p, t).m3
+            law = moments.two_point_from_moments(t, m3)
+            results["two_point"] = {"third_moment": m3, **_two_point_json(law)}
+        except ValueError as exc:
+            results["two_point"] = None
+            results["two_point_error"] = str(exc)
 
     if cfg.get("s") is not None and cfg.get("u") is not None:
         s, u = float(cfg["s"]), float(cfg["u"])

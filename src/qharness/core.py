@@ -44,8 +44,8 @@ class HarnessParams:
 
     eta and theta scale the linear terms of the forward/backward conditional
     variances, sigma and tau the quadratic terms, and gamma the cross term of
-    the two-sided conditional variance.  A NaN field, a negative sigma or tau
-    and a NaN sigma*tau (inf*0) are refused when it is built.
+    the two-sided conditional variance.  A NaN or infinite field, a negative
+    sigma or tau and a NaN sigma*tau (inf*0) are refused when it is built.
     """
 
     eta: float
@@ -57,8 +57,8 @@ class HarnessParams:
     def __post_init__(self) -> None:
         _check_sigma_tau(self.sigma, self.tau)
         for name, x in vars(self).items():
-            if x != x:
-                raise ValueError(f"{name} must be a number, got {x}")
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be {'finite' if x == x else 'a number'}, got {x}")
 
 
 def _check_sigma_tau(sigma: float, tau: float) -> float:
@@ -144,17 +144,16 @@ def _pascal_sampler(dt: float, q: float):
 
 @dataclass(frozen=True)
 class KindRecord:
-    """One process kind: its exact harness tuple ``params(q)``, marginal
-    ``cumulants(q, t)`` = (kappa3, kappa4), ``sampler(dt, q)`` giving the
-    draw ``(rng, n)`` of n raw increments over dt from the numpy Generator it
-    is handed (built once per distinct step per call and shared by the workers,
-    so a kind can precompute for it), and ``centring(q)`` = (mu, scale): a
+    """One process kind: its exact harness tuple ``params(q)``, which fixes
+    its marginal moments too (``moments.marginal_moments``), ``sampler(dt, q)``
+    giving the draw ``(rng, n)`` of n raw increments over dt from the numpy
+    Generator it is handed (built once per distinct step per call and shared
+    by the workers, so a kind can precompute for it), and ``centring(q)`` = (mu, scale): a
     path is (sum of draws - t*mu) * scale.  ``q_default`` is the default of a
     kind's parameter q in (0, 1), None for a kind without one."""
 
     name: str
     params: Callable[[float | None], HarnessParams]
-    cumulants: Callable[[float | None, float], tuple[float, float]]
     sampler: Callable[[float, float | None], Callable[..., Any]]
     centring: Callable[[float | None], tuple[float, float]] = lambda q: (0.0, 1.0)
     q_default: float | None = None
@@ -167,27 +166,22 @@ PROCESS_KINDS = (
     KindRecord(
         "wiener",
         params=lambda q: HarnessParams(0.0, 0.0, 0.0, 0.0, 1.0),
-        cumulants=lambda q, t: (0.0, 0.0),
         sampler=lambda dt, q: lambda rng, n: rng.standard_normal(n) * math.sqrt(dt),
     ),
     KindRecord(
         "poisson",  # binomial bridge
         params=lambda q: HarnessParams(0.0, 1.0, 0.0, 0.0, 1.0),
-        cumulants=lambda q, t: (t, t),
         sampler=lambda dt, q: lambda rng, n: rng.poisson(dt, n).astype(float),
         centring=lambda q: (1.0, 1.0),
     ),
     KindRecord(
         "gamma",  # beta bridge
         params=lambda q: HarnessParams(0.0, 2.0, 0.0, 1.0, 1.0),
-        cumulants=lambda q, t: (2.0 * t, 6.0 * t),
         sampler=lambda dt, q: lambda rng, n: rng.gamma(dt, 1.0, n) - dt,
     ),
     KindRecord(
         "pascal",  # beta-binomial bridge; q is the success probability
         params=lambda q: HarnessParams(0.0, pascal_theta(q), 0.0, 1.0, 1.0),
-        cumulants=lambda q, t: (t * (2.0 - q) / math.sqrt(1.0 - q),
-                                t * (6.0 - 6.0 * q + q * q) / (1.0 - q)),
         sampler=_pascal_sampler,  # negative binomial NB(dt, q)
         centring=lambda q: ((1.0 - q) / q, q / math.sqrt(1.0 - q)),
         q_default=0.5,
@@ -211,15 +205,8 @@ class Variance(NamedTuple):
 
 
 def validate_params(p: HarnessParams) -> list[str]:
-    """The command line's stricter rule: an infinite field is a hard error.
-
-    Returns soft warnings: gamma outside [-1, 1 + 2*sqrt(sigma*tau)] is
-    outside the window of the moment region classification.
-    """
-    for name, x in vars(p).items():
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
-
+    """Soft warnings: gamma outside [-1, 1 + 2*sqrt(sigma*tau)] is outside
+    the window of the moment region classification."""
     warnings = []
     gamma_hi = 1.0 + 2.0 * math.sqrt(p.sigma * p.tau)
     if p.gamma < -1.0:

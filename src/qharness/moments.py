@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .certificates import _PAPER_CONSTANT
 from .core import HarnessParams, _check_sigma_tau, _check_time
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MomentVector",
@@ -29,6 +25,7 @@ __all__ = [
     "MomentRegion",
     "hankel3",
     "hankel3_closed_form",
+    "marginal_moments",
     "two_point_from_moments",
     "pmax_certified",
     "pfail_upper",
@@ -61,11 +58,6 @@ class MomentVector:
         if self.m4 < self.m2**2 - _CS_SLACK * max(1.0, abs(self.m4)):
             raise ValueError(f"m4={self.m4} < m2^2={self.m2 ** 2}")
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np  # imported here so the analytic commands start without numpy
-
-        return np.array([self.m0, self.m1, self.m2, self.m3, self.m4])
-
 
 @dataclass(frozen=True)
 class TwoPointLaw:
@@ -79,9 +71,9 @@ class TwoPointLaw:
     def __post_init__(self) -> None:
         if not (self.atom_lo < self.atom_hi):
             raise ValueError(f"need atom_lo < atom_hi, got {self.atom_lo}, {self.atom_hi}")
-        for w in (self.weight_lo, self.weight_hi):
-            if not (0.0 < w < 1.0):
-                raise ValueError(f"weights must lie in (0,1), got {w}")
+        for w in (self.weight_lo, self.weight_hi):  # the larger may round to 1
+            if not (0.0 < w <= 1.0):
+                raise ValueError(f"weights must lie in (0,1], got {w}")
         if abs(self.weight_lo + self.weight_hi - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
@@ -109,7 +101,7 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     divided by 1-(2+gamma)*sigma*tau.  Identically zero on gamma = -1.
 
     This is the printed expression, not the determinant itself: for the four
-    simulated kinds, ``hankel3(exact_marginal_moments(kind, t))`` equals
+    simulated kinds the determinant of the exact marginal moments equals
     ``t**2 * hankel3_closed_form(known_params(kind), t)`` to 1e-15 at every
     t, so the two agree at t = 1 only (Wiener: 2t against 2t^3).
     """
@@ -127,20 +119,37 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     return num / den
 
 
+def marginal_moments(p: HarnessParams, t: float) -> MomentVector:
+    """Raw moments of the marginal X_t, fixed by the five parameters (sigma*tau < 1).
+
+    m1 = 0, m2 = t, m3 = ((eta+sigma*theta) t^2 + (theta+tau*eta) t)/(1-sigma*tau)
+    from the two one-sided conditional variances, and m4 from the Hankel
+    determinant t*m4 - m3^2 - t^3 = t^2 * ``hankel3_closed_form``.
+    """
+    st = p.sigma * p.tau
+    if not st < 1.0:
+        raise ValueError(f"sigma*tau must be below 1, got {st}")
+    det = t * t * hankel3_closed_form(p, t)
+    m3 = ((p.eta + p.sigma * p.theta) * t * t + (p.theta + p.tau * p.eta) * t) / (1.0 - st)
+    return MomentVector(1.0, 0.0, t, m3, (det + m3 * m3 + t**3) / t)
+
+
 def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
     """The unique two-point law with mean 0, variance t and third moment m3.
 
     Atoms a > 0 > -b solve a*b = t and a - b = m3/t; the weights are b/(a+b)
-    and a/(a+b).  Always solvable for finite t > 0 and finite m3.
+    and a/(a+b).  The larger atom is formed by a sum and the smaller as t
+    divided by it, so neither cancels however skewed the law; at m3 = 0 both
+    are the rounded sqrt(t).  Always solvable for finite t > 0 and finite m3.
     """
     _check_time("t", t)
     if not math.isfinite(m3):
         raise ValueError(f"m3 must be finite, got {m3}")
     d = m3 / t
-    disc = math.sqrt(d * d + 4.0 * t)
-    a = 0.5 * (d + disc)
-    b = 0.5 * (disc - d)
-    return TwoPointLaw(atom_lo=-b, atom_hi=a, weight_lo=a / disc, weight_hi=b / disc)
+    big = 0.5 * (abs(d) + math.hypot(d, 2.0 * math.sqrt(t)))
+    small = t / big if d else big
+    a, b = (big, small) if d >= 0.0 else (small, big)
+    return TwoPointLaw(atom_lo=-b, atom_hi=a, weight_lo=a / (a + b), weight_hi=b / (a + b))
 
 
 def pmax_certified(sigma: float, tau: float = 1.0) -> float:

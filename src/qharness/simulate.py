@@ -29,9 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import (KINDS, PROCESS_KINDS, HarnessParams, KindRecord, _check_time, kind_record,
-                   pascal_theta)
-from .moments import MomentVector
+from .core import KINDS, PROCESS_KINDS, HarnessParams, KindRecord, kind_record, pascal_theta
 
 __all__ = [
     "BLOCK_PATHS",
@@ -40,7 +38,6 @@ __all__ = [
     "known_params",
     "pascal_theta",
     "sample_ensemble",
-    "exact_marginal_moments",
     "save_ensemble",
     "Header",
     "read_header",
@@ -101,14 +98,6 @@ def known_params(kind: ProcessKind) -> HarnessParams:
     """The (eta, theta, sigma, tau, gamma) for which the closed-form
     conditional moments match the process exactly (from the kind's record)."""
     return kind.record.params(kind.q)
-
-
-def exact_marginal_moments(kind: ProcessKind, t: float) -> MomentVector:
-    """Exact raw moments m1..m4 of the standardized marginal at time t, from
-    the cumulants kappa2 = t and the record's (kappa3, kappa4)."""
-    _check_time("t", t)
-    k3, k4 = kind.record.cumulants(kind.q, t)
-    return MomentVector(1.0, 0.0, t, k3, k4 + 3.0 * t * t)
 
 
 @dataclass(frozen=True)

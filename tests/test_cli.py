@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
-from qharness.core import KINDS
+from qharness.core import KINDS, HarnessParams
 from qharness.empirics import estimate_conditional, hill_tail_index, path_empirics
+from qharness.moments import TwoPointLaw, marginal_moments
 from qharness.simulate import (
     BLOCK_PATHS,
     Ensemble,
@@ -599,7 +600,32 @@ class TestMomentsCommand:
         res = json.loads(out.read_text())["results"]
         assert res["hankel3_closed_form"] == 0.0
         assert res["two_point"]["atom_hi"] == 1.0
+        assert res["two_point"]["third_moment"] == 0.0
         assert res["region"]["region"] == "all-orders"
+
+    @pytest.mark.parametrize("flags", [
+        ["--eta", "-5000"],
+        ["--eta", "-0.4", "--theta", "0.7", "--sigma", "0.5", "--tau", "0.9", "--t", "2"],
+    ])
+    def test_two_point_is_the_harness_law(self, tmp_path, flags):
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--gamma", "-1", *flags, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        p, t = HarnessParams(**res["params"]), res["t"]
+        m3 = marginal_moments(p, t).m3
+        two_point = dict(res["two_point"])
+        assert two_point.pop("third_moment") == m3
+        law = TwoPointLaw(**two_point)
+        assert law.moment(2) == pytest.approx(t, rel=1e-12)
+        assert law.moment(3) == pytest.approx(m3, rel=1e-12)
+
+    def test_two_point_refused_at_sigma_tau_one(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--gamma", "-1", "--sigma", "2", "--tau", "0.5",
+                        "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["two_point"] is None
+        assert res["two_point_error"] == "sigma*tau must be below 1, got 1.0"
 
     def test_two_sided_scale(self, tmp_path):
         out = tmp_path / "m.json"
@@ -649,6 +675,12 @@ class TestHankelCommand:
     def test_singular_vector_reconstructs_two_point(self, capsys):
         assert run_cli(["hankel", "--moments", "1,0,1,0,1"]) == 0
         res = json.loads(capsys.readouterr().out)["results"]
+        assert res["two_point"]["reproduces_m4"] is True
+
+    def test_extreme_skew_reconstructs_two_point(self, capsys):
+        assert run_cli(["hankel", "--moments", "1,0,1,-1e9,1e18"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["two_point"]["atom_hi"] == pytest.approx(1e-9, rel=1e-15)
         assert res["two_point"]["reproduces_m4"] is True
 
     def test_wrong_arity_exits_two(self):
@@ -1008,10 +1040,10 @@ _EXPORTS = (
     "TailCurve", "TwoPointLaw", "Variance", "certificates", "check_tail_recursion",
     "classify_moment_region", "core", "covariance",
     "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
-    "estimate_conditional", "exact_marginal_moments",
+    "estimate_conditional",
     "gaussian_pair_tail_curve", "hankel3", "hankel3_closed_form", "hill_tail_index",
     "integrability_constant", "known_params", "load_ensemble", "read_header",
-    "make_certificate", "moments", "one_sided_mean",
+    "make_certificate", "marginal_moments", "moments", "one_sided_mean",
     "optimize_constant", "path_empirics", "pfail_upper", "pmax_certified",
     "replay_certificate",
     "sample_ensemble", "save_ensemble", "simulate", "tail_curve",

@@ -37,11 +37,14 @@ class TestValidateParams:
         with pytest.raises(ValueError, match="tau"):
             validate_params(HarnessParams(0.0, 0.0, 0.0, -0.5, 1.0))
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            validate_params(HarnessParams(math.nan, 0.0, 0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            validate_params(HarnessParams(0.0, math.inf, 0.0, 0.0, 1.0))
+    def test_non_finite_refused_when_built(self):
+        with pytest.raises(ValueError, match="^eta must be a number, got nan$"):
+            HarnessParams(math.nan, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^theta must be finite, got inf$"):
+            HarnessParams(0.0, math.inf, 0.0, 0.0, 1.0)
+        # sigma*tau = inf is a number, but sigma = inf is not finite
+        with pytest.raises(ValueError, match="^sigma must be finite, got inf$"):
+            HarnessParams(0.0, 0.0, math.inf, 1.0, 1.0)
 
     def test_gamma_above_window_warns(self):
         # window upper edge is 1 + 2*sqrt(sigma*tau) = 3 here

@@ -29,11 +29,11 @@ from qharness.core import (
 )
 from qharness.moments import (
     hankel3_closed_form,
+    marginal_moments,
     pfail_upper,
     pmax_certified,
     two_point_from_moments,
 )
-from qharness.simulate import ProcessKind, exact_marginal_moments
 
 VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1.0, "0": 0.0}
 WIENER = HarnessParams(0.0, 0.0, 0.0, 0.0, 1.0)
@@ -55,8 +55,9 @@ def _time_at(fn, n_times, i):
 
 # (entry, call, message pattern, {value key: documented value} for the accepted inputs)
 ENTRIES = [
-    *[(f"HarnessParams.{f}", lambda x, f=f: _params(f, x), f"^{f} must be a number",
-       {"inf": math.inf, "-inf": -math.inf, "-1": -1.0, "0": 0.0})
+    # NaN "must be a number", +-inf "must be finite"
+    *[(f"HarnessParams.{f}", lambda x, f=f: _params(f, x), f"^{f} must be ",
+       {"-1": -1.0, "0": 0.0})
       for f in ("eta", "theta", "gamma")],
     # the other quadratic coefficient is 0, so sigma*tau = inf*0 is refused too
     *[(f"HarnessParams.{f}", lambda x, f=f: _params(f, x), rf"\b{f}\b", {"0": 0.0})
@@ -77,7 +78,7 @@ ENTRIES = [
      "^t must be positive and finite", {}),
     ("two_point_from_moments.m3", lambda x: two_point_from_moments(1.0, x).moment(3),
      "^m3 must be finite", {"-1": pytest.approx(-1.0), "0": 0.0}),
-    ("exact_marginal_moments.t", lambda x: exact_marginal_moments(ProcessKind("gamma"), x).m2,
+    ("marginal_moments.t", lambda x: marginal_moments(WIENER, x).m2,
      "^t must be positive and finite", {}),
     ("pmax_certified.sigma", lambda x: pmax_certified(x, 1.0), "^sigma and tau must be >= 0",
      {"inf": 0.0, "0": math.inf}),
@@ -96,6 +97,9 @@ ENTRIES = [
     ("make_certificate.p", lambda x: make_certificate(x).constant, NEED_P, {}),
     ("make_certificate.u", lambda x: make_certificate(4.0, contraction_rule="exact", u=x).constant,
      r"^u = 1 - rho must lie in \(0, 1\)", {}),
+    # q = 8*delta/u at the default u = 1/(p+1) = 0.25
+    ("make_certificate.delta", lambda x: make_certificate(3.0, delta=x).q,
+     "^delta must be a number", {"inf": math.inf, "-inf": -math.inf, "-1": -32.0, "0": 0.0}),
     ("optimize_constant.p", lambda x: optimize_constant(x).constant, NEED_P, {}),
     ("optimize_constant.rho.p", lambda x: optimize_constant(x, ["exact-k", "rho"]).constant,
      NEED_P, {}),

@@ -10,13 +10,14 @@ from qharness.moments import (
     classify_moment_region,
     hankel3,
     hankel3_closed_form,
+    marginal_moments,
     pfail_upper,
     pmax_certified,
     two_point_from_moments,
 )
-from qharness.simulate import exact_marginal_moments, known_params
+from qharness.simulate import ProcessKind, known_params
 
-from conftest import kind_of
+from conftest import kind_of, levy_moments
 
 
 def hankel3_det(m: MomentVector) -> float:
@@ -100,7 +101,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
     @pytest.mark.parametrize("kind", [kind_of(name) for name in KINDS], ids=lambda k: k.name)
     def test_determinant_is_t_squared_times_closed_form(self, kind, t):
-        det = hankel3(exact_marginal_moments(kind, t))
+        det = hankel3(levy_moments(kind, t))
         closed = hankel3_closed_form(known_params(kind), t)
         assert det == pytest.approx(t * t * closed, rel=1e-15)
 
@@ -138,6 +139,27 @@ class TestTwoPoint:
     def test_nonpositive_t_rejected(self):
         with pytest.raises(ValueError):
             two_point_from_moments(0.0, 1.0)
+
+    def test_small_atom_keeps_its_digits(self):
+        # a - b = m3/t cancels in the small atom unless it is t / (large atom)
+        assert two_point_from_moments(1.0, 1e8).atom_lo == pytest.approx(-1e-8, rel=1e-15)
+        law = two_point_from_moments(1.0, -1e9)
+        assert law.atom_hi == pytest.approx(1e-9, rel=1e-15)
+        assert law.weight_lo == pytest.approx(1e-18, rel=1e-15) and law.weight_hi == 1.0
+
+    @given(st.floats(1e-3, 1e3), st.floats(-12.0, 12.0), st.sampled_from([-1.0, 1.0]))
+    def test_round_trip_at_extreme_skew(self, t, log_skew, sign):
+        # |m3| / t^1.5 from 1e-12 to 1e12, both signs; a and b to 1e-14 of their
+        # own size, m3 to 1e-14 of the size of the two terms it is the sum of
+        m3 = sign * 10.0**log_skew * t**1.5
+        law = two_point_from_moments(t, m3)
+        a, b = law.atom_hi, -law.atom_lo
+        assert a * b == pytest.approx(t, rel=1e-14)
+        assert a - b == pytest.approx(m3 / t, abs=1e-14 * (a + b))
+        assert law.moment(2) == pytest.approx(t, rel=1e-14)
+        terms = law.weight_lo * b**3 + law.weight_hi * a**3
+        assert law.moment(3) == pytest.approx(m3, abs=1e-14 * terms)
+        assert law.weight_lo + law.weight_hi == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_t_must_be_positive_and_finite(self, t):
@@ -218,6 +240,38 @@ class TestRegionClassifier:
         with pytest.raises(ValueError, match="^gamma must be a number, got nan$"):
             classify_moment_region(HarnessParams(0, 0, *st, math.nan))
 
-    @pytest.mark.parametrize("gamma, region", [(math.inf, "outside"), (-math.inf, "outside")])
-    def test_infinite_gamma_classified(self, gamma, region):
-        assert classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, gamma)).region == region
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf])
+    def test_infinite_gamma_refused(self, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {gamma}$"):
+            HarnessParams(0, 0, 0.01, 0.01, gamma)
+
+
+PASCAL_Q = (0.03, 0.5)
+ORACLE_KINDS = [kind_of(name) for name in KINDS if name != "pascal"] + [
+    ProcessKind("pascal", q) for q in PASCAL_Q]
+
+
+class TestMarginalMoments:
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0, 3.0, 7.5, 10.0, 40.0])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: f"{k.name}-{k.q}")
+    def test_match_levy_cumulants(self, kind, t):
+        got, want = marginal_moments(known_params(kind), t), levy_moments(kind, t)
+        assert (got.m0, got.m1, got.m2) == (1.0, 0.0, t)
+        assert got.m3 == pytest.approx(want.m3, rel=1e-15, abs=0.0)
+        assert got.m4 == pytest.approx(want.m4, rel=1e-15)
+
+    def test_exact_at_one(self):
+        want = {"wiener": [0, 1, 0, 3], "poisson": [0, 1, 1, 4], "gamma": [0, 1, 2, 9]}
+        for name, moments in want.items():
+            mv = marginal_moments(known_params(kind_of(name)), 1.0)
+            assert [mv.m1, mv.m2, mv.m3, mv.m4] == moments
+
+    @pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (2.0, 0.75), (4.0, 1.0)])
+    def test_sigma_tau_at_least_one_refused(self, sigma, tau):
+        with pytest.raises(ValueError, match=f"^sigma\\*tau must be below 1, got {sigma * tau}$"):
+            marginal_moments(HarnessParams(0.0, 0.0, sigma, tau, -1.0), 1.0)
+
+    def test_hankel_positivity(self):
+        for kind in ORACLE_KINDS:
+            for t in (0.25, 0.5, 1.0, 2.0, 5.0):
+                assert hankel3(marginal_moments(known_params(kind), t)) >= -1e-10

@@ -9,14 +9,13 @@ from numpy.random import Generator, Philox
 
 from qharness import core
 from qharness.core import _NB_TABLE_CAP, KINDS, _nb_cdf, kind_record, one_sided_mean, var_backward
-from qharness.moments import hankel3
+from qharness.moments import marginal_moments
 from qharness.simulate import (
     BLOCK_PATHS,
     READ_ROWS,
     Ensemble,
     ProcessKind,
     ensemble_to_csv,
-    exact_marginal_moments,
     known_params,
     load_ensemble,
     pascal_theta,
@@ -100,29 +99,6 @@ class TestBridgeOracles:
     def test_wiener_brownian_bridge(self, s, t):
         p = known_params(ProcessKind("wiener"))
         assert var_backward(p, s, t, 1.7).value == pytest.approx(s * (t - s) / t)
-
-
-class TestExactMarginalMoments:
-    def test_values_at_one(self):
-        assert exact_marginal_moments(kind_of("wiener"), 1.0).as_array()[1:].tolist() == [0, 1, 0, 3]
-        assert exact_marginal_moments(kind_of("poisson"), 1.0).as_array()[1:].tolist() == [0, 1, 1, 4]
-        assert exact_marginal_moments(kind_of("gamma"), 1.0).as_array()[1:].tolist() == [0, 1, 2, 9]
-
-    def test_pascal_values(self):
-        q = 0.5
-        mv = exact_marginal_moments(ProcessKind("pascal", q), 1.0)
-        assert mv.m3 == pytest.approx((2 - q) / math.sqrt(1 - q))
-        assert mv.m4 == pytest.approx((6 - 6 * q + q * q) / (1 - q) + 3.0)
-
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
-    def test_t_must_be_positive_and_finite(self, t):
-        with pytest.raises(ValueError, match=f"t must be positive and finite, got {t}"):
-            exact_marginal_moments(kind_of("gamma"), t)
-
-    def test_hankel_positivity(self):
-        for name in KINDS:
-            for t in (0.25, 0.5, 1.0, 2.0, 5.0):
-                assert hankel3(exact_marginal_moments(kind_of(name), t)) >= -1e-10
 
 
 class TestSampling:
@@ -394,7 +370,7 @@ class TestStatistics:
     def test_marginal_moments_match_exact(self, all_ensembles):
         for name, e in all_ensembles.items():
             x = e.paths[:, -1]
-            mv = exact_marginal_moments(e.kind, float(e.grid[-1]))
+            mv = marginal_moments(known_params(e.kind), float(e.grid[-1]))
             for k, target in ((2, mv.m2), (3, mv.m3), (4, mv.m4)):
                 vals = x**k
                 se = vals.std(ddof=1) / math.sqrt(vals.size)
