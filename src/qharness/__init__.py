@@ -5,7 +5,6 @@ import importlib as _importlib
 
 from .core import (
     HarnessParams,
-    Variance,
     covariance,
     double_mean,
     double_var,

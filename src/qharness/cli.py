@@ -447,7 +447,7 @@ def _run_verify(config: RunConfig) -> int:
                          pe.lotv.se, 4.0))
 
     # the bins are display only: no verdict reads them
-    binned = empirics.estimate_conditional(ens, 0, 1, n_bins, "backward")
+    binned = empirics.estimate_conditional(ens, 0, 1, n_bins)
     config.log_fields.update(bins_requested=n_bins, bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
                              weights_floored=pe.weights_floored, row_blocks=pe.row_blocks,
@@ -479,6 +479,8 @@ def _two_point_json(law: moments.TwoPointLaw) -> dict:
 
 def _run_moments(config: RunConfig) -> int:
     cfg = config.params
+    if (cfg.get("s") is None) != (cfg.get("u") is None):
+        raise ValueError("--s and --u must be given together")
     t = core._check_time("--t", float(cfg["t"]))
     p = core.HarnessParams(**{f.name: float(cfg[f.name]) for f in fields(core.HarnessParams)})
     warnings = core.validate_params(p)
@@ -501,13 +503,17 @@ def _run_moments(config: RunConfig) -> int:
     if p.gamma == -1.0:  # the harness's own law: its Hankel determinant vanishes
         try:
             m3 = moments.marginal_moments(p, t).m3
+            factor = moments.two_point_factor(p)
+            if factor < 0.0:
+                raise ValueError(f"(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = {factor} "
+                                 "is negative: no gamma = -1 harness has these parameters")
             law = moments.two_point_from_moments(t, m3)
             results["two_point"] = {"third_moment": m3, **_two_point_json(law)}
         except ValueError as exc:
             results["two_point"] = None
             results["two_point_error"] = str(exc)
 
-    if cfg.get("s") is not None and cfg.get("u") is not None:
+    if cfg.get("s") is not None:
         s, u = float(cfg["s"]), float(cfg["u"])
         results["two_sided"] = {
             "scale": core.double_var_scale(p, s, t, u),

@@ -7,9 +7,9 @@ five constants (eta, theta, sigma, tau, gamma), checked once, when a
 ``HarnessParams`` is built.
 
 Every function here is a pure evaluator of the corresponding formula: no
-tolerances are applied and nothing is clamped.  A formula that evaluates to
-a negative "variance" is returned with ``admissible=False`` instead of being
-silently truncated, so downstream verification can see the inadmissible
+tolerances are applied and nothing is clamped.  A variance formula returns
+its value itself, and a negative "variance" comes back negative, never
+truncated, so downstream verification can see the inadmissible
 parameter/state combination.
 
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 __all__ = [
     "HarnessParams",
-    "Variance",
     "validate_params",
     "covariance",
     "one_sided_mean",
@@ -197,13 +196,6 @@ def kind_record(name: str) -> KindRecord:
     return PROCESS_KINDS[KINDS.index(name)]
 
 
-class Variance(NamedTuple):
-    """An evaluated conditional variance plus an admissibility flag (arrays for array states)."""
-
-    value: float
-    admissible: bool
-
-
 def validate_params(p: HarnessParams) -> list[str]:
     """Soft warnings: gamma outside [-1, 1 + 2*sqrt(sigma*tau)] is outside
     the window of the moment region classification."""
@@ -243,19 +235,17 @@ def one_sided_mean(direction: str, s: float, t: float, x: float) -> float:
     raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
-def var_forward(p: HarnessParams, s: float, t: float, x_s: float) -> Variance:
+def var_forward(p: HarnessParams, s: float, t: float, x_s: float) -> float:
     """Forward conditional variance ((t-s)/(1+sigma*s)) * (1 + eta*x + sigma*x^2)."""
     _require_pair(s, t)
-    value = ((t - s) / (1.0 + p.sigma * s)) * (1.0 + p.eta * x_s + p.sigma * x_s * x_s)
-    return Variance(value, value >= 0.0)
+    return ((t - s) / (1.0 + p.sigma * s)) * (1.0 + p.eta * x_s + p.sigma * x_s * x_s)
 
 
-def var_backward(p: HarnessParams, s: float, t: float, x_t: float) -> Variance:
+def var_backward(p: HarnessParams, s: float, t: float, x_t: float) -> float:
     """Backward conditional variance (s(t-s)/(t+tau)) * (1 + theta*x/t + tau*x^2/t^2)."""
     _require_pair(s, t)
     r = x_t / t
-    value = (s * (t - s) / (t + p.tau)) * (1.0 + p.theta * r + p.tau * r * r)
-    return Variance(value, value >= 0.0)
+    return (s * (t - s) / (t + p.tau)) * (1.0 + p.theta * r + p.tau * r * r)
 
 
 def _require_triple(s: float, t: float, u: float) -> None:
@@ -288,7 +278,7 @@ def double_var_scale(p: HarnessParams, s: float, t: float, u: float) -> float:
 
 def double_var(
     p: HarnessParams, s: float, t: float, u: float, x_s: float, x_u: float
-) -> Variance:
+) -> float:
     """Two-sided conditional variance, quadratic in the bridge coordinates.
 
     With dx = (x_u - x_s)/(u - s) and m = (u*x_s - s*x_u)/(u - s) the bracket is
@@ -299,7 +289,7 @@ def double_var(
     scale = double_var_scale(p, s, t, u)
     dx = (x_u - x_s) / (u - s)
     m = (u * x_s - s * x_u) / (u - s)
-    bracket = (
+    return scale * (
         1.0
         + p.theta * dx
         + p.eta * m
@@ -307,5 +297,3 @@ def double_var(
         + p.sigma * m * m
         - (1.0 - p.gamma) * m * dx
     )
-    value = scale * bracket
-    return Variance(value, value >= 0.0)

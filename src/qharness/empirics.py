@@ -4,11 +4,11 @@ Per-path checks of a pair s < t (``path_empirics``): the covariances, the
 one-sided mean slopes, the law of total variance, and a weighted regression
 of the squared backward residual on (1, X_t, X_t^2) whose coefficients are
 the quadratic backward variance, with HC0 standard errors.  They read the
-ensemble in two passes over cache-sized blocks of rows.  Binned
-conditional moments against the exact predictions (``estimate_conditional``)
-are for display: no verdict reads them.  Also empirical and exact tail
-curves N(t) = Pr(|X| > t) + Pr(|Y| > t), the certified tail-recursion
-inequality check, and Hill tail-index estimation.
+two columns in two passes over cache-sized blocks of rows.  The binned
+moments of X_s given X_t against the exact backward predictions
+(``estimate_conditional``) are for display: no verdict reads them.  Also
+empirical and exact tail curves N(t) = Pr(|X| > t) + Pr(|Y| > t), the
+certified tail-recursion inequality check, and Hill tail-index estimation.
 
 Binning is equal-count (quantile) rather than equal-width: it stabilizes the
 per-bin standard errors when the conditioning variable is heavy tailed.
@@ -55,7 +55,7 @@ __all__ = [
 
 MIN_BIN_COUNT = 30
 # rows per block of the per-path passes: 32768 rows keep the two column
-# copies and the per-block temporaries in cache
+# slices and the per-block temporaries in cache
 ROW_BLOCK = 8 * BLOCK_PATHS
 # the regression weight 1/v^2 floors v at this share of s(t-s)/(t+tau)
 WEIGHT_FLOOR = 1e-2
@@ -72,12 +72,11 @@ def gaussian_tail(t: float) -> float:
 
 @dataclass(frozen=True)
 class BinnedConditional:
-    """Per-bin conditional moments of the target given the conditioning value.
+    """Per-bin conditional moments of X_s given X_t.
 
     ``confident`` marks bins with at least MIN_BIN_COUNT samples.
     """
 
-    direction: str
     s: float
     t: float
     bin_lo: np.ndarray
@@ -120,24 +119,6 @@ def _check_pair(e: Ensemble, s_index: int, t_index: int) -> None:
         raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
 
 
-def _oriented(e: Ensemble, s_index: int, t_index: int, direction: str):
-    """(s, t, conditioning column, target column, mean slope) of the pair.
-
-    forward conditions X_t on X_s (slope 1 for a martingale); backward
-    conditions X_s on X_t (slope s/t).
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward|backward, got {direction!r}")
-    _check_pair(e, s_index, t_index)
-    s = float(e.grid[s_index])
-    t = float(e.grid[t_index])
-    xs = e.paths[:, s_index]
-    xt = e.paths[:, t_index]
-    if direction == "forward":
-        return s, t, xs, xt, 1.0
-    return s, t, xt, xs, s / t
-
-
 def sorted_quantiles(srt: np.ndarray, qs) -> np.ndarray:
     """Quantiles of an ascending column by numpy's default (linear) method.
 
@@ -156,29 +137,26 @@ def sorted_quantiles(srt: np.ndarray, qs) -> np.ndarray:
     return np.where(frac >= 0.5, b - diff * (1.0 - frac), a + diff * frac)
 
 
-def estimate_conditional(
-    e: Ensemble,
-    s_index: int,
-    t_index: int,
-    n_bins: int,
-    direction: str = "backward",
-) -> BinnedConditional:
-    """Quantile-bin the conditioning variable and estimate the target moments.
+def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -> BinnedConditional:
+    """Quantile-bin X_t and estimate the moments of X_s in each bin.
 
-    forward conditions X_t on X_s, backward conditions X_s on X_t.  The
-    conditional variance column is the per-bin mean squared deviation of the
-    target from its exact conditional mean (the one-sided-mean formula is an
-    identity for these processes, so this estimates the conditional variance
-    without the within-bin spread of the conditional mean leaking in).  The
-    predicted columns are the closed-form values at each bin's
-    conditioning-variable mean, using the parameters the process kind is
-    known to satisfy.
+    The conditional variance column is the per-bin mean squared deviation of
+    X_s from its exact conditional mean (s/t) X_t (the one-sided-mean formula
+    is an identity for these processes, so this estimates the conditional
+    variance without the within-bin spread of the conditional mean leaking
+    in).  The predicted columns are the backward closed forms at each bin's
+    mean of X_t, using the parameters the process kind is known to satisfy.
 
-    When the conditioning variable takes at most n_bins distinct values
-    (lattice marginals), each value becomes its own bin; otherwise duplicate
-    quantile edges are collapsed, so fewer than n_bins bins may come back.
+    When X_t takes at most n_bins distinct values (lattice marginals), each
+    value becomes its own bin; otherwise duplicate quantile edges are
+    collapsed, so fewer than n_bins bins may come back.
     """
-    s, t, cond, target, slope = _oriented(e, s_index, t_index, direction)
+    _check_pair(e, s_index, t_index)
+    s = float(e.grid[s_index])
+    t = float(e.grid[t_index])
+    cond = e.paths[:, t_index]
+    target = e.paths[:, s_index]
+    slope = s / t
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
@@ -235,20 +213,18 @@ def estimate_conditional(
             np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
 
     p = known_params(e.kind)
-    pred_mean = np.where(filled, core.one_sided_mean(direction, s, t, x_mean), 0.0)
+    pred_mean = np.where(filled, core.one_sided_mean("backward", s, t, x_mean), 0.0)
     # at a root of the variance, such as a lattice's lowest value, the
     # closed form gives rounding noise of either sign, shown as +0.0.  Its
-    # size pref * (1 + |lin| + quad) is the same formula at |eta|, |theta|
-    # and |x| (sigma, tau >= 0).  core itself clamps nothing
-    var_fn = core.var_forward if direction == "forward" else core.var_backward
-    pred = var_fn(p, s, t, x_mean).value
-    size = var_fn(replace(p, eta=abs(p.eta), theta=abs(p.theta)), s, t, np.abs(x_mean)).value
+    # size pref * (1 + |lin| + quad) is the same formula at |theta| and |x|
+    # (tau >= 0).  core itself clamps nothing
+    pred = core.var_backward(p, s, t, x_mean)
+    size = core.var_backward(replace(p, theta=abs(p.theta)), s, t, np.abs(x_mean))
     noise = ROUNDING_ULPS * np.finfo(np.float64).eps * size
     pred_var = np.where(filled & (np.abs(pred) > noise), pred, 0.0)
 
     confident = count >= MIN_BIN_COUNT
     return BinnedConditional(
-        direction=direction,
         s=s,
         t=t,
         bin_lo=edges[:-1],
@@ -305,15 +281,15 @@ class PathEmpirics:
 
 
 def _row_blocks(e: Ensemble, s_index: int, t_index: int):
-    """Rows (X_s, X_t) of each block of ROW_BLOCK paths, copied into one
-    contiguous buffer that every block reuses."""
-    buf = np.empty((2, min(ROW_BLOCK, e.n_paths)))
+    """Slices (X_s, X_t) of each block of ROW_BLOCK paths of the two columns,
+    contiguous: views of a column-major ensemble's columns (as
+    ``load_ensemble`` gives), copies of a row-major one's.  np.dot sums a
+    strided slice in another order, so this keeps the results independent of
+    the layout, bit for bit."""
+    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
     for lo in range(0, e.n_paths, ROW_BLOCK):
-        rows = e.paths[lo : lo + ROW_BLOCK]
-        xy = buf[:, : rows.shape[0]]
-        np.copyto(xy[0], rows[:, s_index])
-        np.copyto(xy[1], rows[:, t_index])
-        yield xy
+        yield (np.ascontiguousarray(xs[lo : lo + ROW_BLOCK]),
+               np.ascontiguousarray(xt[lo : lo + ROW_BLOCK]))
 
 
 def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
@@ -343,7 +319,7 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
 
     def weighted(x, y):
         """v, the weights 1/max(v, floor)^2 and r^2 of one block."""
-        v = core.var_backward(p, s, t, y).value
+        v = core.var_backward(p, s, t, y)
         w = np.maximum(v, floor)
         w *= w
         np.reciprocal(w, out=w)

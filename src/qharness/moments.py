@@ -26,6 +26,7 @@ __all__ = [
     "hankel3",
     "hankel3_closed_form",
     "marginal_moments",
+    "two_point_factor",
     "two_point_from_moments",
     "pmax_certified",
     "pfail_upper",
@@ -78,7 +79,16 @@ class TwoPointLaw:
             raise ValueError("weights must sum to 1")
 
     def moment(self, k: int) -> float:
-        return self.weight_lo * self.atom_lo**k + self.weight_hi * self.atom_hi**k
+        """E X^k for k >= 0, each atom's term formed as ((w*a)*a)*...: a term
+        that stays representable stays finite, and one past the float range
+        is inf."""
+        if k < 0:
+            raise ValueError(f"moment order k must be >= 0, got {k}")
+        lo, hi = self.weight_lo, self.weight_hi
+        for _ in range(k):
+            lo *= self.atom_lo
+            hi *= self.atom_hi
+        return lo + hi
 
     def moment_vector(self) -> MomentVector:
         return MomentVector(1.0, self.moment(1), self.moment(2), self.moment(3), self.moment(4))
@@ -110,13 +120,16 @@ def hankel3_closed_form(p: HarnessParams, t: float) -> float:
     den = 1.0 - (2.0 + p.gamma) * st
     if den == 0.0:
         raise ValueError("denominator 1-(2+gamma)*sigma*tau vanishes")
-    num = (
-        (1.0 + p.gamma)
-        * (t + p.tau)
-        * (1.0 + t * p.sigma)
-        * ((p.eta * p.tau + p.theta) * (p.eta + p.theta * p.sigma) + (1.0 - st) ** 2)
-    )
+    num = (1.0 + p.gamma) * (t + p.tau) * (1.0 + t * p.sigma) * two_point_factor(p)
     return num / den
+
+
+def two_point_factor(p: HarnessParams) -> float:
+    """(eta*tau + theta)(eta + theta*sigma) + (1-sigma*tau)^2, the last factor
+    of ``hankel3_closed_form``.  At gamma = -1 the harness's two atoms keep
+    from shrinking exactly where it is >= 0: below 0 no gamma = -1 harness
+    has these parameters."""
+    return (p.eta * p.tau + p.theta) * (p.eta + p.theta * p.sigma) + (1.0 - p.sigma * p.tau) ** 2
 
 
 def marginal_moments(p: HarnessParams, t: float) -> MomentVector:

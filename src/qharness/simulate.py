@@ -15,7 +15,8 @@ blocks w, w+W, ... and re-keys one Philox per substream instead of building a
 new one, which sets the same state, so the stream layout is unchanged.
 
 ``load_ensemble`` reads the container in blocks of rows through one buffer
-and can keep only some grid columns, as ``verify`` and ``tails`` do.
+and can keep only some grid columns, as ``verify`` and ``tails`` do; it
+stores them column-major, so each kept column is contiguous.
 """
 
 from __future__ import annotations
@@ -261,22 +262,20 @@ def load_ensemble(path, times=None) -> Ensemble:
     when None; the times must be ascending and each on the grid).
 
     The rows pass through one reused buffer of READ_ROWS rows, so only the
-    kept columns are held in full.
+    kept columns are held in full, column-major: each column is contiguous.
     """
     with open(path, "rb") as fh:
         head = _read_header(fh, path)
         n, width = head.n_paths, head.grid.size
         cols = (np.arange(width) if times is None
                 else np.array([head.time_index(float(t)) for t in times], dtype=np.intp))
-        paths = np.empty((n, cols.size), dtype="<f8")
+        paths = np.empty((n, cols.size), dtype="<f8", order="F")
         buf = np.empty((min(READ_ROWS, n), width), dtype="<f8")
         for lo in range(0, n, READ_ROWS):
             rows = buf[: n - lo]
             if fh.readinto(rows) != rows.nbytes:
                 raise ValueError(f"{path}: truncated container")
-            # mode="clip" writes straight into out, where the default mode
-            # would buffer it; cols are valid indices
-            np.take(rows, cols, axis=1, out=paths[lo : lo + rows.shape[0]], mode="clip")
+            paths[lo : lo + rows.shape[0]] = rows[:, cols]
     return Ensemble(kind=head.kind, grid=head.grid[cols], paths=paths, seed=head.seed)
 
 

@@ -346,7 +346,7 @@ class TestSimulateAndVerify:
         code = run_cli(["verify", str(ens_path), "--s", "0.5", "--t", "1.0",
                         "--bins", "40", "--out", str(report)])
         assert code in (0, 1)
-        binned = estimate_conditional(load_ensemble(ens_path), 0, 1, 40, "backward")
+        binned = estimate_conditional(load_ensemble(ens_path), 0, 1, 40)
         assert binned.n_bins < 40
         fields = dict(f.split("=", 1) for f in
                       (tmp_path / "verify.json.log").read_text().split())
@@ -627,6 +627,26 @@ class TestMomentsCommand:
         assert res["two_point"] is None
         assert res["two_point_error"] == "sigma*tau must be below 1, got 1.0"
 
+    def test_two_point_refused_where_the_atoms_shrink(self, tmp_path):
+        # (1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = 1 - 2 < 0
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--gamma", "-1", "--eta", "1", "--theta", "-2",
+                        "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["two_point"] is None
+        assert res["two_point_error"] == (
+            "(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = -1.0 is negative: "
+            "no gamma = -1 harness has these parameters")
+
+    @pytest.mark.parametrize("flags", [["--s", "1"], ["--u", "3"]])
+    def test_s_and_u_go_together(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run_cli(["moments", *flags, "--t", "2", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            "qharness moments: error: --s and --u must be given together\n")
+
     def test_two_sided_scale(self, tmp_path):
         out = tmp_path / "m.json"
         code = run_cli(["moments", "--s", "0.5", "--t", "1.0", "--u", "1.5",
@@ -682,6 +702,13 @@ class TestHankelCommand:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["two_point"]["atom_hi"] == pytest.approx(1e-9, rel=1e-15)
         assert res["two_point"]["reproduces_m4"] is True
+
+    @pytest.mark.parametrize("m4, reproduced", [("1e300", True), ("1e308", False)])
+    def test_far_apart_atoms_reach_no_overflow(self, capsys, m4, reproduced):
+        # the atoms are -1e-150 and 1e150: the law's m4 is 1e300
+        assert run_cli(["hankel", "--moments", f"1,0,1,1e150,{m4}"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["two_point"]["reproduces_m4"] is reproduced
 
     def test_wrong_arity_exits_two(self):
         assert run_cli(["hankel", "--moments", "1,0,1"]) == 2
@@ -1037,7 +1064,7 @@ class TestSharedParser:
 _EXPORTS = (
     "BinnedConditional", "Certificate", "ChainParams", "Ensemble", "HarnessParams",
     "HillEstimate", "MomentRegion", "MomentVector", "PathEmpirics", "ProcessKind",
-    "TailCurve", "TwoPointLaw", "Variance", "certificates", "check_tail_recursion",
+    "TailCurve", "TwoPointLaw", "certificates", "check_tail_recursion",
     "classify_moment_region", "core", "covariance",
     "double_mean", "double_var", "double_var_scale", "embedding", "empirics",
     "estimate_conditional",

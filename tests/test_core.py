@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qharness.core import (
     HarnessParams,
-    Variance,
     covariance,
     double_mean,
     double_var,
@@ -91,21 +90,20 @@ class TestOneSidedMean:
 class TestVarForward:
     @given(states)
     def test_wiener_state_free(self, x):
-        assert var_forward(WIENER, 0.25, 1.0, x).value == pytest.approx(0.75)
+        assert var_forward(WIENER, 0.25, 1.0, x) == pytest.approx(0.75)
 
     def test_quadratic_term(self):
         p = HarnessParams(0.0, 0.0, 1.0, 0.0, 1.0)
-        assert var_forward(p, 1.0, 2.0, 1.0).value == pytest.approx(1.0)
+        assert var_forward(p, 1.0, 2.0, 1.0) == pytest.approx(1.0)
 
     def test_vanishing_bracket(self):
         p = HarnessParams(1.0, 0.0, 0.0, 0.0, 1.0)
         res = var_forward(p, 0.5, 1.0, -1.0)
-        assert res.value == pytest.approx(0.0) and res.admissible
+        assert res == pytest.approx(0.0) and res >= 0
 
-    def test_negative_value_flagged(self):
+    def test_negative_value_kept(self):
         p = HarnessParams(10.0, 0.0, 0.0, 0.0, 1.0)
-        res = var_forward(p, 0.5, 1.0, -1.0)
-        assert res.value < 0 and not res.admissible
+        assert var_forward(p, 0.5, 1.0, -1.0) == -4.5
 
     @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), times)
     def test_law_of_total_variance(self, sigma, eta, s):
@@ -113,27 +111,27 @@ class TestVarForward:
         # 1 + sigma*s, cancelling the prefactor denominator: E Var = t - s
         t = s + 1.0
         p = HarnessParams(eta, 0.0, sigma, 0.0, 1.0)
-        prefactor = var_forward(p, s, t, 0.0).value
+        prefactor = var_forward(p, s, t, 0.0)
         assert prefactor * (1.0 + sigma * s) == pytest.approx(t - s, rel=1e-12)
 
 
 class TestVarBackward:
     def test_binomial_bridge_point(self):
-        assert var_backward(POISSON, 0.5, 1.0, 1.0).value == pytest.approx(0.5)
+        assert var_backward(POISSON, 0.5, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_beta_bridge_point(self):
         p = HarnessParams(0.0, 2.0, 0.0, 1.0, 1.0)
-        assert var_backward(p, 0.5, 1.0, 0.0).value == pytest.approx(0.125)
+        assert var_backward(p, 0.5, 1.0, 0.0) == pytest.approx(0.125)
 
     @given(states)
     def test_wiener_state_free(self, x):
-        assert var_backward(WIENER, 0.5, 1.0, x).value == pytest.approx(0.25)
+        assert var_backward(WIENER, 0.5, 1.0, x) == pytest.approx(0.25)
 
     @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), times)
     def test_law_of_total_variance(self, tau, theta, s):
         t = 2.0 * s
         p = HarnessParams(0.0, theta, 0.0, tau, 1.0)
-        prefactor = var_backward(p, s, t, 0.0).value
+        prefactor = var_backward(p, s, t, 0.0)
         assert prefactor * (1.0 + tau / t) == pytest.approx(s * (t - s) / t, rel=1e-12)
 
 
@@ -191,48 +189,42 @@ class TestDoubleVar:
     @given(states, states)
     def test_brownian_bridge_reduction(self, x_s, x_u):
         res = double_var(WIENER, 0.5, 1.0, 1.5, x_s, x_u)
-        assert res.value == pytest.approx(0.25)
+        assert res == pytest.approx(0.25)
 
     def test_vanishes_at_endpoint(self):
-        assert double_var(GAMMA, 0.5, 0.5, 1.5, 1.0, 2.0).value == 0.0
+        assert double_var(GAMMA, 0.5, 0.5, 1.5, 1.0, 2.0) == 0.0
 
     def test_poisson_bridge_point(self):
         # bridge count N_u - N_s = 2 thinned at probability 1/2: variance 1/2
         res = double_var(POISSON, 0.5, 1.0, 1.5, 0.0, 1.0)
-        assert res.value == pytest.approx(0.5)
+        assert res == pytest.approx(0.5)
 
 
 # Parameters whose variance brackets go negative at some states, so the
-# admissible flag is exercised in both values.
+# values of both signs are exercised.
 SIGNED = HarnessParams(3.0, 3.0, 1.0, 1.0, -0.5)
 STATES = [-4.0, -2.6, -1.5, -1.0, -0.4, 0.0, 0.3, 1.0, 2.5, 7.0]
 X_U = [3.0, -2.0, 0.5, 1.0, -1.0, 0.0, 4.0, -3.5, 2.0, -0.3]
 
 
 @pytest.mark.parametrize(
-    "evaluate",
+    "evaluate, signed",
     [
-        lambda x, y: one_sided_mean("forward", 0.5, 1.5, x),
-        lambda x, y: one_sided_mean("backward", 0.5, 1.5, x),
-        lambda x, y: var_forward(SIGNED, 0.5, 1.5, x),
-        lambda x, y: var_backward(SIGNED, 0.5, 1.5, x),
-        lambda x, y: double_mean(0.5, 1.0, 2.0, x, y),
-        lambda x, y: double_var(SIGNED, 0.5, 1.0, 2.0, x, y),
+        (lambda x, y: one_sided_mean("forward", 0.5, 1.5, x), False),
+        (lambda x, y: one_sided_mean("backward", 0.5, 1.5, x), False),
+        (lambda x, y: var_forward(SIGNED, 0.5, 1.5, x), True),
+        (lambda x, y: var_backward(SIGNED, 0.5, 1.5, x), True),
+        (lambda x, y: double_mean(0.5, 1.0, 2.0, x, y), False),
+        (lambda x, y: double_var(SIGNED, 0.5, 1.0, 2.0, x, y), True),
     ],
     ids=["mean_forward", "mean_backward", "var_forward", "var_backward",
          "double_mean", "double_var"],
 )
-def test_array_state_matches_scalar_calls(evaluate):
+def test_array_state_matches_scalar_calls(evaluate, signed):
     scalar = [evaluate(x, y) for x, y in zip(STATES, X_U)]
     vector = evaluate(np.array(STATES), np.array(X_U))
-    if isinstance(vector, Variance):
-        flags = [v.admissible for v in scalar]
-        assert all(type(f) is bool for f in flags)
-        assert True in flags and False in flags
-        assert vector.admissible.dtype == bool
-        assert np.array_equal(vector.admissible, flags)
-        scalar = [v.value for v in scalar]
-        vector = vector.value
+    if signed:  # a negative variance comes back as it is
+        assert min(scalar) < 0.0 <= max(scalar)
     assert all(type(v) is float for v in scalar)
     assert isinstance(vector, np.ndarray) and vector.shape == (len(STATES),)
     assert np.array_equal(vector, scalar)

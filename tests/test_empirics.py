@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -27,33 +28,28 @@ from qharness.simulate import BLOCK_PATHS, Ensemble, ProcessKind, known_params, 
 from conftest import GRID, SEED, kind_of
 
 
-def display_var(p, s, t, x, value, direction):
+def display_var(p, s, t, x, value):
     """The binned table's predicted variance: +0.0 where the closed form's
     value is within 8 eps of pref * (1 + |linear term| + quadratic term),
     its rounding bound, and the value itself otherwise."""
-    if direction == "forward":
-        pref, lin, quad = (t - s) / (1.0 + p.sigma * s), p.eta * x, p.sigma * x * x
-    else:
-        pref, r = s * (t - s) / (t + p.tau), x / t
-        lin, quad = p.theta * r, p.tau * r * r
+    pref, r = s * (t - s) / (t + p.tau), x / t
+    lin, quad = p.theta * r, p.tau * r * r
     return 0.0 if abs(value) <= 8 * sys.float_info.epsilon * pref * (1 + abs(lin) + quad) else value
 
 
-def masked_reference(e, s_index, t_index, n_bins, direction):
-    """Per-bin boolean-mask estimate with one scalar closed-form call per bin."""
+def masked_reference(e, s_index, t_index, n_bins):
+    """Per-bin boolean-mask estimate of X_s given X_t with one scalar
+    closed-form call per bin."""
     s, t = float(e.grid[s_index]), float(e.grid[t_index])
-    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
-    cond, target = (xs, xt) if direction == "forward" else (xt, xs)
+    cond, target = e.paths[:, t_index], e.paths[:, s_index]
     uniq = np.unique(cond)
     if uniq.size <= n_bins:
         edges = np.append(uniq, uniq[-1])
     else:
         edges = np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
     assign = np.clip(np.searchsorted(edges[:-1], cond, side="right") - 1, 0, edges.size - 2)
-    slope = 1.0 if direction == "forward" else s / t
-    resid_sq = (target - slope * cond) ** 2
+    resid_sq = (target - (s / t) * cond) ** 2
     p = known_params(e.kind)
-    var_fn = core.var_forward if direction == "forward" else core.var_backward
     nb = edges.size - 1
     cols = {k: np.zeros(nb) for k in
             ("x_mean", "mean", "var", "se_mean", "se_var", "pred_mean", "pred_var")}
@@ -72,8 +68,8 @@ def masked_reference(e, s_index, t_index, n_bins, direction):
             cols["se_mean"][b] = y.std(ddof=1) / math.sqrt(n)
             cols["se_var"][b] = r2.std(ddof=1) / math.sqrt(n)
         x = float(cols["x_mean"][b])
-        cols["pred_mean"][b] = core.one_sided_mean(direction, s, t, x)
-        cols["pred_var"][b] = display_var(p, s, t, x, var_fn(p, s, t, x).value, direction)
+        cols["pred_mean"][b] = core.one_sided_mean("backward", s, t, x)
+        cols["pred_var"][b] = display_var(p, s, t, x, core.var_backward(p, s, t, x))
     return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count,
                 confident=count >= MIN_BIN_COUNT)
 
@@ -93,32 +89,26 @@ def assert_matches_reference(b, ref):
 
 
 class TestEstimateConditional:
-    def test_wiener_forward_flat_variance(self, wiener_ens):
-        b = estimate_conditional(wiener_ens, 1, 3, 20, "forward")
-        sel = b.confident
-        devs = np.abs(b.var[sel] - 0.5) / b.se_var[sel]
-        assert np.mean(devs <= 4.0) >= 0.9
-
     def test_gamma_backward_mean_tracks_regression(self, gamma_ens):
-        b = estimate_conditional(gamma_ens, 1, 3, 30, "backward")
+        b = estimate_conditional(gamma_ens, 1, 3, 30)
         sel = b.confident & (b.se_mean > 0)
         devs = np.abs(b.mean[sel] - b.pred_mean[sel]) / b.se_mean[sel]
         assert np.mean(devs <= 4.0) >= 0.9
 
     def test_predictions_share_the_closed_form_code_path(self, gamma_ens):
-        b = estimate_conditional(gamma_ens, 1, 3, 10, "backward")
+        b = estimate_conditional(gamma_ens, 1, 3, 10)
         p = known_params(gamma_ens.kind)
         for i in range(b.n_bins):
             if b.count[i]:
-                expect = var_backward(p, b.s, b.t, float(b.x_mean[i])).value
+                expect = var_backward(p, b.s, b.t, float(b.x_mean[i]))
                 assert b.pred_var[i] == expect
 
     def test_rounding_noise_at_a_root_shows_as_zero(self):
         # the lowest pascal lattice value is the root of the backward
         # variance; the closed form gives -1.39e-17 there, the table +0.0
         e = sample_ensemble(ProcessKind("pascal", 0.5), GRID, 200_000, seed=5)
-        b = estimate_conditional(e, 1, 3, 40, "backward")
-        raw = var_backward(known_params(e.kind), b.s, b.t, float(b.x_mean[0])).value
+        b = estimate_conditional(e, 1, 3, 40)
+        raw = var_backward(known_params(e.kind), b.s, b.t, float(b.x_mean[0]))
         assert raw == -1.3877787807814457e-17
         assert b.pred_var[0] == 0.0 and math.copysign(1.0, b.pred_var[0]) == 1.0
         assert np.all(b.pred_var[1:] > 0.0)
@@ -134,23 +124,21 @@ class TestEstimateConditional:
         values = np.array([-1.0, root - 1e-12, 1.0, 2.0, 3.0])
         xt = np.repeat(values, 40)
         paths = np.column_stack((np.random.default_rng(4).standard_normal(xt.size), xt))
-        b = estimate_conditional(Ensemble(kind, np.array([0.5, 1.0]), paths, seed=0),
-                                 0, 1, 5, "backward")
-        expect = var_backward(known_params(kind), 0.5, 1.0, b.x_mean).value
+        b = estimate_conditional(Ensemble(kind, np.array([0.5, 1.0]), paths, seed=0), 0, 1, 5)
+        expect = var_backward(known_params(kind), 0.5, 1.0, b.x_mean)
         assert np.all(expect[:2] < 0.0)
         assert b.pred_var.tolist() == expect.tolist()
 
     def test_counts_partition_paths(self, poisson_ens):
-        b = estimate_conditional(poisson_ens, 1, 3, 40, "backward")
+        b = estimate_conditional(poisson_ens, 1, 3, 40)
         assert b.count.sum() == poisson_ens.n_paths
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("n_bins", [10, 40])
-    def test_matches_masked_reference(self, all_ensembles, kind, direction, n_bins):
+    def test_matches_masked_reference(self, all_ensembles, kind, n_bins):
         e = all_ensembles[kind]
-        b = estimate_conditional(e, 1, 3, n_bins, direction)
-        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins, direction))
+        b = estimate_conditional(e, 1, 3, n_bins)
+        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_bins", [5, 300, 400])
@@ -159,31 +147,28 @@ class TestEstimateConditional:
         # bins the poisson lattice has more values than bins, so duplicate
         # quantile edges collapse
         e = all_ensembles[kind]
-        b = estimate_conditional(e, 1, 3, n_bins, "backward")
-        ref = masked_reference(e, 1, 3, n_bins, "backward")
+        b = estimate_conditional(e, 1, 3, n_bins)
+        ref = masked_reference(e, 1, 3, n_bins)
         if kind == "poisson" and n_bins == 5:
             assert b.n_bins < n_bins
         assert_matches_reference(b, ref)
 
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("n_bins, step", [(5, 0.05), (40, 0.05), (400, 0.002)])
-    def test_tied_continuous_column_matches_masked_reference(self, gamma_ens, direction,
-                                                             n_bins, step):
+    def test_tied_continuous_column_matches_masked_reference(self, gamma_ens, n_bins, step):
         # gamma paths rounded to a grid keep more distinct values than bins, so
         # the bins come from ranks, while runs of ties straddle the quantile
         # positions.  On this ensemble 0.05 leaves fewer than 400 distinct
         # values, so the 400-bin case rounds to 0.002
         e = Ensemble(gamma_ens.kind, gamma_ens.grid,
                      np.round(gamma_ens.paths / step) * step, seed=gamma_ens.seed)
-        srt = np.sort(e.paths[:, 1 if direction == "forward" else 3])
+        srt = np.sort(e.paths[:, 3])
         assert np.count_nonzero(srt[1:] != srt[:-1]) + 1 > n_bins
         pos = np.arange(1, n_bins) * (srt.size - 1) // n_bins
         assert np.any(srt[pos - 1] == srt[pos + 1])
-        b = estimate_conditional(e, 1, 3, n_bins, direction)
-        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins, direction))
+        b = estimate_conditional(e, 1, 3, n_bins)
+        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins))
 
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_empty_and_one_path_bins(self, direction):
+    def test_empty_and_one_path_bins(self):
         # 13 values with 7 distinct: the interpolated quantile edges leave a
         # one-path bin [2.4, 4) and an empty bin [5.2, 6), so the per-bin
         # sums must skip the empty segment and the single path keeps SE 0
@@ -191,23 +176,23 @@ class TestEstimateConditional:
         rng = np.random.default_rng(3)
         cond = rng.permutation(column)
         other = rng.standard_normal(column.size)
-        paths = np.column_stack((cond, other) if direction == "forward" else (other, cond))
+        paths = np.column_stack((other, cond))
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
-        b = estimate_conditional(e, 0, 1, 5, direction)
+        b = estimate_conditional(e, 0, 1, 5)
         assert b.count.tolist() == [3, 1, 4, 0, 5]
         assert b.se_mean[1] == b.se_var[1] == 0.0
         assert b.x_mean[3] == b.mean[3] == b.var[3] == b.se_mean[3] == 0.0
-        assert_matches_reference(b, masked_reference(e, 0, 1, 5, direction))
+        assert_matches_reference(b, masked_reference(e, 0, 1, 5))
 
     def test_degenerate_conditioning_rejected(self):
         paths = np.tile([[1.0, 2.0]], (100, 1))
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
-            estimate_conditional(e, 0, 1, 10, "forward")
+            estimate_conditional(e, 0, 1, 10)
 
     def test_too_few_bins_rejected(self, wiener_ens):
         with pytest.raises(ValueError):
-            estimate_conditional(wiener_ens, 1, 3, 4, "forward")
+            estimate_conditional(wiener_ens, 1, 3, 4)
 
 
 def covariance_reference(e, i, j):
@@ -231,7 +216,7 @@ def slope_reference(e, s_index, t_index, direction):
 def lotv_reference(e, s_index, t_index):
     """Mean of the backward conditional variance and its standard error."""
     s, t = float(e.grid[s_index]), float(e.grid[t_index])
-    v = var_backward(known_params(e.kind), s, t, e.paths[:, t_index]).value
+    v = var_backward(known_params(e.kind), s, t, e.paths[:, t_index])
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
@@ -241,7 +226,7 @@ def fit_reference(e, s_index, t_index):
     s, t = float(e.grid[s_index]), float(e.grid[t_index])
     xs, xt = e.paths[:, s_index], e.paths[:, t_index]
     p = known_params(e.kind)
-    v = var_backward(p, s, t, xt).value
+    v = var_backward(p, s, t, xt)
     sw = 1.0 / np.maximum(v, WEIGHT_FLOOR * s * (t - s) / (t + p.tau))
     design = np.column_stack([np.ones_like(xt), xt, xt * xt])
     r2 = (xs - (s / t) * xt) ** 2
@@ -316,7 +301,7 @@ class TestPathEmpirics:
         e = block_ensembles["poisson"]
         s, t = float(e.grid[1]), float(e.grid[3])
         p = known_params(e.kind)
-        v = var_backward(p, s, t, e.paths[:, 3]).value
+        v = var_backward(p, s, t, e.paths[:, 3])
         floored = int(np.count_nonzero(v < WEIGHT_FLOOR * s * (t - s) / (t + p.tau)))
         assert floored > 0  # the poisson count 0 at t = 1 has v = 0
         assert path_empirics(e, 1, 3).weights_floored == floored
@@ -681,13 +666,12 @@ class TestMemoryContract:
         return [sample_ensemble(kind_of(name), (0.5, 1.0), self.N, seed=SEED)
                 for name in ("gamma", "pascal")]
 
-    @pytest.mark.parametrize("n_bins, direction", [(40, "backward"), (400, "backward"),
-                                                   (40, "forward")])
-    def test_binning(self, ensembles, n_bins, direction):
+    @pytest.mark.parametrize("n_bins", [40, 400])
+    def test_binning(self, ensembles, n_bins):
         bound = 2 * 8 * self.N + self.MIB
         for e in ensembles:
-            estimate_conditional(e, 0, 1, n_bins, direction)  # first-call allocations
-            assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins, direction)) <= bound
+            estimate_conditional(e, 0, 1, n_bins)  # first-call allocations
+            assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins)) <= bound
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_tail_curve(self, ensembles, normalize):
@@ -710,3 +694,46 @@ class TestMemoryContract:
             hill_tail_index(e.paths[:, 1], self.N // 100)
             assert traced_peak(lambda: hill_tail_index(e.paths[:, 1], self.N // 100)) <= (
                 8 * self.N + self.MIB)
+
+
+def assert_same(got, want, where=""):
+    """Equal field by field: arrays bit for bit, everything else by ==."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape, where
+        assert got.tobytes() == want.tobytes(), where
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+class TestLayout:
+    """``load_ensemble`` keeps columns column-major; the kernels give the same
+    results on a row-major ensemble and on its column-major copy."""
+
+    @pytest.fixture(scope="class", params=["gamma", "pascal"])
+    def pair(self, request):
+        e = sample_ensemble(kind_of(request.param), GRID, ROW_BLOCK + 5, seed=SEED)
+        f = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
+        assert e.paths.flags.c_contiguous and f.paths.flags.f_contiguous
+        return e, f
+
+    def test_path_empirics(self, pair):
+        e, f = pair
+        assert_same(path_empirics(f, 1, 3), path_empirics(e, 1, 3))
+
+    @pytest.mark.parametrize("n_bins", [5, 40, 400])
+    def test_estimate_conditional(self, pair, n_bins):
+        e, f = pair
+        assert_same(estimate_conditional(f, 1, 3, n_bins), estimate_conditional(e, 1, 3, n_bins))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tail_curve(self, pair, normalize):
+        e, f = pair
+        assert_same(tail_curve(f, 1, 3, normalize=normalize, hill_k=50),
+                    tail_curve(e, 1, 3, normalize=normalize, hill_k=50))

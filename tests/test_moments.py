@@ -161,6 +161,20 @@ class TestTwoPoint:
         assert law.moment(3) == pytest.approx(m3, abs=1e-14 * terms)
         assert law.weight_lo + law.weight_hi == pytest.approx(1.0, abs=1e-15)
 
+    def test_moment_past_the_float_range_is_inf(self):
+        # atoms -1e-150 and 1e150 with weight 1e-300 on the large one: m4 is
+        # 1e300, although 1e150**4 alone overflows; m6 = 1e600 is inf
+        law = two_point_from_moments(1.0, 1e150)
+        assert law.moment(4) == pytest.approx(1e300, rel=1e-15)
+        assert law.moment(6) == math.inf
+        assert two_point_from_moments(1.0, -1e150).moment(6) == math.inf
+
+    def test_negative_moment_order_refused(self):
+        law = two_point_from_moments(1.0, 1.0)
+        assert law.moment(0) == 1.0
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            law.moment(-1)
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_t_must_be_positive_and_finite(self, t):
         with pytest.raises(ValueError, match="positive and finite"):

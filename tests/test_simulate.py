@@ -70,7 +70,7 @@ class TestBridgeOracles:
         for n in range(0, 12):
             bridge_var = n * (s / t) * (1.0 - s / t)
             x = n - t
-            assert var_backward(p, s, t, x).value == pytest.approx(bridge_var, abs=1e-12)
+            assert var_backward(p, s, t, x) == pytest.approx(bridge_var, abs=1e-12)
             bridge_mean = n * s / t - s
             assert one_sided_mean("backward", s, t, x) == pytest.approx(bridge_mean, abs=1e-12)
 
@@ -79,7 +79,7 @@ class TestBridgeOracles:
         p = known_params(ProcessKind("gamma"))
         for g in (0.1, 0.5, 1.0, 2.5, 7.0):
             bridge_var = g * g * s * (t - s) / (t * t * (t + 1.0))
-            assert var_backward(p, s, t, g - t).value == pytest.approx(bridge_var, rel=1e-12)
+            assert var_backward(p, s, t, g - t) == pytest.approx(bridge_var, rel=1e-12)
 
     @pytest.mark.parametrize("s,t", s_t_grid)
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
@@ -93,12 +93,12 @@ class TestBridgeOracles:
         for n in range(0, 12):
             bridge_var = scale**2 * n * s * (t - s) * (t + n) / (t * t * (t + 1.0))
             x = (n - mu * t) * scale
-            assert var_backward(p, s, t, x).value == pytest.approx(bridge_var, rel=1e-10, abs=1e-12)
+            assert var_backward(p, s, t, x) == pytest.approx(bridge_var, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("s,t", s_t_grid)
     def test_wiener_brownian_bridge(self, s, t):
         p = known_params(ProcessKind("wiener"))
-        assert var_backward(p, s, t, 1.7).value == pytest.approx(s * (t - s) / t)
+        assert var_backward(p, s, t, 1.7) == pytest.approx(s * (t - s) / t)
 
 
 class TestSampling:
@@ -435,7 +435,7 @@ class TestContainer:
             cols = [GRID.index(t) for t in times]
             part = load_ensemble(path, times)
             assert part.grid.tolist() == times
-            assert part.paths.flags.c_contiguous
+            assert part.paths.flags.f_contiguous
             assert np.array_equal(part.paths, full.paths[:, cols])
             assert (part.kind, part.seed) == (full.kind, full.seed)
 

@@ -84,7 +84,7 @@ def test_closed_forms_match_two_point_chain(eta, theta, sigma, tau, s, g1, g2):
         mean, var = two_point(up, down, a_t, b_t)
         assert close(one_sided_mean("forward", s, t, x), mean, abs(x) + a_t + b_t)
         scale = (t - s) / (1.0 + sigma * s) * (1.0 + abs(eta * x) + sigma * x * x)
-        assert close(var_forward(p, s, t, x).value, var, scale)
+        assert close(var_forward(p, s, t, x), var, scale)
 
     for y, k in ((a_t, 0), (-b_t, 1)):  # backward: X_s given X_t = y, by Bayes
         w_a = b_s / (a_s + b_s) * kernel(a_t, b_t, a_s)[k]
@@ -93,7 +93,7 @@ def test_closed_forms_match_two_point_chain(eta, theta, sigma, tau, s, g1, g2):
         assert close(one_sided_mean("backward", s, t, y), mean, abs(y) + a_s + b_s)
         r = y / t
         scale = s * (t - s) / (t + tau) * (1.0 + abs(theta * r) + tau * r * r)
-        assert close(var_backward(p, s, t, y).value, var, scale)
+        assert close(var_backward(p, s, t, y), var, scale)
 
     for x in (a_s, -b_s):  # two-sided: X_t given X_s = x and X_u = z
         for z, k in ((a_u, 0), (-b_u, 1)):
@@ -108,4 +108,4 @@ def test_closed_forms_match_two_point_chain(eta, theta, sigma, tau, s, g1, g2):
             scale = (u - t) * (t - s) / (u * (1.0 + s * sigma) + tau + s) * (
                 1.0 + abs(theta * dx) + abs(eta * m) + tau * dx * dx + sigma * m * m
                 + 2.0 * abs(m * dx))
-            assert close(double_var(p, s, t, u, x, z).value, var, scale)
+            assert close(double_var(p, s, t, u, x, z), var, scale)
