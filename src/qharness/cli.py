@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: simulate | verify | moments | hankel | certificate | optimize |
-tails.  Every run is driven by a RunConfig (flags, optionally preloaded from
-a --config JSON file with identical keys; explicit flags win).  Artifacts
-are written atomically, embed {tool version, config echo, seed} and carry no
-timestamps, so equal configs give byte-identical outputs; a ``<out>.log``
-sidecar records wall-clock info instead.
+tails.  Every run is driven by a RunConfig parsed from the flags; the keys of
+a --config JSON file are parsed as the flags they name, and explicit flags
+win.  Artifacts are written atomically, embed {tool version, config echo,
+seed} and carry no timestamps, so equal configs give byte-identical outputs;
+a ``<out>.log`` sidecar records wall-clock info instead.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage,
 I/O or any other error (one ``qharness <cmd>: error: ...`` line on stderr).
@@ -31,31 +31,15 @@ from . import certificates as certs
 # Carlo handlers (simulate, verify, tails), so the other subcommands start
 # without numpy.
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "simulate": {"seed": 0, "workers": 1},
-    "verify": {"seed": 0, "bins": 40},
-    "moments": {"seed": 0, "eta": 0.0, "theta": 0.0, "sigma": 0.0,
-                "tau": 0.0, "gamma": 1.0, "t": 1.0},
-    "hankel": {"seed": 0},
-    "certificate": {"seed": 0, "mode": "paper"},
-    "optimize": {"seed": 0, "knobs": "exact-k"},
-    "tails": {"seed": 0, "raw": False},
-}
-
-# the artifact formats each subcommand writes; the first is the default
-_FORMATS: dict[str, tuple[str, ...]] = {
-    "simulate": ("qhe", "csv"), "verify": ("json", "csv"), "tails": ("json", "csv"),
-    **{c: ("json",) for c in ("moments", "hankel", "certificate", "optimize")},
-}
-
+# checked once a config file's flags are in, which required=True cannot wait for
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "simulate": ("process", "grid", "paths", "out"),
-    "verify": ("ensemble", "s", "t"),
+    "verify": ("s", "t"),
     "moments": (),
     "hankel": ("moments",),
     "certificate": ("p",),
     "optimize": ("p",),
-    "tails": ("ensemble", "s", "t"),
+    "tails": ("s", "t"),
 }
 
 
@@ -64,59 +48,67 @@ class RunConfig:
     """A fully-resolved invocation: subcommand plus its parameter map."""
 
     command: str
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
+    params: dict[str, Any]
+    seed: int
+    out: str | None
+    format: str
     # extra key=value fields a handler adds to the <out>.log line (never the artifact)
     log_fields: dict[str, Any] = field(default_factory=dict, compare=False)
 
 
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    parts = [p for p in str(value).split(",") if p.strip() != ""]
+def _float_list(value: str) -> list[float]:
+    parts = [p for p in value.split(",") if p.strip() != ""]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
     return [float(p) for p in parts]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints each usage error as one ``qharness <cmd>: error: ...`` line and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     """The qharness parser, built on the first call and shared for the rest
     of the process: argparse keeps no state between ``parse_args`` calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qharness",
         description="Quadratic-harness conditional moments, integrability "
         "certificates and Monte Carlo verification.",
     )
     parser.add_argument("--version", action="version", version=f"qharness {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    parser.commands = sub.choices  # each subcommand's own parser
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None,
-                       help="JSON file with the same keys as the flags; explicit flags override")
-        p.add_argument("--seed", type=int, default=None, help="seed recorded in every artifact")
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", default=None,
-                       help="output format: qhe|csv (simulate), json|csv (verify, "
-                       "tails), json (the others)")
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("json",)) -> None:
+        p.add_argument("--config", help="JSON file of flag values by name; explicit flags win")
+        p.add_argument("--seed", type=int, default=0, help="seed recorded in every artifact")
+        p.add_argument("--out", help="output path (stdout if omitted)")
+        p.add_argument("--format", choices=formats, default=formats[0], help=f"default {formats[0]}")
+
+    def add_pair(p: argparse.ArgumentParser) -> None:
+        p.add_argument("ensemble", help="ensemble container written by simulate")
+        p.add_argument("--s", type=float, help="earlier grid time")
+        p.add_argument("--t", type=float, help="later grid time")
 
     p = sub.add_parser(
         "simulate",
         help="sample a seeded ensemble of a centered Levy martingale "
         "(mean 0, covariance min(s,t), martingale increments)",
     )
-    p.add_argument("--process", choices=core.KINDS, default=None, help=" | ".join(core.KINDS))
-    p.add_argument("--pascal-q", type=float, default=None,
+    p.add_argument("--process", choices=core.KINDS, help=" | ".join(core.KINDS))
+    p.add_argument("--pascal-q", type=float,
                    help="success probability of the pascal kind (default "
                    f"{core.kind_record('pascal').q_default}); "
                    "an error with a kind that takes no parameter")
-    p.add_argument("--grid", default=None, help="comma-separated ascending times")
-    p.add_argument("--paths", type=int, default=None, help="number of sample paths")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--grid", help="comma-separated ascending times")
+    p.add_argument("--paths", type=int, help="number of sample paths")
+    p.add_argument("--workers", type=int, default=1,
                    help="worker threads (never changes the sampled values)")
-    add_common(p)
+    add_common(p, ("qhe", "csv"))
 
     p = sub.add_parser(
         "verify",
@@ -124,11 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "covariance min(s,t), one-sided means, and the quadratic "
         "conditional-variance coefficients",
     )
-    p.add_argument("ensemble", help="ensemble container written by simulate")
-    p.add_argument("--s", type=float, default=None, help="earlier grid time")
-    p.add_argument("--t", type=float, default=None, help="later grid time")
-    p.add_argument("--bins", type=int, default=None, help="quantile bins (default 40)")
-    add_common(p)
+    add_pair(p)
+    p.add_argument("--bins", type=int, default=40, help="quantile bins (default 40)")
+    add_common(p, ("json", "csv"))
 
     p = sub.add_parser(
         "moments",
@@ -136,11 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "order-3 Hankel determinant, and the forced two-point law at gamma=-1",
     )
     for f in fields(core.HarnessParams):
-        p.add_argument(f"--{f.name}", type=float, default=None)
-    p.add_argument("--t", type=float, default=None, help="marginal time (default 1)")
-    p.add_argument("--s", type=float, default=None,
-                   help="with --t/--u: also report the two-sided variance scale")
-    p.add_argument("--u", type=float, default=None)
+        p.add_argument(f"--{f.name}", type=float, default=1.0 if f.name == "gamma" else 0.0)
+    p.add_argument("--t", type=float, default=1.0, help="marginal time (default 1)")
+    p.add_argument("--s", type=float, help="with --t/--u: also report the two-sided variance scale")
+    p.add_argument("--u", type=float)
     add_common(p)
 
     p = sub.add_parser(
@@ -148,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="order-3 Hankel determinant of a moment vector m0..m4; for a "
         "centered vector also the two-point reconstruction it forces when zero",
     )
-    p.add_argument("--moments", default=None, help="comma-separated m0,m1,m2,m3,m4")
+    p.add_argument("--moments", help="comma-separated m0,m1,m2,m3,m4")
     add_common(p)
 
     p = sub.add_parser(
@@ -156,13 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="explicit-constant certificate for the moment-integrability chain "
         "(tail recursion N(Kt) <= (c1/t^2+c2/t+q)N(t) plus the one-order lift)",
     )
-    p.add_argument("--p", type=float, default=None, help="moment order to lift past")
-    p.add_argument("--mode", choices=("paper", "exact"), default=None,
+    p.add_argument("--p", type=float, help="moment order to lift past")
+    p.add_argument("--mode", choices=("paper", "exact"), default="paper",
                    help="paper: the printed constant chain (240); "
                    "exact: sharply evaluated inequalities")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=float,
                    help="with --tau: evaluate the chain at delta=2*sqrt(sigma*tau)")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float)
     add_common(p)
 
     p = sub.add_parser(
@@ -171,8 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "parameter u = 1 - rho and margin rule, solved in closed form (at most 3 "
         "certificate evaluations; the <out>.log line reports them)",
     )
-    p.add_argument("--p", type=float, default=None, help="moment order to lift past")
-    p.add_argument("--knobs", default=None,
+    p.add_argument("--p", type=float, help="moment order to lift past")
+    p.add_argument("--knobs", default="exact-k",
                    help="comma-separated subset of exact-k,exact-margin,rho,split "
                    "(default exact-k); rho adds the closed-form optimal u = 1 - rho; "
                    "split is accepted and has no effect (the split weight is pinned "
@@ -184,55 +173,60 @@ def _build_parser() -> argparse.ArgumentParser:
         help="empirical two-variable tail curve N(t)=Pr(|X|>t)+Pr(|Y|>t) and "
         "Hill tail-index estimate",
     )
-    p.add_argument("ensemble", help="ensemble container written by simulate")
-    p.add_argument("--s", type=float, default=None, help="earlier grid time")
-    p.add_argument("--t", type=float, default=None, help="later grid time")
-    p.add_argument("--thresholds", default=None,
+    add_pair(p)
+    p.add_argument("--thresholds",
                    help="comma-separated ascending thresholds (default: data-driven ladder)")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=int,
                    help="Hill order-statistics count, 1 <= k < n/2 (default n//100)")
-    p.add_argument("--raw", action="store_true", default=None,
+    p.add_argument("--raw", action="store_true",
                    help="skip the X_s/sqrt(s), X_t/sqrt(t) standardization")
-    add_common(p)
+    add_common(p, ("json", "csv"))
 
     return parser
 
 
+def _config_flags(path: str, keys: set[str]) -> list[str]:
+    """A --config file's keys as the flags they name: ``--key=value``, a list
+    joined by commas, ``true`` a bare switch, ``false`` and ``null`` nothing."""
+    with open(path, "r", encoding="utf-8") as fh:
+        file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = set(file_cfg) - keys
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    flags = []
+    for key, value in file_cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            flags.append(f"{flag}={text}")
+    return flags
+
+
 def parse_args(argv: list[str]) -> RunConfig:
-    """Parse argv (raises SystemExit(2) on usage errors, ValueError on bad values)."""
+    """Parse argv (raises SystemExit(2) on usage errors, ValueError on a bad config file)."""
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, extra = parser.parse_known_args(argv)
     if ns.command is None:
         parser.error("a subcommand is required")
-
-    raw = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    merged = dict(_DEFAULTS[ns.command])
-
-    if ns.config is not None:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"{ns.config}: config must be a JSON object")
-        known = set(raw) | set(_DEFAULTS[ns.command]) | {"out", "format", "seed"}
-        unknown = set(file_cfg) - known
-        if unknown:
-            raise ValueError(f"{ns.config}: unknown keys {sorted(unknown)}")
-        merged.update(file_cfg)
-
-    merged.update({k: v for k, v in raw.items() if v is not None})
-
-    missing = [k for k in _REQUIRED[ns.command] if merged.get(k) is None]
+    if ns.config is not None:  # the file's flags go first, so explicit ones win
+        at = argv.index(ns.command) + 1
+        keys = set(vars(ns)) - {"command", "config", "ensemble"}  # ensemble is positional
+        ns, extra = parser.parse_known_args(
+            [*argv[:at], *_config_flags(ns.config, keys), *argv[at:]])
+    command = parser.commands[ns.command]
+    if extra:
+        command.error(f"unrecognized arguments: {' '.join(extra)}")
+    missing = [k for k in _REQUIRED[ns.command] if getattr(ns, k) is None]
     if missing:
-        parser.error(f"{ns.command}: missing required flags: {', '.join(missing)}")
+        command.error(f"missing required flags: {', '.join(missing)}")
 
-    out = merged.pop("out", None)
-    formats = _FORMATS[ns.command]
-    fmt = merged.pop("format", formats[0])
-    if fmt not in formats:
-        raise ValueError(f"{ns.command}: --format must be {'|'.join(formats)}, got {fmt!r}")
-    seed = int(merged.pop("seed"))
-    merged["seed"] = seed
-    return RunConfig(command=ns.command, params=merged, seed=seed, out=out, format=fmt)
+    params = {k: v for k, v in vars(ns).items()
+              if v is not None and k not in ("command", "config", "out", "format")}
+    return RunConfig(ns.command, params, ns.seed, ns.out, ns.format)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ def _sidecar(config: RunConfig, started: float) -> None:
         f"command={config.command} out={config.out} "
         f"wall_clock={time.strftime('%Y-%m-%dT%H:%M:%S%z')} "
         f"elapsed_s={time.monotonic() - started:.3f} emit_s={emit_s:.6f}"
-        + "".join(f" {k}={json.dumps(v)}" for k, v in fields.items())
+        + "".join(f" {k}={_dump(v, None)}" for k, v in fields.items())
         + "\n"
     )
     with open(config.out + ".log", "a", encoding="utf-8") as fh:
@@ -372,14 +366,13 @@ def _run_simulate(config: RunConfig) -> int:
     q = cfg.get("pascal_q")
     if q is None:
         q = core.kind_record(cfg["process"]).q_default
-    kind = simulate.ProcessKind(cfg["process"], None if q is None else float(q))
+    kind = simulate.ProcessKind(cfg["process"], q)
     grid = _float_list(cfg["grid"])
-    ens = simulate.sample_ensemble(
-        kind, grid, int(cfg["paths"]), config.seed, n_workers=int(cfg["workers"])
-    )
+    ens = simulate.sample_ensemble(kind, grid, cfg["paths"], config.seed,
+                                   n_workers=cfg["workers"])
     n_blocks = -(-ens.n_paths // simulate.BLOCK_PATHS)
     config.log_fields.update(substreams=n_blocks * ens.n_times,
-                             workers=min(int(cfg["workers"]), n_blocks))
+                             workers=min(cfg["workers"], n_blocks))
     writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
     started = time.perf_counter()
     _atomic_write(config.out, lambda tmp: writer(ens, tmp))
@@ -407,8 +400,8 @@ def _resolve_pair(cfg: dict):
     from . import simulate
 
     head = simulate.read_header(cfg["ensemble"])
-    si = head.time_index(float(cfg["s"]))
-    ti = head.time_index(float(cfg["t"]))
+    si = head.time_index(cfg["s"])
+    ti = head.time_index(cfg["t"])
     if si >= ti:
         raise ValueError("need s < t")
     return head, float(head.grid[si]), float(head.grid[ti])
@@ -419,7 +412,7 @@ def _run_verify(config: RunConfig) -> int:
 
     cfg = config.params
     head, s, t = _resolve_pair(cfg)
-    n_bins = int(cfg["bins"])
+    n_bins = cfg["bins"]
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
     # only the columns of s and t are read
@@ -437,10 +430,8 @@ def _run_verify(config: RunConfig) -> int:
     for direction, est, predicted in (("forward", pe.slope_forward, 1.0),
                                       ("backward", pe.slope_backward, s / t)):
         checks.append(_check(f"mean-slope-{direction}", est.value, predicted, est.se, 3.0))
-    pref = s * (t - s) / (t + p.tau)
-    preds = (pref, pref * p.theta / t, pref * p.tau / (t * t))
     for coef, se_c, pred, label in zip(
-        (fit.c0, fit.c1, fit.c2), fit.se, preds, ("c0", "c1", "c2")
+        (fit.c0, fit.c1, fit.c2), fit.se, core.var_backward_coeffs(p, s, t), ("c0", "c1", "c2")
     ):
         checks.append(_check(f"backward-quadratic-{label}", coef, pred, se_c, 3.0))
     checks.append(_check("law-of-total-variance-backward", pe.lotv.value, s * (t - s) / t,
@@ -471,18 +462,12 @@ def _run_verify(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _two_point_json(law: moments.TwoPointLaw) -> dict:
-    """A two-point law's atoms and weights, as moments and hankel report them."""
-    return {"atom_lo": law.atom_lo, "atom_hi": law.atom_hi,
-            "weight_lo": law.weight_lo, "weight_hi": law.weight_hi}
-
-
 def _run_moments(config: RunConfig) -> int:
     cfg = config.params
     if (cfg.get("s") is None) != (cfg.get("u") is None):
         raise ValueError("--s and --u must be given together")
-    t = core._check_time("--t", float(cfg["t"]))
-    p = core.HarnessParams(**{f.name: float(cfg[f.name]) for f in fields(core.HarnessParams)})
+    t = core._check_time("--t", cfg["t"])
+    p = core.HarnessParams(**{f.name: cfg[f.name] for f in fields(core.HarnessParams)})
     warnings = core.validate_params(p)
     region = moments.classify_moment_region(p)
 
@@ -502,19 +487,14 @@ def _run_moments(config: RunConfig) -> int:
 
     if p.gamma == -1.0:  # the harness's own law: its Hankel determinant vanishes
         try:
-            m3 = moments.marginal_moments(p, t).m3
-            factor = moments.two_point_factor(p)
-            if factor < 0.0:
-                raise ValueError(f"(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = {factor} "
-                                 "is negative: no gamma = -1 harness has these parameters")
-            law = moments.two_point_from_moments(t, m3)
-            results["two_point"] = {"third_moment": m3, **_two_point_json(law)}
+            m3, law = moments.harness_two_point(p, t)
+            results["two_point"] = {"third_moment": m3, **asdict(law)}
         except ValueError as exc:
             results["two_point"] = None
             results["two_point_error"] = str(exc)
 
     if cfg.get("s") is not None:
-        s, u = float(cfg["s"]), float(cfg["u"])
+        s, u = cfg["s"], cfg["u"]
         results["two_sided"] = {
             "scale": core.double_var_scale(p, s, t, u),
             "brownian_reference": (u - t) * (t - s) / (u - s),
@@ -535,7 +515,7 @@ def _run_hankel(config: RunConfig) -> int:
     if mv.m1 == 0.0 and mv.m2 > 0.0:
         law = moments.two_point_from_moments(mv.m2, mv.m3)
         results["two_point"] = {
-            **_two_point_json(law),
+            **asdict(law),
             "reproduces_m4": bool(abs(law.moment(4) - mv.m4) <= 1e-10 * max(1.0, abs(mv.m4))),
         }
     _emit(config, results)
@@ -544,14 +524,12 @@ def _run_hankel(config: RunConfig) -> int:
 
 def _run_certificate(config: RunConfig) -> int:
     cfg = config.params
-    p = float(cfg["p"])
-    mode = cfg["mode"]
-    sigma, tau = cfg.get("sigma"), cfg.get("tau")
+    p, mode, sigma, tau = cfg["p"], cfg["mode"], cfg.get("sigma"), cfg.get("tau")
     results: dict[str, Any] = {}
     if (sigma is None) != (tau is None):
         raise ValueError("--sigma and --tau must be given together")
     if sigma is not None:
-        emb = certs.embedding(float(sigma), float(tau), certs.u_for_order(p))
+        emb = certs.embedding(sigma, tau, certs.u_for_order(p))
         cert = certs.make_certificate(p, contraction_rule=mode, delta=emb.delta)
         results["embedding"] = {"s": emb.s, "t": emb.t, "delta": emb.delta,
                                 "check_rho": emb.check_rho}
@@ -567,9 +545,9 @@ def _run_certificate(config: RunConfig) -> int:
 
 def _run_optimize(config: RunConfig) -> int:
     cfg = config.params
-    knobs = [k.strip() for k in str(cfg["knobs"]).split(",") if k.strip()]
+    knobs = [k.strip() for k in cfg["knobs"].split(",") if k.strip()]
     stats = certs.SearchStats()
-    cert = certs.optimize_constant(float(cfg["p"]), knobs, stats=stats)
+    cert = certs.optimize_constant(cfg["p"], knobs, stats=stats)
     config.log_fields.update(evaluations=stats.evaluations)
     results = {"knobs": knobs}
     results.update(cert.to_json_dict())
@@ -582,9 +560,9 @@ def _run_tails(config: RunConfig) -> int:
 
     cfg = config.params
     head, s, t = _resolve_pair(cfg)
-    normalize = not bool(cfg.get("raw"))
+    normalize = not cfg["raw"]
     # the default k too is checked here, so tail_curve never meets a bad one
-    k = int(cfg["k"]) if cfg.get("k") is not None else max(1, head.n_paths // 100)
+    k = cfg["k"] if cfg.get("k") is not None else max(1, head.n_paths // 100)
     if not (1 <= k < head.n_paths / 2):
         raise ValueError(f"--k must satisfy 1 <= k < n/2 = {head.n_paths / 2}, got {k}")
     thresholds = cfg.get("thresholds")

@@ -32,6 +32,7 @@ __all__ = [
     "one_sided_mean",
     "var_forward",
     "var_backward",
+    "var_backward_coeffs",
     "double_mean",
     "double_var_scale",
     "double_var",
@@ -246,6 +247,14 @@ def var_backward(p: HarnessParams, s: float, t: float, x_t: float) -> float:
     _require_pair(s, t)
     r = x_t / t
     return (s * (t - s) / (t + p.tau)) * (1.0 + p.theta * r + p.tau * r * r)
+
+
+def var_backward_coeffs(p: HarnessParams, s: float, t: float) -> tuple[float, float, float]:
+    """The backward variance as c0 + c1*x + c2*x^2 in x = X_t: with
+    pref = s(t-s)/(t+tau), the coefficients (pref, pref*theta/t, pref*tau/t^2)."""
+    _require_pair(s, t)
+    pref = s * (t - s) / (t + p.tau)
+    return pref, pref * p.theta / t, pref * p.tau / (t * t)
 
 
 def _require_triple(s: float, t: float, u: float) -> None:

@@ -28,6 +28,7 @@ __all__ = [
     "marginal_moments",
     "two_point_factor",
     "two_point_from_moments",
+    "harness_two_point",
     "pmax_certified",
     "pfail_upper",
     "classify_moment_region",
@@ -163,6 +164,17 @@ def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
     small = t / big if d else big
     a, b = (big, small) if d >= 0.0 else (small, big)
     return TwoPointLaw(atom_lo=-b, atom_hi=a, weight_lo=a / (a + b), weight_hi=b / (a + b))
+
+
+def harness_two_point(p: HarnessParams, t: float) -> tuple[float, TwoPointLaw]:
+    """A gamma = -1 harness's marginal at t: its third moment m3 and the two-point
+    law of mean 0, variance t and that m3; refused where ``two_point_factor(p)`` < 0."""
+    m3 = marginal_moments(p, t).m3
+    factor = two_point_factor(p)
+    if factor < 0.0:
+        raise ValueError(f"(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = {factor} "
+                         "is negative: no gamma = -1 harness has these parameters")
+    return m3, two_point_from_moments(t, m3)
 
 
 def pmax_certified(sigma: float, tau: float = 1.0) -> float:

@@ -92,6 +92,95 @@ class TestParseArgs:
             parse_args(["certificate", "--config", str(cfg_file)])
 
 
+class TestConfigFile:
+    """A --config file's keys are parsed as the flags they name."""
+
+    @pytest.fixture(scope="class")
+    def ens(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config") / "g.qhe"
+        assert run_cli(["simulate", "--process", "gamma", "--grid", "0.5,1.0",
+                        "--paths", "5000", "--seed", "3", "--out", str(path)]) == 0
+        return str(path)
+
+    # (argv ahead of the flags, the flags, the same values as config keys)
+    EQUIVALENT = {
+        "simulate": (["simulate"],
+                     ["--process", "pascal", "--pascal-q", "0.25", "--grid", "0.5,1.0",
+                      "--paths", "300", "--workers", "2", "--seed", "4"],
+                     {"process": "pascal", "pascal_q": 0.25, "grid": [0.5, 1.0], "paths": 300,
+                      "workers": 2, "seed": 4}),
+        "verify": (["verify", "{ens}"], ["--s", "0.5", "--t", "1", "--bins", "7"],
+                   {"s": 0.5, "t": 1, "bins": 7}),
+        "moments": (["moments"],
+                    ["--gamma", "-1", "--eta", "0.5", "--sigma", "0.25", "--tau", "0.5",
+                     "--t", "2", "--s", "1", "--u", "3"],
+                    {"gamma": -1, "eta": 0.5, "sigma": 0.25, "tau": 0.5, "t": 2, "s": 1,
+                     "u": 3}),
+        "hankel": (["hankel"], ["--moments", "1,0,1,0,3"], {"moments": [1, 0, 1, 0, 3]}),
+        "certificate": (["certificate"],
+                        ["--p", "4", "--mode", "exact", "--sigma", "1e-08", "--tau", "1e-08"],
+                        {"p": 4, "mode": "exact", "sigma": 1e-8, "tau": 1e-8}),
+        "optimize": (["optimize"], ["--p", "16", "--knobs", "exact-k,rho"],
+                     {"p": 16, "knobs": ["exact-k", "rho"]}),
+        "tails": (["tails", "{ens}"],
+                  ["--s", "0.5", "--t", "1.0", "--raw", "--k", "20", "--thresholds", "0.5,1,2",
+                   "--format", "csv"],
+                  {"s": 0.5, "t": 1.0, "raw": True, "k": 20, "thresholds": [0.5, 1, 2],
+                   "format": "csv"}),
+        # false and null add no flag
+        "tails-unset": (["tails", "{ens}"], ["--s", "0.5", "--t", "1.0"],
+                        {"s": 0.5, "t": 1.0, "raw": False, "k": None, "thresholds": None}),
+    }
+
+    @pytest.mark.parametrize("name", EQUIVALENT)
+    def test_config_gives_the_flags_artifact(self, tmp_path, ens, name):
+        head, flags, keys = self.EQUIVALENT[name]
+        head = [a.format(ens=ens) for a in head]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(keys))
+        by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+        same_out = ["--out", "artifact"]
+        assert parse_args(head + flags + same_out) == parse_args(
+            head + ["--config", str(cfg)] + same_out)
+        code = run_cli(head + flags + ["--out", str(by_flags)])
+        assert run_cli(head + ["--config", str(cfg), "--out", str(by_config)]) == code
+        assert code in (0, 1)
+        assert by_flags.read_bytes() == by_config.read_bytes()
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("tails", "raw", "false", "argument --raw: ignored explicit argument 'false'"),
+        ("certificate", "seed", 1.7, "argument --seed: invalid int value: '1.7'"),
+        ("simulate", "workers", 1.9, "argument --workers: invalid int value: '1.9'"),
+        ("simulate", "paths", 10.5, "argument --paths: invalid int value: '10.5'"),
+        ("certificate", "mode", "bogus", "argument --mode: invalid choice: 'bogus'"),
+        ("verify", "ensemble", "other.qhe", "unknown keys ['ensemble']"),
+    ])
+    def test_bad_value_exits_two(self, tmp_path, capsys, ens, command, key, value, named):
+        base = {"simulate": {"process": "wiener", "grid": [0.5, 1.0], "paths": 10},
+                "certificate": {"p": 4}}.get(command, {"s": 0.5, "t": 1.0})
+        cfg, out = tmp_path / "c.json", tmp_path / "out" / "artifact"
+        cfg.write_text(json.dumps({**base, key: value}))
+        head = [command, ens] if command in ("verify", "tails") else [command]
+        assert run_cli(head + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.parent.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, line", [
+        (["certificate", "--p", "abc"],
+         "qharness certificate: error: argument --p: invalid float value: 'abc'"),
+        (["simulate", "--process", "wiener"],
+         "qharness simulate: error: missing required flags: grid, paths, out"),
+        (["certificate", "--p", "4", "--frobnicate", "1"],
+         "qharness certificate: error: unrecognized arguments: --frobnicate 1"),
+    ])
+    def test_one_stderr_line(self, capsys, argv, line):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
+
 class TestCertificateCommand:
     def test_printed_constant_artifact(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -220,7 +309,7 @@ class TestFormatContract:
         code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("qharness: error: ") and err.count("\n") == 1
+        assert err.startswith(f"qharness {argv[0]}: error: ") and err.count("\n") == 1
         assert "--format" in err
         assert list(tmp_path.iterdir()) == []
 

@@ -13,6 +13,7 @@ from qharness.core import (
     one_sided_mean,
     validate_params,
     var_backward,
+    var_backward_coeffs,
     var_forward,
 )
 
@@ -133,6 +134,17 @@ class TestVarBackward:
         p = HarnessParams(0.0, theta, 0.0, tau, 1.0)
         prefactor = var_backward(p, s, t, 0.0)
         assert prefactor * (1.0 + tau / t) == pytest.approx(s * (t - s) / t, rel=1e-12)
+
+    @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), times, states)
+    def test_coefficients_give_the_variance(self, tau, theta, s, x):
+        p = HarnessParams(0.0, theta, 0.0, tau, 1.0)
+        c0, c1, c2 = var_backward_coeffs(p, s, 2.0 * s)
+        assert c0 + c1 * x + c2 * x * x == pytest.approx(var_backward(p, s, 2.0 * s, x),
+                                                         rel=1e-12, abs=1e-12 * c0)
+
+    def test_coefficients_need_s_below_t(self):
+        with pytest.raises(ValueError, match="need s < t"):
+            var_backward_coeffs(GAMMA, 1.0, 1.0)
 
 
 class TestDoubleMean:

@@ -10,6 +10,7 @@ from qharness.moments import (
     classify_moment_region,
     hankel3,
     hankel3_closed_form,
+    harness_two_point,
     marginal_moments,
     pfail_upper,
     pmax_certified,
@@ -174,6 +175,16 @@ class TestTwoPoint:
         assert law.moment(0) == 1.0
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             law.moment(-1)
+
+    def test_harness_law_has_the_marginal_moments(self):
+        p = HarnessParams(-0.4, 0.7, 0.5, 0.9, -1.0)
+        m3, law = harness_two_point(p, 2.0)
+        assert m3 == marginal_moments(p, 2.0).m3
+        assert law == two_point_from_moments(2.0, m3)
+
+    def test_harness_law_refused_where_the_atoms_shrink(self):
+        with pytest.raises(ValueError, match="no gamma = -1 harness has these parameters"):
+            harness_two_point(HarnessParams(1.0, -2.0, 0.0, 0.0, -1.0), 1.0)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_t_must_be_positive_and_finite(self, t):
