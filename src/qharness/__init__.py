@@ -10,7 +10,6 @@ from .core import (
     double_var,
     double_var_scale,
     one_sided_mean,
-    validate_params,
     var_backward,
     var_forward,
 )

@@ -8,7 +8,8 @@ seed} and carry no timestamps, so equal configs give byte-identical outputs;
 a ``<out>.log`` sidecar records wall-clock info instead.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage,
-I/O or any other error (one ``qharness <cmd>: error: ...`` line on stderr).
+config-file, I/O or any other error (one ``qharness <cmd>: error: ...`` line
+on stderr, a CR or LF in it written as ``\\r`` or ``\\n``).
 """
 
 from __future__ import annotations
@@ -63,11 +64,17 @@ def _float_list(value: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _error_line(prog: str, message: str) -> str:
+    """``prog: error: message`` as one stderr line: a CR or LF in it (an argv
+    token or a path may hold one) is written as ``\\r`` or ``\\n``."""
+    return f"{prog}: error: {message}".replace("\r", "\\r").replace("\n", "\\n") + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """Prints each usage error as one ``qharness <cmd>: error: ...`` line and exits 2."""
 
     def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, _error_line(self.prog, message))
 
 
 @functools.cache
@@ -191,10 +198,10 @@ def _config_flags(path: str, keys: set[str]) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(file_cfg) - keys
     if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     flags = []
     for key, value in file_cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -207,17 +214,20 @@ def _config_flags(path: str, keys: set[str]) -> list[str]:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Parse argv (raises SystemExit(2) on usage errors, ValueError on a bad config file)."""
+    """Parse argv; a usage error, config-file ones too, is one stderr line and SystemExit(2)."""
     parser = _build_parser()
     ns, extra = parser.parse_known_args(argv)
     if ns.command is None:
         parser.error("a subcommand is required")
+    command = parser.commands[ns.command]
     if ns.config is not None:  # the file's flags go first, so explicit ones win
         at = argv.index(ns.command) + 1
         keys = set(vars(ns)) - {"command", "config", "ensemble"}  # ensemble is positional
-        ns, extra = parser.parse_known_args(
-            [*argv[:at], *_config_flags(ns.config, keys), *argv[at:]])
-    command = parser.commands[ns.command]
+        try:  # JSON nested too deep is a RecursionError; strerror leaves out the path
+            flags = _config_flags(ns.config, keys)
+        except (ValueError, OSError, RecursionError) as exc:
+            command.error(f"--config {ns.config}: {getattr(exc, 'strerror', None) or exc}")
+        ns, extra = parser.parse_known_args([*argv[:at], *flags, *argv[at:]])
     if extra:
         command.error(f"unrecognized arguments: {' '.join(extra)}")
     missing = [k for k in _REQUIRED[ns.command] if getattr(ns, k) is None]
@@ -468,13 +478,12 @@ def _run_moments(config: RunConfig) -> int:
         raise ValueError("--s and --u must be given together")
     t = core._check_time("--t", cfg["t"])
     p = core.HarnessParams(**{f.name: cfg[f.name] for f in fields(core.HarnessParams)})
-    warnings = core.validate_params(p)
     region = moments.classify_moment_region(p)
 
     results: dict[str, Any] = {
         "params": asdict(p),
         "t": t,
-        "warnings": warnings,
+        "warnings": [region.reason] if region.reason else [],
         "region": {"region": region.region, "bound": region.bound},
         "pmax_certified": moments.pmax_certified(p.sigma, p.tau),
         "pfail_upper": moments.pfail_upper(p.sigma, p.tau),
@@ -613,11 +622,9 @@ def run(config: RunConfig) -> int:
     try:
         code = _HANDLERS[config.command](config)
         _sidecar(config, started)
-    except (ValueError, OSError) as exc:
-        print(f"qharness {config.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # an internal fault still ends in one line and exit 2
-        print(f"qharness {config.command}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # an internal fault too ends in one line and exit 2
+        name = "" if isinstance(exc, (ValueError, OSError)) else f"{type(exc).__name__}: "
+        sys.stderr.write(_error_line(f"qharness {config.command}", f"{name}{exc}"))
         return 2
     return code
 
@@ -628,9 +635,6 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"qharness: error: {exc}", file=sys.stderr)
-        return 2
     return run(config)
 
 

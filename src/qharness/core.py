@@ -4,7 +4,7 @@ A quadratic harness is a centered process with covariance min(s, t), a
 martingale one-sided mean structure, and conditional variances that are
 quadratic polynomials in the conditioning values.  The family is driven by
 five constants (eta, theta, sigma, tau, gamma), checked once, when a
-``HarnessParams`` is built.
+``HarnessParams`` is built; ``moments`` classifies their moment region.
 
 Every function here is a pure evaluator of the corresponding formula: no
 tolerances are applied and nothing is clamped.  A variance formula returns
@@ -27,7 +27,6 @@ from typing import Any, Callable
 
 __all__ = [
     "HarnessParams",
-    "validate_params",
     "covariance",
     "one_sided_mean",
     "var_forward",
@@ -195,21 +194,6 @@ def kind_record(name: str) -> KindRecord:
     if name not in KINDS:
         raise ValueError(f"unsupported process {name!r}; choose from {KINDS}")
     return PROCESS_KINDS[KINDS.index(name)]
-
-
-def validate_params(p: HarnessParams) -> list[str]:
-    """Soft warnings: gamma outside [-1, 1 + 2*sqrt(sigma*tau)] is outside
-    the window of the moment region classification."""
-    warnings = []
-    gamma_hi = 1.0 + 2.0 * math.sqrt(p.sigma * p.tau)
-    if p.gamma < -1.0:
-        warnings.append(f"gamma={p.gamma} below -1: outside the classified region")
-    elif p.gamma > gamma_hi:
-        warnings.append(
-            f"gamma={p.gamma} above 1+2*sqrt(sigma*tau)={gamma_hi}: "
-            "outside the classified region"
-        )
-    return warnings
 
 
 def _require_pair(s: float, t: float) -> None:

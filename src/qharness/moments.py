@@ -6,6 +6,9 @@ determinant forces a two-point distribution.  For quadratic harnesses the
 determinant has a closed form in the parameters; it vanishes identically on
 the hyperplane gamma = -1.
 
+``classify_moment_region`` alone encodes the conjectured moment regions of
+Bryc, Matysiak & Wesolowski (2007) and says why a point lies outside them.
+
 Threshold conventions: +inf is a legitimate value of the threshold
 operations (sigma*tau = 0 puts no bound on the moment order), never a
 sentinel.
@@ -221,11 +224,13 @@ class MomentRegion:
       "all-orders":   gamma in [-1, 1 - 2*sqrt(sigma*tau)]; all moments
                       conjectured finite (bound = +inf)
       "boundary":     exactly on the shared edge gamma = 1 - 2*sqrt(sigma*tau)
-      "outside":      neither window applies
+      "outside":      neither window applies; ``reason`` says why (gamma below
+                      -1 or above 1 + 2*sqrt(sigma*tau), or sigma*tau not below 1)
     """
 
     region: str
     bound: float | None
+    reason: str | None = None
 
 
 def classify_moment_region(p: HarnessParams) -> MomentRegion:
@@ -240,4 +245,10 @@ def classify_moment_region(p: HarnessParams) -> MomentRegion:
         return MomentRegion("finite-order", pfail_upper(p.sigma, p.tau))
     if in_all:
         return MomentRegion("all-orders", math.inf)
-    return MomentRegion("outside", None)
+    if p.gamma < -1.0:
+        why = f"gamma={p.gamma} below -1"
+    elif p.gamma > 1.0 + root:
+        why = f"gamma={p.gamma} above 1+2*sqrt(sigma*tau)={1.0 + root}"
+    else:
+        why = f"sigma*tau={st} not below 1"
+    return MomentRegion("outside", None, f"{why}: outside the classified region")

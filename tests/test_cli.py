@@ -85,11 +85,14 @@ class TestParseArgs:
         assert cfg.params["mode"] == "exact"
         assert cfg.seed == 9
 
-    def test_config_unknown_keys_rejected(self, tmp_path):
+    def test_config_unknown_keys_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"p": 4, "bogus": 1}))
-        with pytest.raises(ValueError, match="bogus"):
+        with pytest.raises(SystemExit) as exc:
             parse_args(["certificate", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"qharness certificate: error: --config {cfg_file}: unknown keys ['bogus']\n")
 
 
 class TestConfigFile:
@@ -175,10 +178,44 @@ class TestUsageErrors:
          "qharness simulate: error: missing required flags: grid, paths, out"),
         (["certificate", "--p", "4", "--frobnicate", "1"],
          "qharness certificate: error: unrecognized arguments: --frobnicate 1"),
+        # a line break in a token is written escaped, so the line stays one line
+        (["certificate", "--p", "4", "a\nb"],
+         "qharness certificate: error: unrecognized arguments: a\\nb"),
+        (["certificate", "--p", "4", "a\r\nb"],
+         "qharness certificate: error: unrecognized arguments: a\\r\\nb"),
     ])
     def test_one_stderr_line(self, capsys, argv, line):
         assert run_cli(argv) == 2
         assert capsys.readouterr() == ("", line + "\n")
+
+    # (file content, or None for no file; the message after "--config <path>: ")
+    @pytest.mark.parametrize("content, message", [
+        ('{"p": 4, "bogus": 1}', "unknown keys ['bogus']"),
+        ("[4]", "config must be a JSON object"),
+        ("p: 4\n", "Expecting value: line 1 column 1 (char 0)"),
+        (None, "No such file or directory"),
+    ])
+    def test_config_file_error_names_command_and_file(self, tmp_path, capsys, content, message):
+        cfg_file = tmp_path / "c.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        assert run_cli(["certificate", "--p", "4", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr() == (
+            "", f"qharness certificate: error: --config {cfg_file}: {message}\n")
+
+    def test_config_nested_too_deep(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text("[" * 100_000)
+        assert run_cli(["certificate", "--p", "4", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qharness certificate: error: --config {cfg_file}: maximum "
+                              "recursion depth exceeded") and err.count("\n") == 1
+
+    def test_line_break_in_a_config_path_is_escaped(self, tmp_path, capsys):
+        cfg_file = tmp_path / "a\nb.json"
+        assert run_cli(["certificate", "--p", "4", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "a\\nb.json: No such file" in err
 
 
 class TestCertificateCommand:
@@ -745,6 +782,16 @@ class TestMomentsCommand:
         assert res["two_sided"]["scale"] == pytest.approx(0.25)
         assert res["two_sided"]["brownian_reference"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("sigma, tau, gamma", [("2", "1", "0"), ("1", "1", "1")])
+    def test_sigma_tau_not_below_one_warns(self, tmp_path, sigma, tau, gamma):
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--sigma", sigma, "--tau", tau, "--gamma", gamma,
+                        "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["region"] == {"region": "outside", "bound": None}
+        assert res["warnings"] == [f"sigma*tau={float(sigma) * float(tau)} not below 1: "
+                                   "outside the classified region"]
+
     def test_infinity_serialized_as_string(self, tmp_path):
         out = tmp_path / "m.json"
         run_cli(["moments", "--sigma", "0", "--tau", "0", "--out", str(out)])
@@ -883,8 +930,16 @@ class TestErrorContract:
         code = run_cli(["certificate", "--p", "4", "--config", str(cfg_file), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("qharness: error: ") and err.count("\n") == 1
+        assert err.startswith("qharness certificate: error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_line_break_in_a_container_path_is_escaped(self, tmp_path, capsys):
+        bad = tmp_path / "bad\nname.qhe"
+        bad.write_bytes(b"not a container")
+        assert run_cli(["verify", str(bad), "--s", "0.5", "--t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qharness verify: error: ") and err.count("\n") == 1
+        assert "bad\\nname.qhe" in err
 
     def test_unwritable_sidecar_exits_two(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -1164,7 +1219,7 @@ _EXPORTS = (
     "replay_certificate",
     "sample_ensemble", "save_ensemble", "simulate", "tail_curve",
     "tail_recursion_coeffs", "two_point_from_moments", "u_for_order",
-    "validate_params", "var_backward", "var_forward",
+    "var_backward", "var_forward",
 )
 
 _STARTUP_PROBE = """

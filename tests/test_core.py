@@ -11,7 +11,6 @@ from qharness.core import (
     double_var,
     double_var_scale,
     one_sided_mean,
-    validate_params,
     var_backward,
     var_backward_coeffs,
     var_forward,
@@ -25,17 +24,14 @@ times = st.floats(min_value=1e-3, max_value=1e3)
 states = st.floats(min_value=-50.0, max_value=50.0)
 
 
-class TestValidateParams:
-    def test_wiener_clean(self):
-        assert validate_params(WIENER) == []
-
+class TestHarnessParams:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            validate_params(HarnessParams(0.0, 0.0, -1.0, 0.0, 1.0))
+            HarnessParams(0.0, 0.0, -1.0, 0.0, 1.0)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
-            validate_params(HarnessParams(0.0, 0.0, 0.0, -0.5, 1.0))
+            HarnessParams(0.0, 0.0, 0.0, -0.5, 1.0)
 
     def test_non_finite_refused_when_built(self):
         with pytest.raises(ValueError, match="^eta must be a number, got nan$"):
@@ -45,14 +41,6 @@ class TestValidateParams:
         # sigma*tau = inf is a number, but sigma = inf is not finite
         with pytest.raises(ValueError, match="^sigma must be finite, got inf$"):
             HarnessParams(0.0, 0.0, math.inf, 1.0, 1.0)
-
-    def test_gamma_above_window_warns(self):
-        # window upper edge is 1 + 2*sqrt(sigma*tau) = 3 here
-        warnings = validate_params(HarnessParams(0.0, 0.0, 1.0, 1.0, 5.0))
-        assert len(warnings) == 1 and "gamma" in warnings[0]
-
-    def test_gamma_below_window_warns(self):
-        assert validate_params(HarnessParams(0.0, 0.0, 0.0, 0.0, -1.5))
 
 
 class TestCovariance:

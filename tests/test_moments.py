@@ -256,6 +256,29 @@ class TestRegionClassifier:
     def test_far_gamma_outside(self):
         assert classify_moment_region(HarnessParams(0, 0, 0.01, 0.01, 5.0)).region == "outside"
 
+    @pytest.mark.parametrize("sigma, tau, gamma, reason", [
+        (0.0, 0.0, 1.0, None),  # Wiener
+        (0.0, 0.0, -1.5, "gamma=-1.5 below -1"),
+        (1.0, 1.0, 5.0, "gamma=5.0 above 1+2*sqrt(sigma*tau)=3.0"),
+        (1.0, 1.0, 1.0, "sigma*tau=1.0 not below 1"),
+        (2.0, 1.0, 0.0, "sigma*tau=2.0 not below 1"),
+    ])
+    def test_reason(self, sigma, tau, gamma, reason):
+        r = classify_moment_region(HarnessParams(0.0, 0.0, sigma, tau, gamma))
+        if reason is None:
+            assert r.region != "outside" and r.reason is None
+        else:
+            assert r.region == "outside"
+            assert r.reason == f"{reason}: outside the classified region"
+
+    @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(-3.0, 6.0))
+    def test_reason_exactly_when_outside(self, sigma, tau, gamma):
+        r = classify_moment_region(HarnessParams(0.0, 0.0, sigma, tau, gamma))
+        assert (r.reason is not None) == (r.region == "outside")
+        # below sigma*tau = 1 a point is outside only through gamma
+        if r.reason is not None and sigma * tau < 1.0:
+            assert r.reason.startswith(f"gamma={gamma} ")
+
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma and tau must be >= 0"):
             classify_moment_region(HarnessParams(0, 0, math.nan, 0.01, 1.0))
