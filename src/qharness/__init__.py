@@ -41,7 +41,7 @@ from .certificates import (
 # access (PEP 562), so the analytic entry points start without numpy.
 _LAZY = dict.fromkeys(
     ("Ensemble", "ProcessKind", "known_params", "load_ensemble", "read_header",
-     "sample_ensemble", "save_ensemble"),
+     "sample_ensemble", "sample_to_container", "save_ensemble"),
     "simulate",
 ) | dict.fromkeys(
     ("BinnedConditional", "HillEstimate", "PathEmpirics", "TailCurve",

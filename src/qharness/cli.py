@@ -373,19 +373,19 @@ def _run_simulate(config: RunConfig) -> int:
     from . import simulate
 
     cfg = config.params
-    q = cfg.get("pascal_q")
-    if q is None:
-        q = core.kind_record(cfg["process"]).q_default
+    q = cfg.get("pascal_q", core.kind_record(cfg["process"]).q_default)
+    n, workers = cfg["paths"], cfg["workers"]
     kind = simulate.ProcessKind(cfg["process"], q)
-    grid = _float_list(cfg["grid"])
-    ens = simulate.sample_ensemble(kind, grid, cfg["paths"], config.seed,
-                                   n_workers=cfg["workers"])
-    n_blocks = -(-ens.n_paths // simulate.BLOCK_PATHS)
-    config.log_fields.update(substreams=n_blocks * ens.n_times,
-                             workers=min(cfg["workers"], n_blocks))
-    writer = simulate.save_ensemble if config.format == "qhe" else simulate.ensemble_to_csv
+    grid = simulate.check_sampling(_float_list(cfg["grid"]), n, config.seed, workers)
+    n_blocks = -(-n // simulate.BLOCK_PATHS)
+    config.log_fields.update(substreams=n_blocks * grid.size, workers=min(workers, n_blocks))
+    args = (kind, grid, n, config.seed)
+    if config.format == "qhe":  # emit_s covers the sampling too
+        write = functools.partial(simulate.sample_to_container, *args, n_workers=workers)
+    else:
+        write = functools.partial(simulate.ensemble_to_csv, simulate.sample_ensemble(*args, workers))
     started = time.perf_counter()
-    _atomic_write(config.out, lambda tmp: writer(ens, tmp))
+    _atomic_write(config.out, write)
     config.log_fields.update(emit_s=time.perf_counter() - started,
                              bytes_written=os.path.getsize(config.out))
     return 0
@@ -393,15 +393,8 @@ def _run_simulate(config: RunConfig) -> int:
 
 def _check(name: str, value: float, expected: float, se: float, max_se: float) -> dict:
     dev = abs(value - expected) / se if se > 0 else (0.0 if value == expected else math.inf)
-    return {
-        "test": name,
-        "value": value,
-        "expected": expected,
-        "se": se,
-        "statistic": dev,
-        "tolerance": max_se,
-        "pass": bool(dev <= max_se),
-    }
+    return {"test": name, "value": value, "expected": expected, "se": se, "statistic": dev,
+            "tolerance": max_se, "pass": bool(dev <= max_se)}
 
 
 def _resolve_pair(cfg: dict):
@@ -410,8 +403,7 @@ def _resolve_pair(cfg: dict):
     from . import simulate
 
     head = simulate.read_header(cfg["ensemble"])
-    si = head.time_index(cfg["s"])
-    ti = head.time_index(cfg["t"])
+    si, ti = head.time_index(cfg["s"]), head.time_index(cfg["t"])
     if si >= ti:
         raise ValueError("need s < t")
     return head, float(head.grid[si]), float(head.grid[ti])
@@ -459,8 +451,7 @@ def _run_verify(config: RunConfig) -> int:
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
                      "n_paths": ens.n_paths, "grid": head.grid.tolist()},
-        "s": s,
-        "t": t,
+        "s": s, "t": t,
         "checks": checks,
         "binned": bins,
         "fit": {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "r_squared": fit.r_squared},
@@ -558,8 +549,7 @@ def _run_optimize(config: RunConfig) -> int:
     stats = certs.SearchStats()
     cert = certs.optimize_constant(cfg["p"], knobs, stats=stats)
     config.log_fields.update(evaluations=stats.evaluations)
-    results = {"knobs": knobs}
-    results.update(cert.to_json_dict())
+    results = {"knobs": knobs, **cert.to_json_dict()}
     _emit(config, results)
     return 0 if cert.valid else 1
 
@@ -589,8 +579,7 @@ def _run_tails(config: RunConfig) -> int:
     results = {
         "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
                      "n_paths": ens.n_paths},
-        "s": s,
-        "t": t,
+        "s": s, "t": t,
         "normalized": normalize,
         "thresholds": curve.thresholds.tolist(),
         "n_values": curve.n_values.tolist(),

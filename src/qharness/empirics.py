@@ -16,11 +16,12 @@ Pass thresholds are a fixed multiple of the standard error (3 by default),
 configurable by the caller; the predictions come from the same closed-form
 code path the rest of the package uses, never from a re-derivation.
 
-Binning works in place: the squared residual is formed in the sorted
-conditioning column's buffer, and each column's deviations from its bin
-means in that column's own buffer, so it holds two column copies beyond its
-input.  ``tail_curve`` and ``hill_tail_index`` hold one: ``tail_curve``
-sorts each |column| once, and reads the Hill estimate off the sorted |X_t|.
+Binning holds the argsort order of X_t and one group buffer beyond its
+input (a sorted copy of X_t before that, for the bin edges): the squared
+residual, then X_s, is gathered through the order into the buffer, a group
+of whole bins at a time.  ``tail_curve`` and ``hill_tail_index`` hold one
+column copy: ``tail_curve`` sorts each |column| once, and reads the Hill
+estimate off the sorted |X_t|.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ __all__ = [
 ]
 
 MIN_BIN_COUNT = 30
-# rows per block of the per-path passes: 32768 rows keep the two column
-# slices and the per-block temporaries in cache
+# rows per block of the per-path passes and per gathered chunk of the
+# binning: 32768 rows keep the slices and the per-block temporaries in cache
 ROW_BLOCK = 8 * BLOCK_PATHS
 # the regression weight 1/v^2 floors v at this share of s(t-s)/(t+tau)
 WEIGHT_FLOOR = 1e-2
@@ -160,13 +161,8 @@ def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
-    # one argsort lists the paths bin by bin: sorted positions [starts[b],
-    # starts[b+1]) hold exactly bin b's values, and equal values share a bin.
-    # The sorted column is np.sort's: ties are equal values, so it equals
-    # cond[order] (but for a column holding both -0.0 and 0.0)
-    order = np.argsort(cond)
-    y = target[order]
-    del order
+    # the sorted column gives the bins: equal values share one, and sorted
+    # positions [starts[b], starts[b+1]) hold exactly bin b's values
     c = np.sort(cond)
     distinct = np.empty(c.size, dtype=bool)
     distinct[0] = True
@@ -189,26 +185,52 @@ def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -
     at, n = starts[filled], count[filled]
     x_mean = np.zeros(nb)
     x_mean[filled] = np.add.reduceat(c, at) / n
-    # r^2 = (y - slope*c)^2 in c's buffer
-    r2 = c
-    r2 *= -slope
-    r2 += y
-    r2 *= r2
+    del c
+
+    # one argsort lists the paths in the sorted column's order, bin by bin.
+    # It is walked in groups of whole bins (at most ROW_BLOCK paths, or one
+    # larger bin), each gathered into one reused buffer in ROW_BLOCK chunks:
+    # first r^2 = (y - slope*x)^2, then y.  reduceat sums a bin of a group as
+    # it sums that bin of a whole column, bit for bit; r^2 is the same at
+    # x = -0.0 and 0.0, where the sorted and the gathered column may differ
+    order = np.argsort(cond)
+    firsts, ends = at.tolist(), (at + n).tolist()
+    groups = [0]
+    for b in range(1, len(firsts)):
+        if ends[b] - firsts[groups[-1]] > ROW_BLOCK:
+            groups.append(b)
+    groups.append(len(firsts))
+    buf = np.empty(max(ends[j - 1] - firsts[i] for i, j in zip(groups, groups[1:])))
+    # each bin's mean, then the sum of squared deviations from it (formed in
+    # the buffer), as np.std(ddof=1) forms them: stats[k] = (means, sums)
+    stats = np.empty((2, 2, at.size))
+    for i, j in zip(groups, groups[1:]):
+        lo, hi = firsts[i], ends[j - 1]
+        rows, seg = buf[: hi - lo], at[i:j] - lo
+        for k in range(2):  # r^2, then y
+            for a in range(lo, hi, ROW_BLOCK):
+                idx = order[a : min(a + ROW_BLOCK, hi)]
+                part = rows[a - lo : a - lo + idx.size]
+                if k == 0:
+                    y = target[idx]
+                    np.multiply(cond[idx], -slope, out=part)
+                    part += y
+                    part *= part
+                else:  # a one-chunk group's y is at hand
+                    part[:] = y if idx.size == hi - lo else target[idx]
+            m = np.add.reduceat(rows, seg) / n[i:j]
+            for b, mb in zip(range(i, j), m.tolist()):
+                rows[firsts[b] - lo : ends[b] - lo] -= mb
+            rows *= rows
+            stats[k, :, i:j] = m, np.add.reduceat(rows, seg)
     mean = np.zeros(nb)
     var = np.zeros(nb)
     se_mean = np.zeros(nb)
     se_var = np.zeros(nb)
-    # two-pass standard errors, as np.std(ddof=1) forms them, with each
-    # column's deviations formed in its own buffer; a one-path bin keeps 0
+    # a one-path bin keeps standard error 0
     several = n > 1
-    bounds = list(zip(at.tolist(), (at + n).tolist()))
-    for col, se, values in ((mean, se_mean, y), (var, se_var, r2)):
-        m = np.add.reduceat(values, at) / n
+    for col, se, (m, ssq) in ((var, se_var, stats[0]), (mean, se_mean, stats[1])):
         col[filled] = m
-        for (lo, hi), mb in zip(bounds, m):
-            values[lo:hi] -= mb
-        values *= values
-        ssq = np.add.reduceat(values, at)
         se[np.flatnonzero(filled)[several]] = (
             np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
 

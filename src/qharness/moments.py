@@ -238,7 +238,7 @@ def classify_moment_region(p: HarnessParams) -> MomentRegion:
     st = p.sigma * p.tau
     root = 2.0 * math.sqrt(st)
     in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)
-    in_all = -1.0 <= p.gamma <= 1.0 - root
+    in_all = st < 1.0 and -1.0 <= p.gamma <= 1.0 - root
     if in_finite and in_all:
         return MomentRegion("boundary", None)
     if in_finite:

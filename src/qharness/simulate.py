@@ -10,9 +10,12 @@ certificate/formula based.
 Randomness is counter-based: each (path block, grid step) pair owns a Philox
 substream keyed by (seed, block << 32 | step) with counter 0, so regenerating
 an ensemble is bit-identical regardless of how many worker threads assemble
-it.  ``sample_ensemble`` runs W workers on a pool of W threads; worker w fills
-blocks w, w+W, ... and re-keys one Philox per substream instead of building a
-new one, which sets the same state, so the stream layout is unchanged.
+it.  One block loop runs W workers on a pool of W threads; worker w fills
+blocks w, w+W, ... in one reused block buffer and re-keys one Philox per
+substream instead of building a new one, which sets the same state, so the
+stream layout is unchanged.  ``sample_ensemble`` copies each finished block
+into the path matrix; ``sample_to_container`` writes it straight to its
+offset in the container, so no path matrix is ever built.
 
 ``load_ensemble`` reads the container in blocks of rows through one buffer
 and can keep only some grid columns, as ``verify`` and ``tails`` do; it
@@ -23,9 +26,10 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -38,7 +42,9 @@ __all__ = [
     "Ensemble",
     "known_params",
     "pascal_theta",
+    "check_sampling",
     "sample_ensemble",
+    "sample_to_container",
     "save_ensemble",
     "Header",
     "read_header",
@@ -151,18 +157,8 @@ class _Substreams:
         return self._gen
 
 
-def sample_ensemble(
-    kind: ProcessKind,
-    grid,
-    n_paths: int,
-    seed: int,
-    n_workers: int = 1,
-) -> Ensemble:
-    """Sample n_paths independent trajectories on the grid.
-
-    Deterministic per (kind, grid, n_paths, seed): the worker count only
-    distributes blocks, it never changes the streams.
-    """
+def check_sampling(grid, n_paths: int, seed: int, n_workers: int) -> np.ndarray:
+    """Check the sampler's inputs and return the grid as a float64 array."""
     grid = _check_grid(grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -170,9 +166,16 @@ def sample_ensemble(
         raise ValueError("seed must be an unsigned 64-bit integer")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    return grid
 
+
+def _sample_blocks(kind: ProcessKind, grid: np.ndarray, n_paths: int, seed: int,
+                   n_workers: int, put: Callable[[int, np.ndarray], None]) -> None:
+    """The one block loop: worker w of W fills blocks w, w + W, ... in one
+    reused BLOCK_PATHS x n_times buffer and hands each finished block to
+    ``put(lo, rows)``, rows being paths lo, lo + 1, ... (on the worker's
+    thread; rows is overwritten by the worker's next block)."""
     dts = np.diff(grid, prepend=0.0)
-    out = np.empty((n_paths, grid.size), dtype=np.float64)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     n_workers = min(n_workers, n_blocks)
     # one draw per distinct step, made before the blocks are handed out, so
@@ -185,36 +188,80 @@ def sample_ensemble(
     def work(first: int) -> None:
         """Fill blocks first, first + n_workers, ... with one re-keyed Philox."""
         substream = _Substreams(seed)
+        buf = np.empty((min(BLOCK_PATHS, n_paths), grid.size))
         for block in range(first, n_blocks, n_workers):
             lo = block * BLOCK_PATHS
-            hi = min(lo + BLOCK_PATHS, n_paths)
-            acc = np.zeros(hi - lo)
+            rows = buf[: n_paths - lo]
+            acc = np.zeros(rows.shape[0])
             for step, draw in enumerate(draws):
                 # accumulate the raw draws and centre once per column, so equal
                 # lattice counts give bit-equal path values (exact lattice)
-                acc += draw(substream(block, step), hi - lo)
-                out[lo:hi, step] = (acc - grid[step] * mu) * scale
+                acc += draw(substream(block, step), rows.shape[0])
+                rows[:, step] = (acc - grid[step] * mu) * scale
+            put(lo, rows)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(work, range(n_workers)))
 
+
+def sample_ensemble(
+    kind: ProcessKind,
+    grid,
+    n_paths: int,
+    seed: int,
+    n_workers: int = 1,
+) -> Ensemble:
+    """Sample n_paths independent trajectories on the grid.
+
+    Deterministic per (kind, grid, n_paths, seed): the worker count only
+    distributes blocks, it never changes the streams.
+    """
+    grid = check_sampling(grid, n_paths, seed, n_workers)
+    out = np.empty((n_paths, grid.size), dtype=np.float64)
+
+    def put(lo: int, rows: np.ndarray) -> None:
+        out[lo : lo + rows.shape[0]] = rows
+
+    _sample_blocks(kind, grid, n_paths, seed, n_workers, put)
     return Ensemble(kind=kind, grid=grid, paths=out, seed=seed)
 
 
-def save_ensemble(e: Ensemble, path) -> None:
-    """Write the little-endian container: magic, kind code (its table index),
-    q (0 when unused), seed, shape, grid and the row-major float64 paths."""
-    header = _HEADER.pack(
-        _MAGIC,
-        KINDS.index(e.kind.name),
-        e.kind.q if e.kind.q is not None else 0.0,
-        e.seed,
-        e.n_paths,
-        e.n_times,
-    )
+def _header(kind: ProcessKind, seed: int, n_paths: int, grid: np.ndarray) -> bytes:
+    """The container's header and grid: magic, kind code (its table index),
+    q (0 when unused), seed, shape, then the grid as little-endian float64."""
+    return _HEADER.pack(_MAGIC, KINDS.index(kind.name), kind.q if kind.q is not None else 0.0,
+                        seed, n_paths, grid.size) + grid.astype("<f8").tobytes()
+
+
+def sample_to_container(kind: ProcessKind, grid, n_paths: int, seed: int, path,
+                        n_workers: int = 1) -> None:
+    """Sample as ``sample_ensemble`` does and write the container that
+    ``save_ensemble`` would write of the result, byte for byte, holding only
+    each worker's block buffer: the header and grid go first, then every
+    finished block to its own offset.  A block with a value that is not
+    finite stops the write with the Ensemble's error."""
+    grid = check_sampling(grid, n_paths, seed, n_workers)
+    head = _header(kind, seed, n_paths, grid)
+    lock = threading.Lock()
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(e.grid, dtype="<f8").tobytes())
+        fh.write(head)
+
+        def put(lo: int, rows: np.ndarray) -> None:
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("path values must be finite")
+            data = memoryview(np.ascontiguousarray(rows, dtype="<f8"))
+            with lock:
+                fh.seek(len(head) + 8 * grid.size * lo)
+                fh.write(data)
+
+        _sample_blocks(kind, grid, n_paths, seed, n_workers, put)
+
+
+def save_ensemble(e: Ensemble, path) -> None:
+    """Write the little-endian container: the header and grid of
+    ``sample_to_container``, then the row-major float64 paths."""
+    with open(path, "wb") as fh:
+        fh.write(_header(e.kind, e.seed, e.n_paths, e.grid))
         # a view of the path matrix, not a tobytes() copy of it
         fh.write(memoryview(np.ascontiguousarray(e.paths, dtype="<f8")))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -782,7 +784,8 @@ class TestMomentsCommand:
         assert res["two_sided"]["scale"] == pytest.approx(0.25)
         assert res["two_sided"]["brownian_reference"] == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("sigma, tau, gamma", [("2", "1", "0"), ("1", "1", "1")])
+    @pytest.mark.parametrize("sigma, tau, gamma",
+                             [("2", "1", "0"), ("1", "1", "1"), ("1", "1", "-1")])
     def test_sigma_tau_not_below_one_warns(self, tmp_path, sigma, tau, gamma):
         out = tmp_path / "m.json"
         assert run_cli(["moments", "--sigma", sigma, "--tau", tau, "--gamma", gamma,
@@ -1217,7 +1220,7 @@ _EXPORTS = (
     "make_certificate", "marginal_moments", "moments", "one_sided_mean",
     "optimize_constant", "path_empirics", "pfail_upper", "pmax_certified",
     "replay_certificate",
-    "sample_ensemble", "save_ensemble", "simulate", "tail_curve",
+    "sample_ensemble", "sample_to_container", "save_ensemble", "simulate", "tail_curve",
     "tail_recursion_coeffs", "two_point_from_moments", "u_for_order",
     "var_backward", "var_forward",
 )
@@ -1347,17 +1350,85 @@ class TestAtomicWrite:
                 "--out", str(out)]
         assert run_cli(argv) == 0
         before = out.read_bytes()
+        real_open = open
 
-        def broken(ens, path):
-            with open(path, "wb") as fh:
-                fh.write(b"QHE1 partial")
-            raise OSError("disk full")
+        class FailingBlockWrite:
+            """The container file: the header and grid go in, then the first
+            block write stops halfway with a full disk."""
 
-        monkeypatch.setattr(simulate, "save_ensemble", broken)
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, offset):
+                self.fh.seek(offset)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 1:
+                    return self.fh.write(data)
+                self.fh.write(memoryview(data).cast("B")[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(simulate, "open",
+                            lambda *a, **k: FailingBlockWrite(real_open(*a, **k)), raising=False)
         assert run_cli(argv[:-2] + ["--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "qharness simulate: error: disk full\n"
         assert out.read_bytes() == before
         assert _leftovers(tmp_path) == []
+
+    def test_value_not_finite_mid_ensemble_leaves_earlier_artifact(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        from qharness import core
+
+        out = tmp_path / "e.qhe"
+        argv = ["simulate", "--process", "wiener", "--grid", "0.5,1.0",
+                "--paths", str(3 * BLOCK_PATHS), "--out", str(out)]
+        assert run_cli(argv) == 0
+        before = out.read_bytes()
+        wiener = core.kind_record("wiener")
+        calls = itertools.count()
+
+        def sampler(dt, q):
+            draw = wiener.sampler(dt, q)
+
+            def late_inf(rng, n):
+                x = draw(rng, n)
+                if next(calls) == 5:  # the last block's second step, after two blocks are written
+                    x[7] = math.inf
+                return x
+
+            return late_inf
+
+        monkeypatch.setattr(core, "PROCESS_KINDS", tuple(
+            dataclasses.replace(r, sampler=sampler) if r is wiener else r
+            for r in core.PROCESS_KINDS))
+        assert run_cli(argv[:-2] + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qharness simulate: error: path values must be finite\n"
+        assert out.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "1.0,0.5", "--paths", "10"],
+         "grid must be finite, positive and strictly ascending"),
+        (["--grid", "0.5,1.0", "--paths", "0"], "n_paths must be >= 1, got 0"),
+        (["--grid", "0.5,1.0", "--paths", "10", "--seed", "-1"],
+         "seed must be an unsigned 64-bit integer"),
+        (["--grid", "0.5,1.0", "--paths", "10", "--workers", "0"], "n_workers must be >= 1"),
+    ])
+    @pytest.mark.parametrize("fmt", ["qhe", "csv"])
+    def test_bad_sampling_input_touches_no_file(self, tmp_path, capsys, flags, message, fmt):
+        # checked before the temporary is made, so not even the directory is
+        out = tmp_path / "d" / f"e.{fmt}"
+        assert run_cli(["simulate", "--process", "gamma", *flags, "--format", fmt,
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"qharness simulate: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_payload_write_leaves_earlier_artifact(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "cert.json"

@@ -195,6 +195,102 @@ class TestEstimateConditional:
             estimate_conditional(wiener_ens, 1, 3, 4)
 
 
+def gathered_columns_reference(e, s_index, t_index, n_bins):
+    """The binned columns as the whole-column implementation formed them: the
+    argsort-gathered X_s column and r^2 in the np.sort column's buffer, each
+    bin summed by one reduceat over the whole column, the deviations from the
+    bin means formed in place."""
+    slope = float(e.grid[s_index]) / float(e.grid[t_index])
+    cond, target = e.paths[:, t_index], e.paths[:, s_index]
+    y = target[np.argsort(cond)]
+    c = np.sort(cond)
+    distinct = np.empty(c.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(c[1:], c[:-1], out=distinct[1:])
+    if np.count_nonzero(distinct) <= n_bins:
+        edges = np.append(c[distinct], c[-1])
+    else:
+        edges = np.unique(sorted_quantiles(c, np.linspace(0.0, 1.0, n_bins + 1)))
+    nb = edges.size - 1
+    starts = np.searchsorted(c, edges[:-1], side="left")
+    count = np.diff(starts, append=c.size)
+    filled = count > 0
+    at, n = starts[filled], count[filled]
+    cols = {k: np.zeros(nb) for k in ("x_mean", "mean", "var", "se_mean", "se_var")}
+    cols["x_mean"][filled] = np.add.reduceat(c, at) / n
+    r2 = c
+    r2 *= -slope
+    r2 += y
+    r2 *= r2
+    several = n > 1
+    for col, se, values in (("mean", "se_mean", y), ("var", "se_var", r2)):
+        m = np.add.reduceat(values, at) / n
+        cols[col][filled] = m
+        for lo, hi, mb in zip(at.tolist(), (at + n).tolist(), m):
+            values[lo:hi] -= mb
+        values *= values
+        ssq = np.add.reduceat(values, at)
+        cols[se][np.flatnonzero(filled)[several]] = (
+            np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
+    return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count)
+
+
+class TestBinnedThroughTheOrder:
+    """Walking the argsort order in groups of whole bins gives the columns of
+    the whole-column implementation bit for bit, and holds the order and one
+    group buffer beyond its input."""
+
+    @staticmethod
+    def assert_bitwise(b, ref):
+        for name, want in ref.items():
+            got = getattr(b, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_bins", [5, 40, 400])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_whole_column_reference(self, all_ensembles, kind, n_bins, order):
+        e = all_ensembles[kind]
+        e = Ensemble(e.kind, e.grid, np.asarray(e.paths, order=order), seed=e.seed)
+        b = estimate_conditional(e, 1, 3, n_bins)
+        ref = gathered_columns_reference(e, 1, 3, n_bins)
+        if kind == "poisson":  # lattice bins, some larger than one group
+            assert b.count.max() > ROW_BLOCK
+        self.assert_bitwise(b, ref)
+
+    @pytest.mark.parametrize("n_bins", [5, 40])
+    def test_one_bin_larger_than_a_group(self, n_bins):
+        # a bin of 3 ROW_BLOCK + 5 ties among continuous values, so groups of
+        # whole small bins sit on both sides of one that takes several chunks
+        rng = np.random.default_rng(8)
+        xt = rng.standard_normal(6 * ROW_BLOCK)
+        xt[rng.permutation(xt.size)[: 3 * ROW_BLOCK + 5]] = 0.25
+        paths = np.column_stack((rng.standard_normal(xt.size) + xt, xt))
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        b = estimate_conditional(e, 0, 1, n_bins)
+        assert b.count.max() >= 3 * ROW_BLOCK + 5
+        self.assert_bitwise(b, gathered_columns_reference(e, 0, 1, n_bins))
+
+    def test_signed_zeros_in_the_conditioning_column(self):
+        # -0.0 and 0.0 share a bin; r^2 is the same whichever of them the
+        # sorted column holds where the gathered one holds the other
+        rng = np.random.default_rng(9)
+        xt = rng.choice([-0.0, 0.0, 1.0, 2.0, -1.0], 5000)
+        paths = np.column_stack((rng.choice([-0.0, 0.0, 0.5], xt.size), xt))
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        self.assert_bitwise(estimate_conditional(e, 0, 1, 5),
+                            gathered_columns_reference(e, 0, 1, 5))
+
+    @pytest.mark.parametrize("name, n_bins", [("gamma", 400), ("pascal", 40)])
+    def test_peak_on_column_major_input(self, name, n_bins):
+        n = 1_000_000
+        e = sample_ensemble(kind_of(name), (0.5, 1.0), n, seed=SEED)
+        e = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
+        b = estimate_conditional(e, 0, 1, n_bins)  # first-call allocations
+        bound = 8 * n + 8 * max(ROW_BLOCK, int(b.count.max())) + 2**20
+        assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins)) <= bound
+
+
 def covariance_reference(e, i, j):
     """Sample mean of X_{t_i} X_{t_j} and its standard error, over whole columns."""
     prod = e.paths[:, i] * e.paths[:, j]

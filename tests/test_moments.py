@@ -262,6 +262,11 @@ class TestRegionClassifier:
         (1.0, 1.0, 5.0, "gamma=5.0 above 1+2*sqrt(sigma*tau)=3.0"),
         (1.0, 1.0, 1.0, "sigma*tau=1.0 not below 1"),
         (2.0, 1.0, 0.0, "sigma*tau=2.0 not below 1"),
+        # the all-orders window [-1, 1 - 2*sqrt(sigma*tau)] is the point -1 at
+        # sigma*tau = 1, where no harness exists (the two-point law too
+        # needs sigma*tau below 1)
+        (1.0, 1.0, -1.0, "sigma*tau=1.0 not below 1"),
+        (0.5, 2.0, -1.0, "sigma*tau=1.0 not below 1"),
     ])
     def test_reason(self, sigma, tau, gamma, reason):
         r = classify_moment_region(HarnessParams(0.0, 0.0, sigma, tau, gamma))

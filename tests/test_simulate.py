@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from qharness.simulate import (
     pascal_theta,
     read_header,
     sample_ensemble,
+    sample_to_container,
     save_ensemble,
 )
 
@@ -564,6 +566,74 @@ class TestCsvMatchesRowLoop:
 
         # one block's tables, cells and text, whatever the path count
         small, large = peak(2 * BLOCK_PATHS), peak(16 * BLOCK_PATHS)
+        assert large <= 1.02 * small + 2**16
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestStreamedContainer:
+    """``sample_to_container`` writes, block by block, the container that
+    ``save_ensemble`` writes of ``sample_ensemble``'s result."""
+
+    @pytest.mark.parametrize("kind, grid", [
+        *[(kind_of(name), GRID) for name in KINDS],
+        # no inversion table at q = 1e-4 or at dt = 1999.5: gamma-mixed Poisson steps
+        (ProcessKind("pascal", 1e-4), GRID),
+        (kind_of("pascal"), [0.5, 2000.0]),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, BLOCK_PATHS - 1, 2 * BLOCK_PATHS + 17])
+    def test_equals_saved_ensemble(self, tmp_path, kind, grid, workers, n):
+        seed = 2**64 - 3
+        save_ensemble(sample_ensemble(kind, grid, n, seed, n_workers=workers), tmp_path / "a.qhe")
+        sample_to_container(kind, grid, n, seed, tmp_path / "b.qhe", n_workers=workers)
+        assert sha256(tmp_path / "b.qhe") == sha256(tmp_path / "a.qhe")
+
+    def test_more_workers_than_cores_under_fast_switching(self, tmp_path):
+        # the workers share one file: a seek and a write of one worker split
+        # by another's would put a block at the wrong offset.  One-time wiener
+        # blocks are quick to sample, so the writes crowd together
+        n = 64 * BLOCK_PATHS + 5
+        save_ensemble(sample_ensemble(kind_of("wiener"), [1.0], n, 9), tmp_path / "a.qhe")
+        want = sha256(tmp_path / "a.qhe")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                sample_to_container(kind_of("wiener"), [1.0], n, 9, tmp_path / "b.qhe", 7)
+                assert sha256(tmp_path / "b.qhe") == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("grid, n, seed, workers, message", [
+        ([1.0, 0.5], 10, 0, 1, "grid must be finite"),
+        (GRID, 0, 0, 1, "n_paths must be >= 1"),
+        (GRID, 10, -1, 1, "seed must be an unsigned 64-bit integer"),
+        (GRID, 10, 0, 0, "n_workers must be >= 1"),
+    ])
+    def test_inputs_checked_before_the_file_is_opened(self, tmp_path, grid, n, seed, workers,
+                                                      message):
+        with pytest.raises(ValueError, match=message):
+            sample_to_container(kind_of("wiener"), grid, n, seed, tmp_path / "e.qhe", workers)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["pascal", "gamma"])
+    def test_peak_memory_does_not_grow_with_paths(self, tmp_path, name):
+        def peak(n: int) -> int:
+            sample_to_container(kind_of(name), GRID, n, 6, tmp_path / "e.qhe")
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sample_to_container(kind_of(name), GRID, n, 6, tmp_path / "e.qhe")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # the worker's block buffer and draws, whatever the path count (one
+        # worker: how far several overlap is up to the scheduler)
+        small, large = peak(4 * BLOCK_PATHS), peak(64 * BLOCK_PATHS)
         assert large <= 1.02 * small + 2**16
 
 
