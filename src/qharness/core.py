@@ -15,7 +15,9 @@ parameter/state combination.
 State arguments (x, x_s, x_t, x_u) may be floats or numpy arrays, evaluated
 elementwise; ``_check_time`` checks each time once per call.  ``PROCESS_KINDS``
 is the table of the process kinds that `simulate` samples; the pascal kind
-draws its increments by inverting the CDF tables of ``_nb_cdf``.
+draws its increments by inverting the CDF tables of ``_nb_cdf`` through a
+guide table (Chen and Asau 1974): most uniforms take one bucket lookup, and
+every uniform gets the K a binary search of the table gives.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ def pascal_theta(q: float) -> float:
 # more than one uniform step.
 _NB_TAIL = 2.0**-53
 # Longest pascal inversion table; where NB(dt, q) needs more, or q**dt
-# underflows, the increment is drawn as a gamma-mixed Poisson instead.  On
-# 4096-draw blocks (numpy 2.4, 2-vCPU VM, dt from 0.25 to 300) the mixed
-# Poisson takes 1.09x-2.8x the inversion's time at 2**11 entries, but down to
-# 0.92x at 2**12 and 0.56x at 2**16: past L1 the searchsorted probes miss cache.
+# underflows, the increment is drawn as a gamma-mixed Poisson instead.  The
+# cap decides which steps invert, and so the sampled ensembles: it stays at
+# 2**11 because moving it would change them, not because inversion stops
+# paying there.  On 4096-draw blocks (numpy 2.4, 2-vCPU VM, dt from 0.25 to
+# 300) the mixed Poisson takes 4.9x-7.9x the guided inversion's time at 2**11
+# entries, and still 3.2x-6.3x at 2**16.
 _NB_TABLE_CAP = 1 << 11
 
 
@@ -134,11 +138,36 @@ def _nb_cdf(dt: float, q: float):
 def _pascal_sampler(dt: float, q: float):
     """The NB(dt, q) increment draw for one step: table inversion, one
     uniform per draw, or numpy's gamma-mixed Poisson where ``_nb_cdf`` gives
-    no table."""
+    no table.
+
+    A draw is K = cdf.searchsorted(U, side="right"), found through a guide
+    table of M buckets, M the smallest power of two >= 4m for a table of m
+    entries (within 5-32% of the time at the fastest M, 8m or 16m, at the
+    steps timed): guide[j] is K at U = j/M and head[j] the first entry
+    above j/M (2.0 past the table).
+    j = floor(U*M) is exact, M being a power of two, and for U in
+    [j/M, (j+1)/M) K is guide[j] unless head[j] <= U; only those uniforms,
+    at most a share m/M, are searched in the table.
+    """
+    import numpy as np
+
     cdf = _nb_cdf(dt, q)
     if cdf is None:
         return lambda rng, n: rng.poisson(rng.gamma(dt, (1.0 - q) / q, n)).astype(float)
-    return lambda rng, n: cdf.searchsorted(rng.random(n), side="right").astype(float)
+    buckets = 1 << max(4 * cdf.size - 1, 0).bit_length()
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    head = np.append(cdf, 2.0)[guide]
+    guide = guide.astype(float)
+
+    def draw(rng, n):
+        u = rng.random(n)
+        j = (u * buckets).astype(np.intp)
+        k = guide[j]
+        miss = head[j] <= u
+        k[miss] = cdf.searchsorted(u[miss], side="right")
+        return k
+
+    return draw
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ an ensemble is bit-identical regardless of how many worker threads assemble
 it.  One block loop runs W workers on a pool of W threads; worker w fills
 blocks w, w+W, ... in one reused block buffer and re-keys one Philox per
 substream instead of building a new one, which sets the same state, so the
-stream layout is unchanged.  ``sample_ensemble`` copies each finished block
+stream layout is unchanged; a block that fails stops the other workers
+before their next block.  ``sample_ensemble`` copies each finished block
 into the path matrix; ``sample_to_container`` writes it straight to its
 offset in the container, so no path matrix is ever built.
 
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Event, Lock
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -174,7 +175,9 @@ def _sample_blocks(kind: ProcessKind, grid: np.ndarray, n_paths: int, seed: int,
     """The one block loop: worker w of W fills blocks w, w + W, ... in one
     reused BLOCK_PATHS x n_times buffer and hands each finished block to
     ``put(lo, rows)``, rows being paths lo, lo + 1, ... (on the worker's
-    thread; rows is overwritten by the worker's next block)."""
+    thread; rows is overwritten by the worker's next block).  A block whose
+    draw or ``put`` raises stops the other workers before their next block,
+    and its error is raised."""
     dts = np.diff(grid, prepend=0.0)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     n_workers = min(n_workers, n_blocks)
@@ -185,20 +188,29 @@ def _sample_blocks(kind: ProcessKind, grid: np.ndarray, n_paths: int, seed: int,
     draws = [samplers[dt] for dt in steps]
     mu, scale = kind.record.centring(kind.q)
 
+    failed = Event()
+
     def work(first: int) -> None:
-        """Fill blocks first, first + n_workers, ... with one re-keyed Philox."""
+        """Fill blocks first, first + n_workers, ... with one re-keyed Philox;
+        stop before the next block once any worker's block has failed."""
         substream = _Substreams(seed)
         buf = np.empty((min(BLOCK_PATHS, n_paths), grid.size))
-        for block in range(first, n_blocks, n_workers):
-            lo = block * BLOCK_PATHS
-            rows = buf[: n_paths - lo]
-            acc = np.zeros(rows.shape[0])
-            for step, draw in enumerate(draws):
-                # accumulate the raw draws and centre once per column, so equal
-                # lattice counts give bit-equal path values (exact lattice)
-                acc += draw(substream(block, step), rows.shape[0])
-                rows[:, step] = (acc - grid[step] * mu) * scale
-            put(lo, rows)
+        try:
+            for block in range(first, n_blocks, n_workers):
+                if failed.is_set():
+                    return
+                lo = block * BLOCK_PATHS
+                rows = buf[: n_paths - lo]
+                acc = np.zeros(rows.shape[0])
+                for step, draw in enumerate(draws):
+                    # accumulate the raw draws and centre once per column, so equal
+                    # lattice counts give bit-equal path values (exact lattice)
+                    acc += draw(substream(block, step), rows.shape[0])
+                    rows[:, step] = (acc - grid[step] * mu) * scale
+                put(lo, rows)
+        except BaseException:
+            failed.set()
+            raise
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(work, range(n_workers)))
@@ -242,7 +254,7 @@ def sample_to_container(kind: ProcessKind, grid, n_paths: int, seed: int, path,
     finite stops the write with the Ensemble's error."""
     grid = check_sampling(grid, n_paths, seed, n_workers)
     head = _header(kind, seed, n_paths, grid)
-    lock = threading.Lock()
+    lock = Lock()
     with open(path, "wb") as fh:
         fh.write(head)
 

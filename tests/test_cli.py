@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
-from qharness.core import KINDS, HarnessParams
+from qharness.core import KINDS, HarnessParams, _nb_cdf
 from qharness.empirics import estimate_conditional, hill_tail_index, path_empirics
 from qharness.moments import TwoPointLaw, marginal_moments
 from qharness.simulate import (
@@ -592,6 +593,24 @@ def sidecar_fields(path) -> dict[str, str]:
     """The key=value fields of the last line of the artifact's .log sidecar."""
     line = Path(str(path) + ".log").read_text().splitlines()[-1]
     return dict(f.split("=", 1) for f in line.split())
+
+
+class TestPinnedPascalStreams:
+    """Digests of pascal containers whose every step inverts a table, so only
+    the Philox uniforms and the inversion fix them: a change to the stream,
+    the tables or the lookup fails here."""
+
+    @pytest.mark.parametrize("q, grid, digest", [
+        (0.5, "0.5,1.0", "06082547eb836b2ff165b0b974c88618d0c45732ed7251124b26fc8743ed38eb"),
+        (0.025, "1.0,2.0", "ced91d9d8002ccdda7aafeff8fa957bcc6968f569a79eed815536215403ffda1"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_container_digest(self, tmp_path, q, grid, digest, workers):
+        assert all(_nb_cdf(dt, q) is not None for dt in np.diff([0.0, *map(float, grid.split(","))]))
+        out = tmp_path / "p.qhe"
+        assert run_cli(["simulate", "--process", "pascal", "--pascal-q", str(q), "--grid", grid,
+                        "--paths", "20000", "--workers", str(workers), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTwoColumnHandlers:

@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.random import Generator, Philox
 
-from qharness import core
+from qharness import core, simulate
 from qharness.core import _NB_TABLE_CAP, KINDS, _nb_cdf, kind_record, one_sided_mean, var_backward
 from qharness.moments import marginal_moments
 from qharness.simulate import (
@@ -22,6 +25,7 @@ from qharness.simulate import (
     pascal_theta,
     read_header,
     sample_ensemble,
+    _sample_blocks,
     sample_to_container,
     save_ensemble,
 )
@@ -241,6 +245,22 @@ INVERTED = [(0.25, 0.5), (1.0, 0.1), (3.0, 0.9), (0.25, 0.3), (1000.0, 0.5)]
 FALLBACK = [(1.0, 1e-4), (2000.0, 0.5), (0.25, 1e-4)]
 
 
+@st.composite
+def inverted_uniforms(draw):
+    """(dt, q, u): a step that inverts a table and a uniform, either one of
+    numpy's (a multiple of 2**-53) or on or next to one of the table's entries."""
+    dt, q = draw(st.floats(0.01, 50.0)), draw(st.floats(0.05, 0.99))
+    cdf = _nb_cdf(dt, q)
+    assume(cdf is not None)
+    if cdf.size and draw(st.booleans()):
+        f = float(cdf[draw(st.integers(0, cdf.size - 1))])
+        u = draw(st.sampled_from([math.nextafter(f, 0.0), f, math.nextafter(f, 1.0)]))
+        assume(u < 1.0)
+    else:
+        u = draw(st.integers(0, 2**53 - 1)) * 2.0**-53
+    return dt, q, u
+
+
 class TestPascalInversion:
     @pytest.mark.parametrize("dt, q", INVERTED)
     def test_equals_per_draw_reference(self, dt, q):
@@ -260,6 +280,30 @@ class TestPascalInversion:
         got = kind_record("pascal").sampler(dt, q)(FixedUniforms(u), len(u))
         assert got.tolist() == [nb_inversion_reference(v, dt, q) for v in u]
         assert got.max() <= len(cdf)
+
+    # (1.0, 0.025) is a 1,451-entry table, near the cap
+    @pytest.mark.parametrize("dt, q", INVERTED + [(1.0, 0.025)])
+    def test_guide_equals_binary_search(self, dt, q):
+        # every table entry and its two neighbours, every guide bucket edge
+        # j/M (M the smallest power of two >= 4m) and its predecessor, and the
+        # smallest and largest uniforms: the draw is the binary search's K
+        cdf = _nb_cdf(dt, q)
+        buckets = 1
+        while buckets < 4 * cdf.size:
+            buckets *= 2
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate((np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0),
+                            edges, np.nextafter(edges[1:], 0.0), [0.0, 1.0 - 2.0**-53]))
+        u = u[u < 1.0]
+        got = kind_record("pascal").sampler(dt, q)(FixedUniforms(u), u.size)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @given(inverted_uniforms())
+    def test_guide_equals_binary_search_anywhere(self, point):
+        dt, q, u = point
+        got = kind_record("pascal").sampler(dt, q)(FixedUniforms([u]), 1)
+        assert got.tolist() == [float(_nb_cdf(dt, q).searchsorted(u, side="right"))]
 
     @pytest.mark.parametrize("dt, q", FALLBACK)
     def test_fallback_is_the_gamma_mixed_poisson(self, dt, q):
@@ -348,6 +392,40 @@ class TestPascalInversion:
         monkeypatch.setattr(core, "_nb_cdf", lambda dt, q: calls.append(dt) or _nb_cdf(dt, q))
         sample_ensemble(ProcessKind("pascal", q), grid, BLOCK_PATHS + 1, seed=5)
         assert len(calls) == steps
+
+
+class TestFailedBlock:
+    def test_other_workers_stop_at_their_next_block(self, monkeypatch):
+        # block 1, worker 1's first, raises; worker 0 waits inside block 0
+        # until the block loop has recorded the failure, then hands block 0
+        # over and must hand over nothing more (it would go on to 2 and 4)
+        recorded = threading.Event()
+
+        class Recording(threading.Event):
+            def set(self):
+                super().set()
+                recorded.set()
+
+        def sampler(dt, q):
+            def draw(rng, n):
+                block = int(rng.bit_generator.state["state"]["key"][1]) >> 32
+                if block == 1:
+                    raise RuntimeError("block 1 fails")
+                if block == 0:
+                    assert recorded.wait(30)
+                return np.zeros(n)
+
+            return draw
+
+        monkeypatch.setattr(core, "PROCESS_KINDS", tuple(
+            dataclasses.replace(r, sampler=sampler) if r.name == "wiener" else r
+            for r in core.PROCESS_KINDS))
+        monkeypatch.setattr(simulate, "Event", Recording)
+        handed = []
+        with pytest.raises(RuntimeError, match="block 1 fails"):
+            _sample_blocks(kind_of("wiener"), np.array(GRID), 6 * BLOCK_PATHS, 0, 2,
+                           lambda lo, rows: handed.append(lo))
+        assert handed == [0]
 
 
 class TestStatistics:
