@@ -16,10 +16,10 @@ Pass thresholds are a fixed multiple of the standard error (3 by default),
 configurable by the caller; the predictions come from the same closed-form
 code path the rest of the package uses, never from a re-derivation.
 
-Binning holds the argsort order of X_t and one group buffer beyond its
-input (a sorted copy of X_t before that, for the bin edges): the squared
-residual, then X_s, is gathered through the order into the buffer, a group
-of whole bins at a time.  ``tail_curve`` and ``hill_tail_index`` hold one
+Binning holds the argsort order of X_t and one buffer of the largest bin
+beyond its input (a sorted copy of X_t before that, for the bin edges): the
+squared residual, then X_s, is gathered through the order into the buffer,
+one bin at a time.  ``tail_curve`` and ``hill_tail_index`` hold one
 column copy: ``tail_curve`` sorts each |column| once, and reads the Hill
 estimate off the sorted |X_t|.
 """
@@ -188,51 +188,33 @@ def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -
     del c
 
     # one argsort lists the paths in the sorted column's order, bin by bin.
-    # It is walked in groups of whole bins (at most ROW_BLOCK paths, or one
-    # larger bin), each gathered into one reused buffer in ROW_BLOCK chunks:
-    # first r^2 = (y - slope*x)^2, then y.  reduceat sums a bin of a group as
-    # it sums that bin of a whole column, bit for bit; r^2 is the same at
-    # x = -0.0 and 0.0, where the sorted and the gathered column may differ
+    # Each filled bin is gathered into one reused buffer in ROW_BLOCK chunks:
+    # first r^2 = (y - slope*x)^2, then y.  reduceat sums the bin as it sums
+    # that bin of a whole column, bit for bit (sum() pairs in another order);
+    # r^2 is the same at x = -0.0 and 0.0, where the sorted and the gathered
+    # column may differ.  Each bin's mean, then the sum of squared deviations
+    # from it (formed in the buffer), as np.std(ddof=1) forms them
     order = np.argsort(cond)
-    firsts, ends = at.tolist(), (at + n).tolist()
-    groups = [0]
-    for b in range(1, len(firsts)):
-        if ends[b] - firsts[groups[-1]] > ROW_BLOCK:
-            groups.append(b)
-    groups.append(len(firsts))
-    buf = np.empty(max(ends[j - 1] - firsts[i] for i, j in zip(groups, groups[1:])))
-    # each bin's mean, then the sum of squared deviations from it (formed in
-    # the buffer), as np.std(ddof=1) forms them: stats[k] = (means, sums)
-    stats = np.empty((2, 2, at.size))
-    for i, j in zip(groups, groups[1:]):
-        lo, hi = firsts[i], ends[j - 1]
-        rows, seg = buf[: hi - lo], at[i:j] - lo
-        for k in range(2):  # r^2, then y
-            for a in range(lo, hi, ROW_BLOCK):
-                idx = order[a : min(a + ROW_BLOCK, hi)]
-                part = rows[a - lo : a - lo + idx.size]
-                if k == 0:
+    buf = np.empty(int(n.max()))
+    mean, var, se_mean, se_var = (np.zeros(nb) for _ in range(4))
+    for b, lo, size in zip(np.flatnonzero(filled).tolist(), at.tolist(), n.tolist()):
+        rows = buf[:size]
+        for col, se in ((var, se_var), (mean, se_mean)):  # r^2, then y
+            for a in range(0, size, ROW_BLOCK):
+                idx = order[lo + a : lo + min(a + ROW_BLOCK, size)]
+                part = rows[a : a + idx.size]
+                if col is var:
                     y = target[idx]
                     np.multiply(cond[idx], -slope, out=part)
                     part += y
                     part *= part
-                else:  # a one-chunk group's y is at hand
-                    part[:] = y if idx.size == hi - lo else target[idx]
-            m = np.add.reduceat(rows, seg) / n[i:j]
-            for b, mb in zip(range(i, j), m.tolist()):
-                rows[firsts[b] - lo : ends[b] - lo] -= mb
-            rows *= rows
-            stats[k, :, i:j] = m, np.add.reduceat(rows, seg)
-    mean = np.zeros(nb)
-    var = np.zeros(nb)
-    se_mean = np.zeros(nb)
-    se_var = np.zeros(nb)
-    # a one-path bin keeps standard error 0
-    several = n > 1
-    for col, se, (m, ssq) in ((var, se_var, stats[0]), (mean, se_mean, stats[1])):
-        col[filled] = m
-        se[np.flatnonzero(filled)[several]] = (
-            np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
+                else:  # a one-chunk bin's y is at hand
+                    part[:] = y if idx.size == size else target[idx]
+            col[b] = m = np.add.reduceat(rows, [0])[0] / size
+            if size > 1:  # a one-path bin keeps standard error 0
+                rows -= m
+                rows *= rows
+                se[b] = math.sqrt(np.add.reduceat(rows, [0])[0] / (size - 1)) / math.sqrt(size)
 
     p = known_params(e.kind)
     pred_mean = np.where(filled, core.one_sided_mean("backward", s, t, x_mean), 0.0)
@@ -658,12 +640,7 @@ def hill_tail_index(samples, k: int) -> HillEstimate:
     alpha * (1 -+ 1.96/sqrt(k)).  ``tail_curve`` gives the same estimate
     from the column it sorts."""
     # np.abs copies a strided column once and ravel keeps that copy, which
-    # is then partitioned in place
+    # is sorted in place as tail_curve sorts its |X_t|
     x = np.abs(np.asarray(samples, dtype=np.float64)).ravel()
-    n = x.size
-    # only the top k+1 order statistics are needed: partition, then sort
-    # those; _hill rejects a k out of range
-    if 0 <= k < n:
-        x.partition(n - k - 1)
-        x[n - k - 1 :].sort()
+    x.sort()
     return _hill(x, k)

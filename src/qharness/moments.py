@@ -136,16 +136,36 @@ def two_point_factor(p: HarnessParams) -> float:
     return (p.eta * p.tau + p.theta) * (p.eta + p.theta * p.sigma) + (1.0 - p.sigma * p.tau) ** 2
 
 
+def _no_fourth_moment(p: HarnessParams) -> str | None:
+    """Why no harness with these parameters (sigma*tau < 1) has a finite fourth
+    moment, or None: gamma < -1, F = ``two_point_factor(p)`` < 0, or the pole
+    of ``hankel3_closed_form`` and beyond.  That closed form has the sign of
+    (1+gamma) F / (1-(2+gamma)*sigma*tau) at every t, and no m4 a negative one."""
+    if p.gamma < -1.0:
+        return f"gamma={p.gamma} below -1"
+    factor = two_point_factor(p)
+    if factor < 0.0:
+        return f"(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = {factor} is negative"
+    pole = (2.0 + p.gamma) * (p.sigma * p.tau)
+    if p.gamma > -1.0 and pole >= 1.0:
+        return f"(2+gamma)*sigma*tau = {pole} is not below 1"
+    return None
+
+
 def marginal_moments(p: HarnessParams, t: float) -> MomentVector:
     """Raw moments of the marginal X_t, fixed by the five parameters (sigma*tau < 1).
 
     m1 = 0, m2 = t, m3 = ((eta+sigma*theta) t^2 + (theta+tau*eta) t)/(1-sigma*tau)
     from the two one-sided conditional variances, and m4 from the Hankel
-    determinant t*m4 - m3^2 - t^3 = t^2 * ``hankel3_closed_form``.
+    determinant t*m4 - m3^2 - t^3 = t^2 * ``hankel3_closed_form``.  Refused,
+    by the condition that fails, where that determinant cannot be a moment's.
     """
     st = p.sigma * p.tau
     if not st < 1.0:
         raise ValueError(f"sigma*tau must be below 1, got {st}")
+    why = _no_fourth_moment(p)
+    if why is not None:
+        raise ValueError(f"{why}: no harness with these parameters has a finite fourth moment")
     det = t * t * hankel3_closed_form(p, t)
     m3 = ((p.eta + p.sigma * p.theta) * t * t + (p.theta + p.tau * p.eta) * t) / (1.0 - st)
     return MomentVector(1.0, 0.0, t, m3, (det + m3 * m3 + t**3) / t)
@@ -172,11 +192,10 @@ def two_point_from_moments(t: float, m3: float) -> TwoPointLaw:
 def harness_two_point(p: HarnessParams, t: float) -> tuple[float, TwoPointLaw]:
     """A gamma = -1 harness's marginal at t: its third moment m3 and the two-point
     law of mean 0, variance t and that m3; refused where ``two_point_factor(p)`` < 0."""
+    why = _no_fourth_moment(p)
+    if why is not None:
+        raise ValueError(f"{why}: no gamma = -1 harness has these parameters")
     m3 = marginal_moments(p, t).m3
-    factor = two_point_factor(p)
-    if factor < 0.0:
-        raise ValueError(f"(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = {factor} "
-                         "is negative: no gamma = -1 harness has these parameters")
     return m3, two_point_from_moments(t, m3)
 
 
@@ -224,8 +243,8 @@ class MomentRegion:
       "all-orders":   gamma in [-1, 1 - 2*sqrt(sigma*tau)]; all moments
                       conjectured finite (bound = +inf)
       "boundary":     exactly on the shared edge gamma = 1 - 2*sqrt(sigma*tau)
-      "outside":      neither window applies; ``reason`` says why (gamma below
-                      -1 or above 1 + 2*sqrt(sigma*tau), or sigma*tau not below 1)
+      "outside":      neither window applies, or no fourth moment exists
+                      there; ``reason`` names the condition that fails
     """
 
     region: str
@@ -237,18 +256,16 @@ def classify_moment_region(p: HarnessParams) -> MomentRegion:
     """Classify (sigma, tau, gamma) into the conjectured moment regions."""
     st = p.sigma * p.tau
     root = 2.0 * math.sqrt(st)
-    in_finite = (0.0 < st < 1.0) and (1.0 - root <= p.gamma <= 1.0 + root)
-    in_all = st < 1.0 and -1.0 <= p.gamma <= 1.0 - root
-    if in_finite and in_all:
-        return MomentRegion("boundary", None)
-    if in_finite:
-        return MomentRegion("finite-order", pfail_upper(p.sigma, p.tau))
-    if in_all:
-        return MomentRegion("all-orders", math.inf)
-    if p.gamma < -1.0:
-        why = f"gamma={p.gamma} below -1"
-    elif p.gamma > 1.0 + root:
+    if p.gamma > 1.0 + root:
         why = f"gamma={p.gamma} above 1+2*sqrt(sigma*tau)={1.0 + root}"
-    else:
+    elif p.gamma >= -1.0 and not st < 1.0:
         why = f"sigma*tau={st} not below 1"
-    return MomentRegion("outside", None, f"{why}: outside the classified region")
+    else:
+        why = _no_fourth_moment(p)
+    if why is not None:
+        return MomentRegion("outside", None, f"{why}: outside the classified region")
+    if st == 0.0 or p.gamma < 1.0 - root:
+        return MomentRegion("all-orders", math.inf)
+    if p.gamma == 1.0 - root:
+        return MomentRegion("boundary", None)
+    return MomentRegion("finite-order", pfail_upper(p.sigma, p.tau))

@@ -814,6 +814,18 @@ class TestMomentsCommand:
         assert res["warnings"] == [f"sigma*tau={float(sigma) * float(tau)} not below 1: "
                                    "outside the classified region"]
 
+    def test_negative_closed_form_is_outside(self, tmp_path):
+        # 1 + eta*theta < 0 at sigma*tau = 0: the Hankel closed form is
+        # negative, which no law with a finite fourth moment has
+        out = tmp_path / "m.json"
+        assert run_cli(["moments", "--eta", "2", "--theta", "-1", "--t", "1",
+                        "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["hankel3_closed_form"] < 0.0
+        assert res["region"] == {"region": "outside", "bound": None}
+        assert res["warnings"] == ["(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = -1.0 "
+                                   "is negative: outside the classified region"]
+
     def test_infinity_serialized_as_string(self, tmp_path):
         out = tmp_path / "m.json"
         run_cli(["moments", "--sigma", "0", "--tau", "0", "--out", str(out)])
@@ -1086,7 +1098,7 @@ class TestTailsCommand:
 def two_sort_tails(path, s, t, thresholds, raw, k) -> dict:
     """The tails results the two-sort way: each |column| scaled, then
     sorted, for the curve (its ladder from np.quantile), and
-    ``hill_tail_index`` partitioning a copy of the raw X_t column."""
+    ``hill_tail_index`` sorting a copy of the raw X_t column."""
     ens = load_ensemble(path, times=(s, t))
 
     def sorted_abs(j: int, time: float) -> np.ndarray:

@@ -236,9 +236,9 @@ def gathered_columns_reference(e, s_index, t_index, n_bins):
 
 
 class TestBinnedThroughTheOrder:
-    """Walking the argsort order in groups of whole bins gives the columns of
-    the whole-column implementation bit for bit, and holds the order and one
-    group buffer beyond its input."""
+    """Walking the argsort order one bin at a time gives the columns of the
+    whole-column implementation bit for bit, and holds the order and one
+    buffer of the largest bin beyond its input."""
 
     @staticmethod
     def assert_bitwise(b, ref):
@@ -247,21 +247,21 @@ class TestBinnedThroughTheOrder:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n_bins", [5, 40, 400])
+    @pytest.mark.parametrize("n_bins", [5, 40, 400, 2000])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_whole_column_reference(self, all_ensembles, kind, n_bins, order):
         e = all_ensembles[kind]
         e = Ensemble(e.kind, e.grid, np.asarray(e.paths, order=order), seed=e.seed)
         b = estimate_conditional(e, 1, 3, n_bins)
         ref = gathered_columns_reference(e, 1, 3, n_bins)
-        if kind == "poisson":  # lattice bins, some larger than one group
+        if kind == "poisson":  # lattice bins, some of several chunks
             assert b.count.max() > ROW_BLOCK
         self.assert_bitwise(b, ref)
 
     @pytest.mark.parametrize("n_bins", [5, 40])
     def test_one_bin_larger_than_a_group(self, n_bins):
-        # a bin of 3 ROW_BLOCK + 5 ties among continuous values, so groups of
-        # whole small bins sit on both sides of one that takes several chunks
+        # a bin of 3 ROW_BLOCK + 5 ties among continuous values, so small bins
+        # sit on both sides of one that takes several chunks
         rng = np.random.default_rng(8)
         xt = rng.standard_normal(6 * ROW_BLOCK)
         xt[rng.permutation(xt.size)[: 3 * ROW_BLOCK + 5]] = 0.25
@@ -731,7 +731,7 @@ class TestHillMatchesFullSort:
             assert isinstance(got, str) and message in got
 
     def test_input_left_unchanged(self):
-        # the partition runs on the |samples| copy, never on the caller's array
+        # the sort runs on the |samples| copy, never on the caller's array
         samples = np.random.default_rng(1).standard_cauchy(10_000)
         before = samples.copy()
         hill_tail_index(samples, 100)

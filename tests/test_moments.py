@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qharness.core import KINDS, HarnessParams
 from qharness.moments import (
@@ -280,9 +281,45 @@ class TestRegionClassifier:
     def test_reason_exactly_when_outside(self, sigma, tau, gamma):
         r = classify_moment_region(HarnessParams(0.0, 0.0, sigma, tau, gamma))
         assert (r.reason is not None) == (r.region == "outside")
-        # below sigma*tau = 1 a point is outside only through gamma
+        # below sigma*tau = 1 a point is outside through gamma, or in the
+        # windows at and past the pole of the Hankel closed form
         if r.reason is not None and sigma * tau < 1.0:
-            assert r.reason.startswith(f"gamma={gamma} ")
+            past_pole = (-1.0 < gamma <= 1.0 + 2.0 * math.sqrt(sigma * tau)
+                         and (2.0 + gamma) * (sigma * tau) >= 1.0)
+            assert r.reason.startswith("(2+gamma)*sigma*tau = " if past_pole else f"gamma={gamma} ")
+
+    @pytest.mark.parametrize("params, reason", [
+        # F = two_point_factor < 0 at sigma*tau = 0: 1 + eta*theta = -1
+        ((2.0, -1.0, 0.0, 0.0, 1.0),
+         "(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = -1.0 is negative"),
+        ((2.0, -1.0, 0.0, 0.0, -1.0),
+         "(1-sigma*tau)^2 + (eta+sigma*theta)(theta+tau*eta) = -1.0 is negative"),
+        # the pole of the closed form, and past it in the finite-order window
+        ((0.0, 0.0, 0.25, 1.0, 2.0), "(2+gamma)*sigma*tau = 1.0 is not below 1"),
+        ((0.0, 0.0, 0.4, 1.0, 1.0), "(2+gamma)*sigma*tau = 1.2000000000000002 is not below 1"),
+    ])
+    def test_no_fourth_moment_is_outside(self, params, reason):
+        p = HarnessParams(*params)
+        r = classify_moment_region(p)
+        assert (r.region, r.bound) == ("outside", None)
+        assert r.reason == f"{reason}: outside the classified region"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{reason}: no harness with these parameters has a finite fourth moment") + "$"):
+            marginal_moments(p, 1.0)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 3.0), st.floats(0.01, 100.0))
+    def test_negative_closed_form_only_past_order_four(self, sigma, tau, gamma, t):
+        # at eta = theta = 0, F = (1 - sigma*tau)^2 > 0, so inside the windows
+        # the closed form is negative only past its pole: (2+gamma)*sigma*tau > 1
+        # with gamma <= 1 + 2*sqrt(sigma*tau) forces sigma*tau > 1/4, where
+        # pfail_upper = 2 + 1/sqrt(sigma*tau) < 4 (the float sqrt may round it
+        # to 4.0 just above 1/4)
+        assume(sigma * tau < 1.0 and gamma <= 1.0 + 2.0 * math.sqrt(sigma * tau))
+        p = HarnessParams(0.0, 0.0, sigma, tau, gamma)
+        assume((2.0 + gamma) * (sigma * tau) != 1.0)  # the pole itself raises
+        if hankel3_closed_form(p, t) < 0.0:
+            assert sigma * tau > 0.25 and pfail_upper(sigma, tau) <= 4.0
+            assert classify_moment_region(p).region == "outside"
 
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma and tau must be >= 0"):
@@ -323,6 +360,11 @@ class TestMarginalMoments:
     def test_sigma_tau_at_least_one_refused(self, sigma, tau):
         with pytest.raises(ValueError, match=f"^sigma\\*tau must be below 1, got {sigma * tau}$"):
             marginal_moments(HarnessParams(0.0, 0.0, sigma, tau, -1.0), 1.0)
+
+    def test_gamma_below_minus_one_refused(self):
+        with pytest.raises(ValueError, match="^gamma=-1.5 below -1: no harness with these "
+                                             "parameters has a finite fourth moment$"):
+            marginal_moments(HarnessParams(0.0, 0.0, 0.0, 0.0, -1.5), 1.0)
 
     def test_hankel_positivity(self):
         for kind in ORACLE_KINDS:
