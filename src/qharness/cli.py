@@ -398,30 +398,31 @@ def _check(name: str, value: float, expected: float, se: float, max_se: float) -
 
 
 def _resolve_pair(cfg: dict):
-    """The container's header and the grid times s < t that --s and --t name;
-    read from the header alone, before any column."""
+    """The container's handle and the grid indices of s < t that --s and --t
+    name; read from the header alone, before any column."""
     from . import simulate
 
     head = simulate.read_header(cfg["ensemble"])
     si, ti = head.time_index(cfg["s"]), head.time_index(cfg["t"])
     if si >= ti:
         raise ValueError("need s < t")
-    return head, float(head.grid[si]), float(head.grid[ti])
+    return head, si, ti
 
 
 def _run_verify(config: RunConfig) -> int:
     from . import empirics, simulate
 
     cfg = config.params
-    head, s, t = _resolve_pair(cfg)
+    head, si, ti = _resolve_pair(cfg)
+    s, t = float(head.grid[si]), float(head.grid[ti])
     n_bins = cfg["bins"]
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
-    # only the columns of s and t are read
-    ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
-    p = simulate.known_params(ens.kind)
+    p = simulate.known_params(head.kind)
 
-    pe = empirics.path_empirics(ens, 0, 1)
+    # the kernels read only the columns of s and t, streamed from the file
+    started = time.perf_counter()
+    pe = empirics.path_empirics(head, si, ti)
     fit = pe.fit
     if fit is None:
         raise ValueError("the quadratic fit needs at least 3 distinct values of X_t")
@@ -439,18 +440,22 @@ def _run_verify(config: RunConfig) -> int:
     checks.append(_check("law-of-total-variance-backward", pe.lotv.value, s * (t - s) / t,
                          pe.lotv.se, 4.0))
 
+    checks_s = time.perf_counter() - started
+
     # the bins are display only: no verdict reads them
-    binned = empirics.estimate_conditional(ens, 0, 1, n_bins)
+    started = time.perf_counter()
+    binned = empirics.estimate_conditional(head, si, ti, n_bins)
     config.log_fields.update(bins_requested=n_bins, bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
                              weights_floored=pe.weights_floored, row_blocks=pe.row_blocks,
-                             columns_read=ens.n_times)
+                             columns_read=2, container_reads=head.reads, checks_s=checks_s,
+                             binning_s=time.perf_counter() - started)
 
     all_pass = all(c["pass"] for c in checks)
     bins = binned.rows()
     results = {
-        "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
-                     "n_paths": ens.n_paths, "grid": head.grid.tolist()},
+        "ensemble": {"kind": head.kind.name, "q": head.kind.q, "seed": head.seed,
+                     "n_paths": head.n_paths, "grid": head.grid.tolist()},
         "s": s, "t": t,
         "checks": checks,
         "binned": bins,
@@ -555,10 +560,11 @@ def _run_optimize(config: RunConfig) -> int:
 
 
 def _run_tails(config: RunConfig) -> int:
-    from . import empirics, simulate
+    from . import empirics
 
     cfg = config.params
-    head, s, t = _resolve_pair(cfg)
+    head, si, ti = _resolve_pair(cfg)
+    s, t = float(head.grid[si]), float(head.grid[ti])
     normalize = not cfg["raw"]
     # the default k too is checked here, so tail_curve never meets a bad one
     k = cfg["k"] if cfg.get("k") is not None else max(1, head.n_paths // 100)
@@ -567,18 +573,19 @@ def _run_tails(config: RunConfig) -> int:
     thresholds = cfg.get("thresholds")
     if thresholds is not None:
         thresholds = empirics._check_thresholds(_float_list(thresholds))
-    # only the columns of s and t are read
-    ens = simulate.load_ensemble(cfg["ensemble"], times=(s, t))
-    # Hill comes from the |X_t| column the curve sorts: one sort per column
-    curve = empirics.tail_curve(ens, 0, 1, thresholds, normalize=normalize, hill_k=k)
+    # only the columns of s and t are read, one at a time; Hill comes from
+    # the |X_t| column the curve sorts: one sort per column
+    started = time.perf_counter()
+    curve = empirics.tail_curve(head, si, ti, thresholds, normalize=normalize, hill_k=k)
+    curve_s = time.perf_counter() - started
     hill = curve.hill
     hill_info = ({"error": hill} if isinstance(hill, str) else
                  {"alpha": hill.alpha, "ci_low": hill.ci_low, "ci_high": hill.ci_high,
                   "k": hill.k, "n": hill.n})
 
     results = {
-        "ensemble": {"kind": ens.kind.name, "q": ens.kind.q, "seed": ens.seed,
-                     "n_paths": ens.n_paths},
+        "ensemble": {"kind": head.kind.name, "q": head.kind.q, "seed": head.seed,
+                     "n_paths": head.n_paths},
         "s": s, "t": t,
         "normalized": normalize,
         "thresholds": curve.thresholds.tolist(),
@@ -586,8 +593,8 @@ def _run_tails(config: RunConfig) -> int:
         "n_samples": curve.n_samples,
         "hill": hill_info,
     }
-    config.log_fields.update(columns_read=ens.n_times, thresholds=curve.thresholds.size,
-                             hill_k=k)
+    config.log_fields.update(columns_read=2, container_reads=head.reads, curve_s=curve_s,
+                             thresholds=curve.thresholds.size, hill_k=k)
     header = ["threshold", "n_value"]
     rows = [[float(a), float(b)] for a, b in zip(curve.thresholds, curve.n_values)]
     _emit(config, results, (header, rows))

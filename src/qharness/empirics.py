@@ -16,12 +16,15 @@ Pass thresholds are a fixed multiple of the standard error (3 by default),
 configurable by the caller; the predictions come from the same closed-form
 code path the rest of the package uses, never from a re-derivation.
 
-Binning holds the argsort order of X_t and one buffer of the largest bin
-beyond its input (a sorted copy of X_t before that, for the bin edges): the
-squared residual, then X_s, is gathered through the order into the buffer,
-one bin at a time.  ``tail_curve`` and ``hill_tail_index`` hold one
-column copy: ``tail_curve`` sorts each |column| once, and reads the Hill
-estimate off the sorted |X_t|.
+The kernels read a pair only through ``column`` and ``row_blocks``, so they
+take an ``Ensemble`` or a ``simulate.Container`` alike.  Binning holds X_t,
+its sorted copy and a mask for the bin edges, then its argsort order, then
+the int32 inverse of that order and one column-sized buffer: the squared
+residual, then X_s, is scattered block by block through the inverse into
+sorted position, and each bin is a contiguous slice of the buffer.
+``tail_curve`` holds one column and its sorted |column| at a time, and reads
+the Hill estimate off the sorted |X_t|; ``hill_tail_index`` holds one column
+copy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import core
 from .certificates import Certificate
-from .simulate import BLOCK_PATHS, Ensemble, known_params
+from .simulate import ROW_BLOCK, Container, Ensemble, known_params
 
 __all__ = [
     "BinnedConditional",
@@ -55,9 +58,6 @@ __all__ = [
 ]
 
 MIN_BIN_COUNT = 30
-# rows per block of the per-path passes and per gathered chunk of the
-# binning: 32768 rows keep the slices and the per-block temporaries in cache
-ROW_BLOCK = 8 * BLOCK_PATHS
 # the regression weight 1/v^2 floors v at this share of s(t-s)/(t+tau)
 WEIGHT_FLOOR = 1e-2
 # a binned prediction pref * (1 + lin + quad) within this many eps of
@@ -115,7 +115,7 @@ class BinnedConditional:
         return out
 
 
-def _check_pair(e: Ensemble, s_index: int, t_index: int) -> None:
+def _check_pair(e: Ensemble | Container, s_index: int, t_index: int) -> None:
     if not (0 <= s_index < t_index < e.n_times):
         raise ValueError(f"need 0 <= s_index < t_index < {e.n_times}")
 
@@ -138,7 +138,8 @@ def sorted_quantiles(srt: np.ndarray, qs) -> np.ndarray:
     return np.where(frac >= 0.5, b - diff * (1.0 - frac), a + diff * frac)
 
 
-def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -> BinnedConditional:
+def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
+                         n_bins: int) -> BinnedConditional:
     """Quantile-bin X_t and estimate the moments of X_s in each bin.
 
     The conditional variance column is the per-bin mean squared deviation of
@@ -155,14 +156,13 @@ def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -
     _check_pair(e, s_index, t_index)
     s = float(e.grid[s_index])
     t = float(e.grid[t_index])
-    cond = e.paths[:, t_index]
-    target = e.paths[:, s_index]
     slope = s / t
     if n_bins < 5:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
 
     # the sorted column gives the bins: equal values share one, and sorted
     # positions [starts[b], starts[b+1]) hold exactly bin b's values
+    cond = e.column(t_index)
     c = np.sort(cond)
     distinct = np.empty(c.size, dtype=bool)
     distinct[0] = True
@@ -187,34 +187,47 @@ def estimate_conditional(e: Ensemble, s_index: int, t_index: int, n_bins: int) -
     x_mean[filled] = np.add.reduceat(c, at) / n
     del c
 
-    # one argsort lists the paths in the sorted column's order, bin by bin.
-    # Each filled bin is gathered into one reused buffer in ROW_BLOCK chunks:
-    # first r^2 = (y - slope*x)^2, then y.  reduceat sums the bin as it sums
-    # that bin of a whole column, bit for bit (sum() pairs in another order);
-    # r^2 is the same at x = -0.0 and 0.0, where the sorted and the gathered
-    # column may differ.  Each bin's mean, then the sum of squared deviations
-    # from it (formed in the buffer), as np.std(ddof=1) forms them
+    # one argsort lists the paths in the sorted column's order; its inverse
+    # gives each path's sorted position, so the r^2 = (y - slope*x)^2 and
+    # then the y of each streamed block land in one buffer in that order,
+    # bin after bin.  reduceat sums a bin's slice as it sums that bin of a
+    # whole column, bit for bit (sum() pairs in another order); r^2 is the
+    # same at x = -0.0 and 0.0, where the sorted and the streamed column may
+    # differ.  Each bin's mean, then the sum of squared deviations from it
+    # (formed in the buffer), as np.std(ddof=1) forms them
     order = np.argsort(cond)
-    buf = np.empty(int(n.max()))
+    del cond
+    n_paths = order.size
+    inverse = np.empty(n_paths, dtype=np.int32 if n_paths <= np.iinfo(np.int32).max else np.intp)
+    for lo in range(0, n_paths, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n_paths)
+        inverse[order[lo:hi]] = np.arange(lo, hi, dtype=inverse.dtype)
+    del order
+    buf = np.empty(n_paths)
+    # each block's positions as intp, the type numpy indexes by, in one
+    # reused array (an int32 index would be cast at every use, more slowly)
+    pos = np.empty(min(ROW_BLOCK, n_paths), dtype=np.intp)
     mean, var, se_mean, se_var = (np.zeros(nb) for _ in range(4))
-    for b, lo, size in zip(np.flatnonzero(filled).tolist(), at.tolist(), n.tolist()):
-        rows = buf[:size]
-        for col, se in ((var, se_var), (mean, se_mean)):  # r^2, then y
-            for a in range(0, size, ROW_BLOCK):
-                idx = order[lo + a : lo + min(a + ROW_BLOCK, size)]
-                part = rows[a : a + idx.size]
-                if col is var:
-                    y = target[idx]
-                    np.multiply(cond[idx], -slope, out=part)
-                    part += y
-                    part *= part
-                else:  # a one-chunk bin's y is at hand
-                    part[:] = y if idx.size == size else target[idx]
-            col[b] = m = np.add.reduceat(rows, [0])[0] / size
-            if size > 1:  # a one-path bin keeps standard error 0
-                rows -= m
+    for col, se in ((var, se_var), (mean, se_mean)):  # r^2, then y
+        lo = 0
+        for y, x in e.row_blocks(s_index, t_index):
+            dest = pos[: y.size]
+            dest[:] = inverse[lo : lo + y.size]
+            lo += y.size
+            if col is var:
+                part = x * -slope
+                part += y
+                part *= part
+                buf[dest] = part
+            else:
+                buf[dest] = y
+        for b, a, m in zip(np.flatnonzero(filled).tolist(), at.tolist(), n.tolist()):
+            rows = buf[a : a + m]
+            col[b] = mu = np.add.reduceat(rows, [0])[0] / m
+            if m > 1:  # a one-path bin keeps standard error 0
+                rows -= mu
                 rows *= rows
-                se[b] = math.sqrt(np.add.reduceat(rows, [0])[0] / (size - 1)) / math.sqrt(size)
+                se[b] = math.sqrt(np.add.reduceat(rows, [0])[0] / (m - 1)) / math.sqrt(m)
 
     p = known_params(e.kind)
     pred_mean = np.where(filled, core.one_sided_mean("backward", s, t, x_mean), 0.0)
@@ -284,19 +297,7 @@ class PathEmpirics:
     row_blocks: int
 
 
-def _row_blocks(e: Ensemble, s_index: int, t_index: int):
-    """Slices (X_s, X_t) of each block of ROW_BLOCK paths of the two columns,
-    contiguous: views of a column-major ensemble's columns (as
-    ``load_ensemble`` gives), copies of a row-major one's.  np.dot sums a
-    strided slice in another order, so this keeps the results independent of
-    the layout, bit for bit."""
-    xs, xt = e.paths[:, s_index], e.paths[:, t_index]
-    for lo in range(0, e.n_paths, ROW_BLOCK):
-        yield (np.ascontiguousarray(xs[lo : lo + ROW_BLOCK]),
-               np.ascontiguousarray(xt[lo : lo + ROW_BLOCK]))
-
-
-def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
+def path_empirics(e: Ensemble | Container, s_index: int, t_index: int) -> PathEmpirics:
     """Covariances, mean slopes, law of total variance and the quadratic
     backward-variance fit of the pair, in two passes over blocks of rows.
 
@@ -308,12 +309,12 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
     deviation from the mean (corrected two-pass, ddof 1), the residual times
     the centred regressor for a slope (HC0, White 1980), and the weighted
     residual times the basis for the fit's HC0 meat, so the weights affect
-    only efficiency, not the validity of the standard errors.
+    only efficiency, not the validity of the standard errors.  The path
+    count is checked after pass 1, so a pair that is not finite fails as
+    such at any count.
     """
     _check_pair(e, s_index, t_index)
     n = e.n_paths
-    if n < 2:
-        raise ValueError(f"need at least 2 paths, got {n}")
     s = float(e.grid[s_index])
     t = float(e.grid[t_index])
     p = known_params(e.kind)
@@ -340,7 +341,7 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
     raw = np.zeros(18)
     shift = None
     floored = blocks = 0
-    for x, y in _row_blocks(e, s_index, t_index):
+    for x, y in e.row_blocks(s_index, t_index):
         one = ones[: x.size]
         v, w, r2 = weighted(x, y)
         if shift is None:
@@ -355,6 +356,8 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
                 np.dot(w, r2), np.dot(wz, r2), np.dot(wz2, r2), np.dot(w * r2, r2))
         floored += int(np.count_nonzero(v < floor))
         blocks += 1
+    if n < 2:
+        raise ValueError(f"need at least 2 paths, got {n}")
     means = raw[:4] / n
     sa, sb, saa, sab, sbb = raw[4:9]
     sxx, sxy, syy = saa - sa * sa / n, sab - sa * sb / n, sbb - sb * sb / n
@@ -377,7 +380,7 @@ def path_empirics(e: Ensemble, s_index: int, t_index: int) -> PathEmpirics:
     # regressor; sums[10:] are the fit's weighted squared residual and meat
     row = np.empty(ones.size)
     sums = np.zeros(16)
-    for x, y in _row_blocks(e, s_index, t_index):
+    for x, y in e.row_blocks(s_index, t_index):
         one = ones[: x.size]
         v, w, r2 = weighted(x, y)
         a, b, z = x - mx, y - my, y - shift
@@ -465,7 +468,7 @@ class TailCurve:
 
 
 def tail_curve(
-    e: Ensemble,
+    e: Ensemble | Container,
     s_index: int,
     t_index: int,
     thresholds=None,
@@ -479,17 +482,17 @@ def tail_curve(
     is 50 geometric points from lo = max(median, 1e-9) to
     max(99.5% quantile, 2*lo) of |Y|.
 
-    Each column is sorted once, then divided by its sqrt(time) in place:
-    division by a positive constant is monotone, so the scaled column is
-    sorted too, bit for bit.  With hill_k, the Hill estimate of |Y| at
-    hill_k (``hill_tail_index(X_t, hill_k)``) is read off the top of the
-    sorted column before it is scaled.
+    One column at a time is read, and its |column| sorted once, then divided
+    by its sqrt(time) in place: division by a positive constant is monotone,
+    so the scaled column is sorted too, bit for bit.  With hill_k, the Hill
+    estimate of |Y| at hill_k (``hill_tail_index(X_t, hill_k)``) is read off
+    the top of the sorted column before it is scaled.
     """
     _check_pair(e, s_index, t_index)
 
     def sorted_abs(j: int) -> np.ndarray:
         # np.abs makes a fresh column, so sort it in place
-        col = np.abs(e.paths[:, j])
+        col = np.abs(e.column(j))
         col.sort()
         return col
 

@@ -18,9 +18,14 @@ before their next block.  ``sample_ensemble`` copies each finished block
 into the path matrix; ``sample_to_container`` writes it straight to its
 offset in the container, so no path matrix is ever built.
 
-``load_ensemble`` reads the container in blocks of rows through one buffer
-and can keep only some grid columns, as ``verify`` and ``tails`` do; it
-stores them column-major, so each kept column is contiguous.
+One reader loop reads a container in blocks of rows through one reused
+buffer and copies each kept column straight out of it.  ``load_ensemble``
+keeps some grid columns (all by default) column-major, so each kept column
+is contiguous.  ``read_header`` gives a ``Container``, the handle ``verify``
+and ``tails`` read a pair through: ``column`` reads one column in one pass
+and ``row_blocks`` streams blocks of (X_s, X_t) in another, so they hold at
+most one column of the file at a time.  ``Ensemble`` has the same two
+methods over the path matrix, so the kernels read either.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Event, Lock
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -47,7 +52,8 @@ __all__ = [
     "sample_ensemble",
     "sample_to_container",
     "save_ensemble",
-    "Header",
+    "ROW_BLOCK",
+    "Container",
     "read_header",
     "load_ensemble",
     "ensemble_to_csv",
@@ -57,9 +63,13 @@ __all__ = [
 # the sampled ensembles).
 BLOCK_PATHS = 4096
 
-# rows per block when reading a container: each block passes through one
+# rows per block when loading a container: each block passes through one
 # reused buffer of READ_ROWS x n_times values
 READ_ROWS = 8192
+# rows per block of the per-path passes over a pair (``row_blocks``) and of
+# the binning's scatter: 32768 rows keep the slices and the per-block
+# temporaries in cache
+ROW_BLOCK = 8 * BLOCK_PATHS
 
 _MAGIC = b"QHE1"
 _HEADER = struct.Struct("<4sBxxxdQQQ")
@@ -136,6 +146,21 @@ class Ensemble:
 
     def time_index(self, t: float) -> int:
         return _time_index(self.grid, t)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the path matrix: a view."""
+        return self.paths[:, j]
+
+    def row_blocks(self, s_index: int, t_index: int):
+        """Slices (X_s, X_t) of each block of ROW_BLOCK paths of the two columns,
+        contiguous: views of a column-major ensemble's columns (as
+        ``load_ensemble`` gives), copies of a row-major one's.  np.dot sums a
+        strided slice in another order, so this keeps the results independent
+        of the layout, bit for bit."""
+        xs, xt = self.paths[:, s_index], self.paths[:, t_index]
+        for lo in range(0, self.n_paths, ROW_BLOCK):
+            yield (np.ascontiguousarray(xs[lo : lo + ROW_BLOCK]),
+                   np.ascontiguousarray(xt[lo : lo + ROW_BLOCK]))
 
 
 class _Substreams:
@@ -278,19 +303,53 @@ def save_ensemble(e: Ensemble, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(e.paths, dtype="<f8")))
 
 
-class Header(NamedTuple):
-    """A container's header and grid: its kind, seed, path count and grid."""
+@dataclass(eq=False)
+class Container:
+    """A container on disk, known by its header: its kind, seed, path count
+    and grid.  ``column`` and ``row_blocks`` read it as the kernels read an
+    ``Ensemble``, each call one pass over the file, counted in ``reads``."""
 
     kind: ProcessKind
     seed: int
     n_paths: int
     grid: np.ndarray
+    path: str | os.PathLike
+    reads: int = 0
+
+    @property
+    def n_times(self) -> int:
+        return self.grid.size
 
     def time_index(self, t: float) -> int:
         return _time_index(self.grid, t)
 
+    def column(self, j: int) -> np.ndarray:
+        """Column j, read as ``load_ensemble`` reads it: a fresh, contiguous,
+        finite-checked float64 array."""
+        self.reads += 1
+        return load_ensemble(self.path, times=(self.grid[j],)).paths[:, 0]
 
-def _read_header(fh, path) -> Header:
+    def row_blocks(self, s_index: int, t_index: int):
+        """(X_s, X_t) of each block of ROW_BLOCK paths, contiguous and
+        finite-checked, as ``Ensemble.row_blocks`` gives them: copied
+        READ_ROWS rows at a time out of one reused read buffer into one
+        reused block, so each pair is overwritten by the next."""
+        self.reads += 1
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size + 8 * self.n_times)
+            pair = np.empty((min(ROW_BLOCK, self.n_paths), 2), dtype=np.float64, order="F")
+            for lo, rows in _read_rows(fh, self.path, self.n_paths, self.n_times):
+                at = lo % ROW_BLOCK  # READ_ROWS divides ROW_BLOCK
+                end = at + rows.shape[0]
+                pair[at:end, 0] = rows[:, s_index]
+                pair[at:end, 1] = rows[:, t_index]
+                if end == pair.shape[0] or lo + rows.shape[0] == self.n_paths:
+                    if not np.isfinite(pair[:end]).all():
+                        raise ValueError("path values must be finite")
+                    yield pair[:end, 0], pair[:end, 1]
+
+
+def _read_header(fh, path) -> Container:
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError(f"{path}: truncated header")
@@ -306,36 +365,45 @@ def _read_header(fh, path) -> Header:
     if size < need:
         raise ValueError(f"{path}: truncated container: {size} bytes, header needs {need}")
     grid = _check_grid(np.frombuffer(fh.read(8 * n_times), dtype="<f8"))
-    return Header(kind, seed, n_paths, grid)
+    return Container(kind, seed, n_paths, grid, path)
 
 
-def read_header(path) -> Header:
+def read_header(path) -> Container:
     """Read a container's header and grid; a file shorter than the header's
     shape, or one with a bad magic, kind code or grid, is a ValueError."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
 
 
+def _read_rows(fh, path, n_paths: int, width: int):
+    """The one reader loop: the rows from the file's position on, READ_ROWS
+    at a time through one reused buffer, as (lo, rows) with rows being paths
+    lo, lo + 1, ... (overwritten by the next block)."""
+    buf = np.empty((min(READ_ROWS, n_paths), width), dtype="<f8")
+    for lo in range(0, n_paths, READ_ROWS):
+        rows = buf[: n_paths - lo]
+        if fh.readinto(rows) != rows.nbytes:
+            raise ValueError(f"{path}: truncated container")
+        yield lo, rows
+
+
 def load_ensemble(path, times=None) -> Ensemble:
     """Read a container, keeping the grid columns at ``times`` (all of them
     when None; the times must be ascending and each on the grid).
 
-    The rows pass through one reused buffer of READ_ROWS rows, so only the
-    kept columns are held in full, column-major: each column is contiguous.
+    The rows pass through one reused buffer of READ_ROWS rows, from which
+    each kept column is copied into place, so only the kept columns are held
+    in full, column-major: each column is contiguous.
     """
     with open(path, "rb") as fh:
         head = _read_header(fh, path)
-        n, width = head.n_paths, head.grid.size
-        cols = (np.arange(width) if times is None
-                else np.array([head.time_index(float(t)) for t in times], dtype=np.intp))
-        paths = np.empty((n, cols.size), dtype="<f8", order="F")
-        buf = np.empty((min(READ_ROWS, n), width), dtype="<f8")
-        for lo in range(0, n, READ_ROWS):
-            rows = buf[: n - lo]
-            if fh.readinto(rows) != rows.nbytes:
-                raise ValueError(f"{path}: truncated container")
-            paths[lo : lo + rows.shape[0]] = rows[:, cols]
-    return Ensemble(kind=head.kind, grid=head.grid[cols], paths=paths, seed=head.seed)
+        cols = (range(head.n_times) if times is None
+                else [head.time_index(float(t)) for t in times])
+        paths = np.empty((head.n_paths, len(cols)), dtype="<f8", order="F")
+        for lo, rows in _read_rows(fh, path, head.n_paths, head.n_times):
+            for k, c in enumerate(cols):
+                paths[lo : lo + rows.shape[0], k] = rows[:, c]
+    return Ensemble(kind=head.kind, grid=head.grid[list(cols)], paths=paths, seed=head.seed)
 
 
 def ensemble_to_csv(e: Ensemble, path) -> None:

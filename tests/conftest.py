@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,17 @@ def levy_moments(kind: ProcessKind, t: float) -> MomentVector:
     else:
         k3, k4 = {"wiener": (0.0, 0.0), "poisson": (t, t), "gamma": (2.0 * t, 6.0 * t)}[kind.name]
     return MomentVector(1.0, 0.0, t, k3, k4 + 3.0 * t * t)
+
+
+def traced_peak(fn) -> int:
+    """Bytes the call allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

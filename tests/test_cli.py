@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
+
 from qharness import cli
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
@@ -21,6 +23,7 @@ from qharness.empirics import estimate_conditional, hill_tail_index, path_empiri
 from qharness.moments import TwoPointLaw, marginal_moments
 from qharness.simulate import (
     BLOCK_PATHS,
+    ROW_BLOCK,
     Ensemble,
     ProcessKind,
     ensemble_to_csv,
@@ -589,6 +592,17 @@ class TestSimulateAndVerify:
         assert err.count("\n") == 1 and "truncated" in err
 
 
+def block_column_reads(monkeypatch) -> None:
+    """Make every reader of a container's columns raise: ``load_ensemble`` and
+    the handle's ``column`` and ``row_blocks``."""
+    def no_load(*args, **kwargs):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr("qharness.simulate.load_ensemble", no_load)
+    monkeypatch.setattr("qharness.simulate.Container.column", no_load)
+    monkeypatch.setattr("qharness.simulate.Container.row_blocks", no_load)
+
+
 def sidecar_fields(path) -> dict[str, str]:
     """The key=value fields of the last line of the artifact's .log sidecar."""
     line = Path(str(path) + ".log").read_text().splitlines()[-1]
@@ -641,10 +655,7 @@ class TestTwoColumnHandlers:
     @pytest.mark.parametrize("bins", ["4", "0"])
     def test_too_few_bins_exit_two_before_any_column(self, tmp_path, capsys, monkeypatch,
                                                      ensemble, bins):
-        def no_load(*args, **kwargs):
-            raise AssertionError("load_ensemble called")
-
-        monkeypatch.setattr("qharness.simulate.load_ensemble", no_load)
+        block_column_reads(monkeypatch)
         out = tmp_path / "v.json"
         capsys.readouterr()
         code = run_cli(["verify", str(ensemble), "--s", "0.5", "--t", "1.0", "--bins", bins,
@@ -672,6 +683,32 @@ class TestTwoColumnHandlers:
                         "--out", str(out)]) == 0
         fields = sidecar_fields(out)
         assert (fields["thresholds"], fields["hill_k"]) == ("50", "200")
+
+    def test_container_reads_and_stage_times(self, tmp_path, ensemble):
+        # verify: two streamed passes for the checks, then X_t and two more
+        # streamed passes for the bins; tails: one pass per column
+        for command, reads, stages in (("verify", "5", ("checks_s", "binning_s")),
+                                       ("tails", "2", ("curve_s",))):
+            out = tmp_path / f"{command}.json"
+            assert run_cli([command, str(ensemble), "--s", "0.5", "--t", "1.0",
+                            "--out", str(out)]) in (0, 1)
+            fields = sidecar_fields(out)
+            assert fields["container_reads"] == reads and fields["columns_read"] == "2"
+            for stage in stages:
+                assert 0.0 <= float(fields[stage]) <= float(fields["elapsed_s"]) + 1e-3
+
+    @pytest.mark.parametrize("bins", ["5", "40"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify_artifact_without_sidecar_is_identical(self, tmp_path, capsys, ensemble,
+                                                          bins, fmt):
+        out = tmp_path / f"v.{fmt}"
+        args = ["verify", str(ensemble), "--s", "0.25", "--t", "0.75", "--bins", bins,
+                "--format", fmt]
+        code = run_cli(args + ["--out", str(out)])
+        assert code in (0, 1) and "container_reads" in sidecar_fields(out)
+        capsys.readouterr()
+        assert run_cli(args) == code
+        assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize("raw", [[], ["--raw"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -710,6 +747,80 @@ class TestTwoColumnHandlers:
         ensemble_to_csv(sample_ensemble(ProcessKind("pascal", 0.5), [0.25, 0.5, 0.75, 1.0],
                                         paths, seed=8), direct)
         assert out.read_bytes() == direct.read_bytes()
+
+
+class TestStreamedPair:
+    """verify and tails read the container through its handle, so beyond
+    what is live before them they hold at most X_t, its sorted copy and a
+    mask (verify, 17 bytes per path) or one column and its |column| (tails,
+    16 bytes per path); a value that is not finite in a column they read
+    still ends them with one line and exit 2."""
+
+    N = 300_000
+    MIB = 2**20
+
+    @pytest.fixture(scope="class")
+    def containers(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("streamed")
+        out = {}
+        for kind in ("gamma", "pascal"):
+            out[kind] = d / f"{kind}.qhe"
+            assert run_cli(["simulate", "--process", kind, "--grid", "0.25,0.5,0.75,1.0",
+                            "--paths", str(self.N), "--seed", "6", "--out", str(out[kind])]) == 0
+        return out
+
+    @pytest.mark.parametrize("kind, bins", [("gamma", "400"), ("pascal", "40")])
+    def test_verify_peak(self, tmp_path, containers, kind, bins):
+        argv = ["verify", str(containers[kind]), "--s", "0.5", "--t", "1.0", "--bins", bins,
+                "--out", str(tmp_path / "v.json")]
+        assert run_cli(argv) in (0, 1)  # first-call allocations
+        assert traced_peak(lambda: run_cli(argv)) <= 17 * self.N + self.MIB
+
+    @pytest.mark.parametrize("kind", ["gamma", "pascal"])
+    def test_tails_peak(self, tmp_path, containers, kind):
+        argv = ["tails", str(containers[kind]), "--s", "0.5", "--t", "1.0",
+                "--out", str(tmp_path / "t.json")]
+        assert run_cli(argv) == 0
+        assert traced_peak(lambda: run_cli(argv)) <= 16 * self.N + self.MIB
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        """A 3 ROW_BLOCK + 7 path gamma container: its grid, its header bytes and its rows."""
+        path = tmp_path_factory.mktemp("small") / "g.qhe"
+        assert run_cli(["simulate", "--process", "gamma", "--grid", "0.25,0.5,0.75,1.0",
+                        "--paths", str(3 * ROW_BLOCK + 7), "--seed", "6", "--out", str(path)]) == 0
+        raw = path.read_bytes()
+        rows = np.frombuffer(raw, dtype="<f8", offset=40 + 32).reshape(-1, 4)
+        return raw[: 40 + 32], rows
+
+    def forged(self, tmp_path, small, row, col, value):
+        head, rows = small
+        rows = rows.copy()
+        rows[row, col] = value
+        path = tmp_path / "in" / "forged.qhe"
+        path.parent.mkdir()
+        path.write_bytes(head + rows.tobytes())
+        return path
+
+    @pytest.mark.parametrize("command", ["verify", "tails"])
+    @pytest.mark.parametrize("row, col, value", [
+        (0, 1, np.nan), (ROW_BLOCK - 1, 3, np.inf), (ROW_BLOCK, 1, -np.inf),
+        (3 * ROW_BLOCK + 6, 3, np.nan)])
+    def test_non_finite_pair_exits_two(self, tmp_path, capsys, small, command, row, col, value):
+        path = self.forged(tmp_path, small, row, col, value)
+        out = tmp_path / "out" / "a.json"
+        capsys.readouterr()
+        code = run_cli([command, str(path), "--s", "0.5", "--t", "1.0", "--out", str(out)])
+        assert code == 2 and not out.parent.exists()
+        assert capsys.readouterr().err == f"qharness {command}: error: path values must be finite\n"
+
+    @pytest.mark.parametrize("command", ["verify", "tails"])
+    def test_non_finite_unread_column_passes(self, tmp_path, small, command):
+        path = self.forged(tmp_path, small, ROW_BLOCK + 3, 0, np.nan)
+        out = tmp_path / "a.json"
+        assert run_cli([command, str(path), "--s", "0.5", "--t", "1.0",
+                        "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["results"]["s"] == 0.5
 
 
 class TestInfiniteGridTime:
@@ -1051,11 +1162,7 @@ class TestTailsCommand:
         ens_path, out = tmp_path / "w.qhe", tmp_path / "tails.json"
         run_cli(["simulate", "--process", "wiener", "--grid", "0.5,1.0",
                  "--paths", "500", "--out", str(ens_path)])
-
-        def no_load(*args, **kwargs):
-            raise AssertionError("load_ensemble called")
-
-        monkeypatch.setattr("qharness.simulate.load_ensemble", no_load)
+        block_column_reads(monkeypatch)
         capsys.readouterr()
         code = run_cli(["tails", str(ens_path), "--s", "0.5", "--t", "1.0",
                         "--thresholds", thresholds, "--out", str(out)])

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +22,17 @@ from qharness.empirics import (
     sorted_quantiles,
     tail_curve,
 )
-from qharness.simulate import BLOCK_PATHS, Ensemble, ProcessKind, known_params, sample_ensemble
+from qharness.simulate import (
+    BLOCK_PATHS,
+    Ensemble,
+    ProcessKind,
+    known_params,
+    read_header,
+    sample_ensemble,
+    save_ensemble,
+)
 
-from conftest import GRID, SEED, kind_of
+from conftest import GRID, SEED, kind_of, traced_peak
 
 
 def display_var(p, s, t, x, value):
@@ -236,9 +243,10 @@ def gathered_columns_reference(e, s_index, t_index, n_bins):
 
 
 class TestBinnedThroughTheOrder:
-    """Walking the argsort order one bin at a time gives the columns of the
-    whole-column implementation bit for bit, and holds the order and one
-    buffer of the largest bin beyond its input."""
+    """Scattering the streamed blocks through the inverse of the argsort
+    order, then summing one bin's slice at a time, gives the columns of the
+    whole-column implementation bit for bit, and holds the order and its
+    inverse, then the inverse and one column-sized buffer, beyond its input."""
 
     @staticmethod
     def assert_bitwise(b, ref):
@@ -287,7 +295,9 @@ class TestBinnedThroughTheOrder:
         e = sample_ensemble(kind_of(name), (0.5, 1.0), n, seed=SEED)
         e = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
         b = estimate_conditional(e, 0, 1, n_bins)  # first-call allocations
-        bound = 8 * n + 8 * max(ROW_BLOCK, int(b.count.max())) + 2**20
+        # 12 bytes per path (the int64 order and int32 inverse, then the
+        # inverse and the float64 buffer) and two float64 blocks of ROW_BLOCK
+        bound = 12 * n + 2 * 8 * ROW_BLOCK + 2**20
         assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins)) <= bound
 
 
@@ -738,17 +748,6 @@ class TestHillMatchesFullSort:
         assert np.array_equal(samples, before)
 
 
-def traced_peak(fn) -> int:
-    """Bytes the call allocates at its peak, above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryContract:
     """The kernels hold at most two (binning) or one (tails with or without
     Hill, Hill alone) column copies beyond their input, on a pair of strided
@@ -810,26 +809,34 @@ def assert_same(got, want, where=""):
 
 class TestLayout:
     """``load_ensemble`` keeps columns column-major; the kernels give the same
-    results on a row-major ensemble and on its column-major copy."""
+    results on a row-major ensemble, on its column-major copy and on its
+    container, which they read through ``column`` and ``row_blocks``."""
 
     @pytest.fixture(scope="class", params=["gamma", "pascal"])
-    def pair(self, request):
+    def pair(self, request, tmp_path_factory):
         e = sample_ensemble(kind_of(request.param), GRID, ROW_BLOCK + 5, seed=SEED)
         f = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
         assert e.paths.flags.c_contiguous and f.paths.flags.f_contiguous
-        return e, f
+        path = tmp_path_factory.mktemp("layout") / "e.qhe"
+        save_ensemble(e, path)
+        return e, f, read_header(path)
 
     def test_path_empirics(self, pair):
-        e, f = pair
-        assert_same(path_empirics(f, 1, 3), path_empirics(e, 1, 3))
+        e, f, c = pair
+        want = path_empirics(e, 1, 3)
+        assert_same(path_empirics(f, 1, 3), want)
+        assert_same(path_empirics(c, 1, 3), want)
 
     @pytest.mark.parametrize("n_bins", [5, 40, 400])
     def test_estimate_conditional(self, pair, n_bins):
-        e, f = pair
-        assert_same(estimate_conditional(f, 1, 3, n_bins), estimate_conditional(e, 1, 3, n_bins))
+        e, f, c = pair
+        want = estimate_conditional(e, 1, 3, n_bins)
+        assert_same(estimate_conditional(f, 1, 3, n_bins), want)
+        assert_same(estimate_conditional(c, 1, 3, n_bins), want)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_tail_curve(self, pair, normalize):
-        e, f = pair
-        assert_same(tail_curve(f, 1, 3, normalize=normalize, hill_k=50),
-                    tail_curve(e, 1, 3, normalize=normalize, hill_k=50))
+        e, f, c = pair
+        want = tail_curve(e, 1, 3, normalize=normalize, hill_k=50)
+        assert_same(tail_curve(f, 1, 3, normalize=normalize, hill_k=50), want)
+        assert_same(tail_curve(c, 1, 3, normalize=normalize, hill_k=50), want)

@@ -17,6 +17,7 @@ from qharness.moments import marginal_moments
 from qharness.simulate import (
     BLOCK_PATHS,
     READ_ROWS,
+    ROW_BLOCK,
     Ensemble,
     ProcessKind,
     ensemble_to_csv,
@@ -537,6 +538,56 @@ class TestContainer:
             for read in (read_header, load_ensemble, lambda p: load_ensemble(p, [0.5, 1.0])):
                 with pytest.raises(ValueError, match=message):
                     read(path)
+
+    @pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      3 * ROW_BLOCK + 7])
+    def test_container_reads_as_the_ensemble(self, tmp_path, rows):
+        e = sample_ensemble(kind_of("pascal"), GRID, rows, seed=4)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        c = read_header(path)
+        assert c.n_times == 4 and c.reads == 0
+        for j in range(4):
+            col = c.column(j)
+            assert col.flags.c_contiguous and col.flags.writeable and col.dtype == np.float64
+            assert col.tobytes() == e.column(j).tobytes()
+        for s_index, t_index in ((1, 3), (0, 2)):
+            got = [(x.copy(), y.copy()) for x, y in c.row_blocks(s_index, t_index)]
+            want = list(e.row_blocks(s_index, t_index))
+            assert len(got) == len(want) == -(-rows // ROW_BLOCK)
+            for (x, y), (xw, yw) in zip(got, want):
+                assert x.tobytes() == xw.tobytes() and y.tobytes() == yw.tobytes()
+        assert c.reads == 6  # each column or row_blocks call is one pass
+
+    @pytest.mark.parametrize("row", [0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 6])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_container_readers_check_only_what_they_read(self, tmp_path, row, value):
+        e = sample_ensemble(kind_of("gamma"), GRID, 2 * ROW_BLOCK + 7, seed=4)
+        paths = e.paths.copy()
+        paths[row, 1] = value
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        # the Ensemble refuses a value that is not finite, so forge the rows
+        head = path.read_bytes()[: -paths.nbytes]
+        path.write_bytes(head + paths.astype("<f8").tobytes())
+        c = read_header(path)
+        for read in (lambda: c.column(1), lambda: list(c.row_blocks(1, 3)),
+                     lambda: list(c.row_blocks(0, 1))):
+            with pytest.raises(ValueError, match="^path values must be finite$"):
+                read()
+        assert c.column(3).tobytes() == e.column(3).tobytes()
+        assert sum(x.size for x, _ in c.row_blocks(0, 2)) == e.n_paths
+
+    def test_container_shortened_after_its_header(self, tmp_path):
+        e = sample_ensemble(kind_of("wiener"), GRID, ROW_BLOCK + 5, seed=4)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        c = read_header(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"truncated container: \d+ bytes"):
+            c.column(0)
+        with pytest.raises(ValueError, match="truncated container$"):
+            list(c.row_blocks(0, 1))
 
     @pytest.mark.parametrize("grid", [(0.5, np.inf), (0.5, np.nan), (1.0, 0.5), (0.0, 1.0)])
     def test_bad_grid_rejected_as_the_sampler_rejects_it(self, tmp_path, grid):
