@@ -66,9 +66,9 @@ BLOCK_PATHS = 4096
 # rows per block when loading a container: each block passes through one
 # reused buffer of READ_ROWS x n_times values
 READ_ROWS = 8192
-# rows per block of the per-path passes over a pair (``row_blocks``) and of
-# the binning's scatter: 32768 rows keep the slices and the per-block
-# temporaries in cache
+# rows per block of the per-path passes over a pair (``row_blocks``), which
+# the checks and the binning stream: 32768 rows keep the slices and the
+# per-block temporaries in cache
 ROW_BLOCK = 8 * BLOCK_PATHS
 
 _MAGIC = b"QHE1"

@@ -485,6 +485,7 @@ class TestSimulateAndVerify:
         assert fields["bins_requested"] == "40"
         assert fields["bins_returned"] == str(binned.n_bins)
         assert fields["bins_confident"] == str(int(binned.confident.sum()))
+        assert fields["label_searches"] == str(binned.label_searches) == "0"
         pe = path_empirics(load_ensemble(ens_path), 0, 1)
         assert fields["weights_floored"] == str(pe.weights_floored)
         assert fields["row_blocks"] == str(pe.row_blocks) == "2"
@@ -821,6 +822,38 @@ class TestStreamedPair:
         assert run_cli([command, str(path), "--s", "0.5", "--t", "1.0",
                         "--out", str(out)]) in (0, 1)
         assert json.loads(out.read_text())["results"]["s"] == 0.5
+
+
+class TestBinnedAcrossDispatch:
+    """verify sums each display bin in path order, so numpy's SIMD dispatch,
+    which orders argsort's ties differently on each CPU, leaves the artifact
+    of a lattice kind as it is, byte for byte."""
+
+    SETTINGS = (None, "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+
+    def test_verify_under_disabled_cpu_features(self, tmp_path):
+        import qharness
+
+        ens = tmp_path / "p.qhe"
+        assert run_cli(["simulate", "--process", "pascal", "--grid", "0.5,1.0",
+                        "--paths", "200000", "--seed", "3", "--out", str(ens)]) == 0
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = str(Path(qharness.__file__).resolve().parents[1])
+        artifacts = []
+        for i, features in enumerate(self.SETTINGS):
+            if features is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = features
+                if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                                  capture_output=True).returncode != 0:
+                    pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}")
+            out = tmp_path / f"verify-{i}.json"
+            proc = subprocess.run([sys.executable, "-m", "qharness", "verify", str(ens),
+                                   "--s", "0.5", "--t", "1.0", "--bins", "40", "--out", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode in (0, 1), proc.stderr
+            artifacts.append(out.read_bytes())
+        assert artifacts[1] == artifacts[0]
+        assert artifacts[2] == artifacts[0]
 
 
 class TestInfiniteGridTime:

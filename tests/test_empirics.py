@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qharness import core
 from qharness.certificates import make_certificate
@@ -13,6 +14,7 @@ from qharness.empirics import (
     ROW_BLOCK,
     WEIGHT_FLOOR,
     TailCurve,
+    _bin_labeller,
     check_tail_recursion,
     estimate_conditional,
     gaussian_pair_tail_curve,
@@ -44,22 +46,28 @@ def display_var(p, s, t, x, value):
     return 0.0 if abs(value) <= 8 * sys.float_info.epsilon * pref * (1 + abs(lin) + quad) else value
 
 
+def reference_edges(cond, n_bins):
+    """Each distinct value of the column as a bin (the last edge repeated)
+    when there are at most n_bins of them, else the distinct quantile edges."""
+    uniq = np.unique(cond)
+    if uniq.size <= n_bins:
+        return np.append(uniq, uniq[-1])
+    return np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
+
+
 def masked_reference(e, s_index, t_index, n_bins):
     """Per-bin boolean-mask estimate of X_s given X_t with one scalar
     closed-form call per bin."""
     s, t = float(e.grid[s_index]), float(e.grid[t_index])
     cond, target = e.paths[:, t_index], e.paths[:, s_index]
-    uniq = np.unique(cond)
-    if uniq.size <= n_bins:
-        edges = np.append(uniq, uniq[-1])
-    else:
-        edges = np.unique(np.quantile(cond, np.linspace(0.0, 1.0, n_bins + 1)))
+    edges = reference_edges(cond, n_bins)
     assign = np.clip(np.searchsorted(edges[:-1], cond, side="right") - 1, 0, edges.size - 2)
     resid_sq = (target - (s / t) * cond) ** 2
     p = known_params(e.kind)
     nb = edges.size - 1
     cols = {k: np.zeros(nb) for k in
             ("x_mean", "mean", "var", "se_mean", "se_var", "pred_mean", "pred_var")}
+    top = {k: np.zeros(nb) for k in ("y", "r2")}
     count = np.zeros(nb, dtype=np.int64)
     for b in range(nb):
         sel = assign == b
@@ -71,6 +79,7 @@ def masked_reference(e, s_index, t_index, n_bins):
         y, r2 = target[sel], resid_sq[sel]
         cols["mean"][b] = y.mean()
         cols["var"][b] = r2.mean()
+        top["y"][b], top["r2"][b] = np.abs(y).max(), np.abs(r2).max()
         if n > 1:
             cols["se_mean"][b] = y.std(ddof=1) / math.sqrt(n)
             cols["se_var"][b] = r2.std(ddof=1) / math.sqrt(n)
@@ -78,19 +87,30 @@ def masked_reference(e, s_index, t_index, n_bins):
         cols["pred_mean"][b] = core.one_sided_mean("backward", s, t, x)
         cols["pred_var"][b] = display_var(p, s, t, x, core.var_backward(p, s, t, x))
     return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count,
-                confident=count >= MIN_BIN_COUNT)
+                confident=count >= MIN_BIN_COUNT), top
 
 
 # the bins, counts and confidence flags are exact; the per-bin sums run in
-# sorted order rather than path order, so the statistics agree to rounding
+# another order than the reference's, so the statistics agree to rounding
 EXACT_COLUMNS = ("bin_lo", "bin_hi", "count", "confident")
+# the values each statistic column sums: where a bin's statistic is itself
+# rounding noise (a constant bin's SE, a mean that cancels to near 0), it
+# agrees to 4 eps of the bin's largest |value|, over sqrt(m) for an SE
+STATISTICS = {"mean": "y", "se_mean": "y", "var": "r2", "se_var": "r2"}
 
 
-def assert_matches_reference(b, ref):
+def assert_matches_reference(b, reference):
+    ref, top = reference
     for name, expected in ref.items():
         got = getattr(b, name)
         if name in EXACT_COLUMNS:
             assert np.array_equal(got, expected), name
+        elif name in STATISTICS:
+            floor = 4 * np.finfo(np.float64).eps * top[STATISTICS[name]]
+            if name.startswith("se_"):
+                floor /= np.sqrt(np.maximum(ref["count"], 1))
+            bound = np.maximum(1e-13 * np.abs(expected), floor)
+            assert np.all(np.abs(got - expected) <= bound), name
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, err_msg=name)
 
@@ -150,15 +170,14 @@ class TestEstimateConditional:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_bins", [5, 300, 400])
     def test_narrow_labels_match_masked_reference(self, all_ensembles, kind, n_bins):
-        # 5 bins label with uint8, 300 and 400 quantile bins with uint16; at 5
+        # 5 bins keep uint8 labels, 300 and 400 quantile bins uint16; at 5
         # bins the poisson lattice has more values than bins, so duplicate
         # quantile edges collapse
         e = all_ensembles[kind]
         b = estimate_conditional(e, 1, 3, n_bins)
-        ref = masked_reference(e, 1, 3, n_bins)
         if kind == "poisson" and n_bins == 5:
             assert b.n_bins < n_bins
-        assert_matches_reference(b, ref)
+        assert_matches_reference(b, masked_reference(e, 1, 3, n_bins))
 
     @pytest.mark.parametrize("n_bins, step", [(5, 0.05), (40, 0.05), (400, 0.002)])
     def test_tied_continuous_column_matches_masked_reference(self, gamma_ens, n_bins, step):
@@ -202,74 +221,108 @@ class TestEstimateConditional:
             estimate_conditional(wiener_ens, 1, 3, 4)
 
 
-def gathered_columns_reference(e, s_index, t_index, n_bins):
-    """The binned columns as the whole-column implementation formed them: the
-    argsort-gathered X_s column and r^2 in the np.sort column's buffer, each
-    bin summed by one reduceat over the whole column, the deviations from the
-    bin means formed in place."""
-    slope = float(e.grid[s_index]) / float(e.grid[t_index])
-    cond, target = e.paths[:, t_index], e.paths[:, s_index]
-    y = target[np.argsort(cond)]
-    c = np.sort(cond)
-    distinct = np.empty(c.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(c[1:], c[:-1], out=distinct[1:])
-    if np.count_nonzero(distinct) <= n_bins:
-        edges = np.append(c[distinct], c[-1])
-    else:
-        edges = np.unique(sorted_quantiles(c, np.linspace(0.0, 1.0, n_bins + 1)))
-    nb = edges.size - 1
-    starts = np.searchsorted(c, edges[:-1], side="left")
-    count = np.diff(starts, append=c.size)
-    filled = count > 0
-    at, n = starts[filled], count[filled]
-    cols = {k: np.zeros(nb) for k in ("x_mean", "mean", "var", "se_mean", "se_var")}
-    cols["x_mean"][filled] = np.add.reduceat(c, at) / n
-    r2 = c
-    r2 *= -slope
-    r2 += y
-    r2 *= r2
-    several = n > 1
-    for col, se, values in (("mean", "se_mean", y), ("var", "se_var", r2)):
-        m = np.add.reduceat(values, at) / n
-        cols[col][filled] = m
-        for lo, hi, mb in zip(at.tolist(), (at + n).tolist(), m):
-            values[lo:hi] -= mb
-        values *= values
-        ssq = np.add.reduceat(values, at)
-        cols[se][np.flatnonzero(filled)[several]] = (
-            np.sqrt(ssq[several] / (n[several] - 1)) / np.sqrt(n[several]))
-    return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count)
+def assert_labels(column, n_bins):
+    """The guide table labels every value of the column with its bin,
+    searchsorted(edges[1:-1], x, "right"); returns how many it searched."""
+    column = np.asarray(column, dtype=np.float64)
+    edges = reference_edges(column, n_bins)
+    assert edges[0] == column.min() and edges[-1] == column.max()
+    out = np.empty(column.size, dtype=np.intp)
+    searches = _bin_labeller(edges)(column, out)
+    assert np.array_equal(out, np.searchsorted(edges[1:-1], column, side="right"))
+    assert 0 <= searches <= column.size
+    return searches
 
 
-class TestBinnedThroughTheOrder:
-    """Scattering the streamed blocks through the inverse of the argsort
-    order, then summing one bin's slice at a time, gives the columns of the
-    whole-column implementation bit for bit, and holds the order and its
-    inverse, then the inverse and one column-sized buffer, beyond its input."""
-
-    @staticmethod
-    def assert_bitwise(b, ref):
-        for name, want in ref.items():
-            got = getattr(b, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+class TestBinnedInPathOrder:
+    """Each path's bin comes from its X_t through a guide table, exactly as a
+    binary search of the inner edges gives it, and each bin is summed in
+    path order: the columns follow no sort order, so a container and its
+    ensemble, in either layout, give them bit for bit, and the binning
+    holds X_t's sorted copy and mask, then one narrow label per path."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n_bins", [5, 40, 400, 2000])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_whole_column_reference(self, all_ensembles, kind, n_bins, order):
-        e = all_ensembles[kind]
-        e = Ensemble(e.kind, e.grid, np.asarray(e.paths, order=order), seed=e.seed)
-        b = estimate_conditional(e, 1, 3, n_bins)
-        ref = gathered_columns_reference(e, 1, 3, n_bins)
-        if kind == "poisson":  # lattice bins, some of several chunks
-            assert b.count.max() > ROW_BLOCK
-        self.assert_bitwise(b, ref)
+    @pytest.mark.parametrize("n_bins", [5, 40, 400, 2000, 20_000])
+    def test_labels_match_binary_search(self, all_ensembles, kind, n_bins):
+        searches = assert_labels(all_ensembles[kind].paths[:, 3], n_bins)
+        if n_bins <= 2000:  # a bin narrower than 1/32 of the mean bin width is rare
+            assert searches <= all_ensembles[kind].n_paths // 100
+
+    @pytest.mark.parametrize("n_bins", [5, 40, 400])
+    def test_labels_on_ties_at_edges(self, gamma_ens, n_bins):
+        column = np.round(gamma_ens.paths[:, 3] / 0.05) * 0.05
+        edges = reference_edges(column, n_bins)
+        assert np.isin(edges[1:-1], column).sum() >= edges.size // 2
+        assert_labels(column, n_bins)
+
+    def test_labels_on_signed_zeros(self):
+        rng = np.random.default_rng(9)
+        assert_labels(rng.choice([-0.0, 0.0, 1.0, 2.0, -1.0], 5000), 5)
+        continuous = rng.standard_normal(5000)
+        continuous[rng.permutation(continuous.size)[:2000]] = rng.choice([-0.0, 0.0], 2000)
+        assert_labels(continuous, 5)
+
+    def test_labels_with_an_outlier(self, gamma_ens):
+        # one path at 1e12 squeezes every other into the lowest cell, with
+        # every inner edge: those at or past its second edge are searched
+        column = gamma_ens.paths[:, 3].copy()
+        column[17] = 1e12
+        edges = reference_edges(column, 400)
+        assert assert_labels(column, 400) == np.count_nonzero(column >= edges[2]) - 1
+
+    @pytest.mark.parametrize("end", [1e308, np.finfo(np.float64).max])
+    def test_labels_on_a_range_that_overflows(self, end):
+        # max - min overflows, so the table is one cell
+        column = np.append(np.random.default_rng(2).standard_normal(3000), [-end, end])
+        edges = reference_edges(column, 40)
+        assert assert_labels(column, 40) == np.count_nonzero(column >= edges[2])
+
+    def test_labels_on_subnormals(self):
+        # a range of a few hundred subnormal steps is too narrow for the
+        # cells, so the table is one cell
+        column = np.random.default_rng(3).integers(1, 500, 4000) * 5e-324
+        assert np.all(column < np.finfo(np.float64).tiny)
+        edges = reference_edges(column, 40)
+        assert assert_labels(column, 40) == np.count_nonzero(column >= edges[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                              st.sampled_from([-0.0, 0.0, 1.0, 2.5, 1e-310])),
+                    min_size=2, max_size=300),
+           st.integers(5, 60))
+    def test_labels_property(self, values, n_bins):
+        assume(len(set(values)) >= 2)
+        assert_labels(values, n_bins)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, ROW_BLOCK - 1, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7])
+    def test_container_equals_ensemble(self, tmp_path, kind, n):
+        e = sample_ensemble(kind_of(kind), GRID, n, seed=SEED)
+        f = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
+        path = tmp_path / "e.qhe"
+        save_ensemble(e, path)
+        for n_bins in (5, 400):
+            want = estimate_conditional(e, 1, 3, n_bins)
+            assert_same(estimate_conditional(f, 1, 3, n_bins), want)
+            assert_same(estimate_conditional(read_header(path), 1, 3, n_bins), want)
+
+    def test_constant_bin_has_zero_se(self):
+        # every path at pascal's lowest X_t has the lowest X_s too, so that
+        # bin's X_s and r^2 are constant.  On this ensemble the plain running
+        # sum of its 499,980 X_s strays 4.4e-14 from 499,980 times the value,
+        # which left SE 8.7e-25; summed less the bin's first value, a bin of
+        # equal values sums zeros
+        e = sample_ensemble(kind_of("pascal"), GRID, 10**6, seed=1)
+        b = estimate_conditional(e, 1, 3, 40)
+        xs = e.paths[e.paths[:, 3] == b.bin_lo[0], 1]
+        assert b.count[0] == 499_980 and np.all(xs == xs[0])
+        assert b.se_mean[0] == 0.0 and b.se_var[0] == 0.0
+        assert b.mean[0] == xs[0]
 
     @pytest.mark.parametrize("n_bins", [5, 40])
-    def test_one_bin_larger_than_a_group(self, n_bins):
+    def test_one_bin_across_blocks(self, n_bins):
         # a bin of 3 ROW_BLOCK + 5 ties among continuous values, so small bins
-        # sit on both sides of one that takes several chunks
+        # sit on both sides of one whose sums run over every block
         rng = np.random.default_rng(8)
         xt = rng.standard_normal(6 * ROW_BLOCK)
         xt[rng.permutation(xt.size)[: 3 * ROW_BLOCK + 5]] = 0.25
@@ -277,17 +330,15 @@ class TestBinnedThroughTheOrder:
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
         b = estimate_conditional(e, 0, 1, n_bins)
         assert b.count.max() >= 3 * ROW_BLOCK + 5
-        self.assert_bitwise(b, gathered_columns_reference(e, 0, 1, n_bins))
+        assert_matches_reference(b, masked_reference(e, 0, 1, n_bins))
 
     def test_signed_zeros_in_the_conditioning_column(self):
-        # -0.0 and 0.0 share a bin; r^2 is the same whichever of them the
-        # sorted column holds where the gathered one holds the other
+        # -0.0 and 0.0 share a bin, and r^2 is the same at either
         rng = np.random.default_rng(9)
         xt = rng.choice([-0.0, 0.0, 1.0, 2.0, -1.0], 5000)
         paths = np.column_stack((rng.choice([-0.0, 0.0, 0.5], xt.size), xt))
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
-        self.assert_bitwise(estimate_conditional(e, 0, 1, 5),
-                            gathered_columns_reference(e, 0, 1, 5))
+        assert_matches_reference(estimate_conditional(e, 0, 1, 5), masked_reference(e, 0, 1, 5))
 
     @pytest.mark.parametrize("name, n_bins", [("gamma", 400), ("pascal", 40)])
     def test_peak_on_column_major_input(self, name, n_bins):
@@ -295,10 +346,10 @@ class TestBinnedThroughTheOrder:
         e = sample_ensemble(kind_of(name), (0.5, 1.0), n, seed=SEED)
         e = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
         b = estimate_conditional(e, 0, 1, n_bins)  # first-call allocations
-        # 12 bytes per path (the int64 order and int32 inverse, then the
-        # inverse and the float64 buffer) and two float64 blocks of ROW_BLOCK
-        bound = 12 * n + 2 * 8 * ROW_BLOCK + 2**20
-        assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins)) <= bound
+        assert b.label_searches == 0
+        # 9 bytes per path: X_t's sorted copy and its mask of distinct values;
+        # the labels (1 or 2 bytes per path) come after both are freed
+        assert traced_peak(lambda: estimate_conditional(e, 0, 1, n_bins)) <= 9 * n + 2 * 2**20
 
 
 def covariance_reference(e, i, j):
