@@ -448,9 +448,9 @@ def _run_verify(config: RunConfig) -> int:
     config.log_fields.update(bins_requested=n_bins, bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
                              label_searches=binned.label_searches,
-                             weights_floored=pe.weights_floored, row_blocks=pe.row_blocks,
-                             columns_read=2, container_reads=head.reads, checks_s=checks_s,
-                             binning_s=time.perf_counter() - started)
+                             weights_floored=pe.weights_floored, fit_pivot=pe.fit_pivot,
+                             row_blocks=pe.row_blocks, columns_read=2, container_reads=head.reads,
+                             checks_s=checks_s, binning_s=time.perf_counter() - started)
 
     all_pass = all(c["pass"] for c in checks)
     bins = binned.rows()

@@ -3,8 +3,9 @@
 Per-path checks of a pair s < t (``path_empirics``): the covariances, the
 one-sided mean slopes, the law of total variance, and a weighted regression
 of the squared backward residual on (1, X_t, X_t^2) whose coefficients are
-the quadratic backward variance, with HC0 standard errors.  They read the
-two columns in two passes over cache-sized blocks of rows.  The binned
+the quadratic backward variance, with HC0 standard errors: two passes over
+cache-sized blocks of rows sum tables of named products, and the 3x3 fit is
+solved in Python floats, so no BLAS or LAPACK kernel enters them.  The binned
 moments of X_s given X_t against the exact backward predictions
 (``estimate_conditional``) are for display: no verdict reads them.  Also
 empirical and exact tail curves N(t) = Pr(|X| > t) + Pr(|Y| > t), the
@@ -354,7 +355,9 @@ class PathEmpirics:
     ``covariance`` holds the sample means of X_s^2, X_s X_t and X_t^2;
     ``slope_forward`` regresses X_t on X_s, ``slope_backward`` X_s on X_t;
     ``lotv`` is the mean of the backward conditional variance.  ``fit`` is
-    None when X_t takes fewer than three distinct values.
+    None when X_t takes fewer than three distinct values: when ``fit_pivot``,
+    the smallest pivot of its Gram matrix over its diagonal entry, is not
+    above 1e-12.
     """
 
     covariance: tuple[Estimate, Estimate, Estimate]
@@ -362,8 +365,55 @@ class PathEmpirics:
     slope_backward: Estimate
     lotv: Estimate
     fit: QuadraticFit | None
+    fit_pivot: float
     weights_floored: int
     row_blocks: int
+
+
+# path_empirics' sums by name: a row (name, f) sums column f, (name, f, g) the
+# product f*g.  a and b are X_s and X_t less centres, ef and eb the slopes'
+# residuals times their regressors.  e0, e1 and e2 are c (1, z, z^2), with
+# z = X_t - shift, and f = q r^2 in pass 1, q res in pass 2 (q = 1/max(v, floor)
+# and c = q, then q f), so g{i+j} sums the Gram matrix, then the HC0 meat.
+_MOMENTS = (("xx", "x", "x"), ("xy", "x", "y"), ("yy", "y", "y"), ("v", "v"))
+_FIT = (("g0", "e0", "e0"), ("g1", "e0", "e1"), ("g2", "e1", "e1"), ("g3", "e1", "e2"),
+        ("g4", "e2", "e2"), ("ff", "f", "f"))
+_PASS1 = _MOMENTS + _FIT + (
+    ("a", "a"), ("b", "b"), ("aa", "a", "a"), ("ab", "a", "b"), ("bb", "b", "b"),
+    ("r0", "e0", "f"), ("r1", "e1", "f"), ("r2", "e2", "f"))
+_PASS2 = _FIT + (("ef", "ef", "ef"), ("eb", "eb", "eb"))
+
+
+def _add_sums(acc: dict, table, cols: dict, prod: np.ndarray, centre=None) -> None:
+    """Add each row's sum over the block to the Python float acc[name], a
+    product formed in ``prod``; with ``centre``, the sums of d = (the row's
+    column) - centre[name] and of d^2, to acc[name] and acc[name + "^2"]."""
+    for name, f, *g in table:
+        col = np.multiply(cols[f], cols[g[0]], out=prod) if g else cols[f]
+        if centre is not None:
+            col = np.subtract(col, centre[name], out=prod)
+        acc[name] = acc.get(name, 0.0) + float(np.add.reduce(col))  # pairwise, no BLAS
+        if centre is not None:
+            col *= col
+            acc[name + "^2"] = acc.get(name + "^2", 0.0) + float(np.add.reduce(col))
+
+
+def _solve(a: list, rhs: list):
+    """Solve a x = r for each column r of rhs, ``a`` being a symmetric 3x3
+    matrix of Python floats, by Gauss-Jordan elimination in the natural pivot
+    order: the solutions as rows, or None where a pivot is not above 1e-12
+    times its diagonal entry, and the smallest such ratio, which is a pivot
+    of the diagonally scaled matrix."""
+    m = [row + r for row, r in zip(a, rhs)]
+    ratios = []
+    for i in range(3):
+        ratios.append(m[i][i] / a[i][i] if a[i][i] > 0.0 else 0.0)
+        if not ratios[-1] > 1e-12:
+            return None, min(ratios)
+        m[i] = [u / m[i][i] for u in m[i]]
+        for j in (j for j in range(3) if j != i):
+            m[j] = [u - m[j][i] * v for u, v in zip(m[j], m[i])]
+    return [row[3:] for row in m], min(ratios)
 
 
 def path_empirics(e: Ensemble | Container, s_index: int, t_index: int) -> PathEmpirics:
@@ -378,9 +428,10 @@ def path_empirics(e: Ensemble | Container, s_index: int, t_index: int) -> PathEm
     deviation from the mean (corrected two-pass, ddof 1), the residual times
     the centred regressor for a slope (HC0, White 1980), and the weighted
     residual times the basis for the fit's HC0 meat, so the weights affect
-    only efficiency, not the validity of the standard errors.  The path
-    count is checked after pass 1, so a pair that is not finite fails as
-    such at any count.
+    only efficiency, not the validity of the standard errors.  Each pass
+    sums its table (``_PASS1``, ``_PASS2``) over columns in seven reused
+    buffers, and ``_solve`` solves the fit.  The path count is checked after
+    pass 1, so a pair that is not finite fails as such at any count.
     """
     _check_pair(e, s_index, t_index)
     n = e.n_paths
@@ -389,110 +440,90 @@ def path_empirics(e: Ensemble | Container, s_index: int, t_index: int) -> PathEm
     p = known_params(e.kind)
     k = s / t
     floor = WEIGHT_FLOOR * s * (t - s) / (t + p.tau)
-    ones = np.ones(min(ROW_BLOCK, n))
+    pool = [np.empty(min(ROW_BLOCK, n)) for _ in range(7)]
 
-    def weighted(x, y):
-        """v, the weights 1/max(v, floor)^2 and r^2 of one block."""
+    def block(x, y):
+        """A block's v and the pool cut to its size, q = 1/max(v, floor) and r^2 first."""
+        bufs = [buf[: x.size] for buf in pool]
         v = core.var_backward(p, s, t, y)
-        w = np.maximum(v, floor)
-        w *= w
-        np.reciprocal(w, out=w)
-        r2 = y * -k
-        r2 += x
-        r2 *= r2
-        return v, w, r2
+        np.reciprocal(np.maximum(v, floor, out=bufs[0]), out=bufs[0])
+        np.square(np.add(y * -k, x, out=bufs[1]), out=bufs[1])
+        return v, bufs
 
     # the slopes sum X_s, X_t less the first block's means, and the fit's
     # basis is (1, z, z^2) with z = X_t - shift, shift being the first block's
     # weighted mean of X_t: centring keeps the slopes clear of cancellation
     # and the Gram matrix well conditioned where the weights pile up, as at a
     # lattice's floored values
-    raw = np.zeros(18)
-    shift = None
+    pass1: dict = {}
     floored = blocks = 0
     for x, y in e.row_blocks(s_index, t_index):
-        one = ones[: x.size]
-        v, w, r2 = weighted(x, y)
-        if shift is None:
-            shift = np.dot(w, y) / np.dot(w, one)
-            x0, y0 = np.dot(x, one) / x.size, np.dot(y, one) / x.size
-        a, b, z = x - x0, y - y0, y - shift
-        wz = w * z
-        wz2 = wz * z
-        raw += (np.dot(x, x), np.dot(x, y), np.dot(y, y), np.dot(v, one),
-                np.dot(a, one), np.dot(b, one), np.dot(a, a), np.dot(a, b), np.dot(b, b),
-                np.dot(w, one), np.dot(w, z), np.dot(wz, z), np.dot(wz2, z), np.dot(wz2, z * z),
-                np.dot(w, r2), np.dot(wz, r2), np.dot(wz2, r2), np.dot(w * r2, r2))
+        v, (q, f, a, b, e1, e2, prod) = block(x, y)
+        if not blocks:
+            w = q * q
+            x0, y0 = float(np.add.reduce(x)) / x.size, float(np.add.reduce(y)) / x.size
+            shift = float(np.add.reduce(w * y)) / float(np.add.reduce(w))
+        np.subtract(x, x0, out=a)
+        np.subtract(y, y0, out=b)
+        np.multiply(np.subtract(y, shift, out=e2), q, out=e1)
+        e2 *= e1
+        f *= q
+        _add_sums(pass1, _PASS1, dict(x=x, y=y, v=v, a=a, b=b, e0=q, e1=e1, e2=e2, f=f), prod)
         floored += int(np.count_nonzero(v < floor))
         blocks += 1
     if n < 2:
         raise ValueError(f"need at least 2 paths, got {n}")
-    means = raw[:4] / n
-    sa, sb, saa, sab, sbb = raw[4:9]
-    sxx, sxy, syy = saa - sa * sa / n, sab - sa * sb / n, sbb - sb * sb / n
+    means = {name: pass1[name] / n for name, *_ in _MOMENTS}
+    sa, sb = pass1["a"], pass1["b"]
+    sxx, sxy, syy = pass1["aa"] - sa * sa / n, pass1["ab"] - sa * sb / n, pass1["bb"] - sb * sb / n
     if not (sxx > 0.0 and syy > 0.0):
         raise ValueError("X_s or X_t is constant across paths")
     mx, my, fwd, bwd = x0 + sa / n, y0 + sb / n, sxy / sxx, sxy / syy
 
-    def hankel(h):
-        return np.array([h[0:3], h[1:4], h[2:5]])
+    # beta solves G beta = (r0, r1, r2), and the sandwich's diagonal is h_k' M h_k
+    # where G h_k = back_k, row k of the map from (1, z, z^2) to (1, X_t, X_t^2)
+    back = ((1.0, -shift, shift * shift), (0.0, 1.0, -2.0 * shift), (0.0, 0.0, 1.0))
+    sol, fit_pivot = _solve([[pass1[f"g{i + j}"] for j in range(3)] for i in range(3)],
+                            [[pass1[f"r{i}"], *(row[i] for row in back)] for i in range(3)])
+    b0, b1, b2 = (row[0] for row in sol) if sol else (0.0, 0.0, 0.0)
 
-    gram, rhs = hankel(raw[9:14]), raw[14:17]
-    diag = np.diag(gram)
-    full_rank = bool(np.all(diag > 0)) and np.linalg.matrix_rank(
-        gram / np.sqrt(np.outer(diag, diag)), tol=1e-12) == 3
-    b0, b1, b2 = np.linalg.solve(gram, rhs) if full_rank else (0.0, 0.0, 0.0)
-
-    # the influence values, each formed in one reused row that stays in
-    # cache: the deviations of X_s^2, X_s X_t, X_t^2 and v from their means,
-    # with their plain sums, then each slope's residual times its centred
-    # regressor; sums[10:] are the fit's weighted squared residual and meat
-    row = np.empty(ones.size)
-    sums = np.zeros(16)
+    pass2: dict = {}
     for x, y in e.row_blocks(s_index, t_index):
-        one = ones[: x.size]
-        v, w, r2 = weighted(x, y)
-        a, b, z = x - mx, y - my, y - shift
-        r = row[: x.size]
-        for i, (f, g) in enumerate(((x, x), (x, y), (y, y), (v, one))):
-            np.multiply(f, g, out=r)
-            r -= means[i]
-            sums[i] += np.dot(r, one)
-            sums[4 + i] += np.dot(r, r)
-        for i, (f, g, beta) in enumerate(((a, b, fwd), (b, a, bwd)), 8):
-            np.multiply(f, -beta, out=r)
-            r += g
-            r *= f
-            sums[i] += np.dot(r, r)
-        res = r2 - ((b2 * z + b1) * z + b0)
-        u = w * res
-        uz = u * z
-        uz2 = uz * z
-        sums[10:] += (np.dot(u, res), np.dot(u, u), np.dot(u, uz), np.dot(uz, uz),
-                      np.dot(uz, uz2), np.dot(uz2, uz2))
+        v, (q, f, a, b, e1, e2, prod) = block(x, y)
+        _add_sums(pass2, _MOMENTS, dict(x=x, y=y, v=v), prod, centre=means)
+        np.subtract(x, mx, out=a)
+        np.subtract(y, my, out=b)
+        res_f, res_b = a * -fwd + b, b * -bwd + a
+        a *= res_f
+        b *= res_b
+        z = np.subtract(y, shift, out=e2)
+        f -= (b2 * z + b1) * z + b0
+        f *= q
+        q *= f
+        np.multiply(q, z, out=e1)
+        e2 *= e1
+        _add_sums(pass2, _PASS2, dict(ef=a, eb=b, e0=q, e1=e1, e2=e2, f=f), prod)
 
-    def mean(i: int) -> Estimate:
+    def mean(name: str) -> Estimate:
         # the corrected two-pass formula: a constant column gives exactly 0
-        sd, ssq = sums[i], sums[4 + i]
-        return Estimate(float(means[i] + sd / n),
-                        math.sqrt(max(ssq - sd * sd / n, 0.0) / (n - 1) / n))
+        sd, ssq = pass2[name], pass2[name + "^2"]
+        return Estimate(means[name] + sd / n, math.sqrt(max(ssq - sd * sd / n, 0.0) / (n - 1) / n))
 
     fit = None
-    if full_rank:
-        # back from the basis (1, z, z^2) to (1, X_t, X_t^2)
-        back = np.array([[1.0, -shift, shift * shift], [0.0, 1.0, -2.0 * shift], [0.0, 0.0, 1.0]])
-        c0, c1, c2 = back @ (b0, b1, b2)
-        sandwich = back @ np.linalg.solve(gram, np.linalg.solve(gram, hankel(sums[11:])).T) @ back.T
-        ss_tot = raw[17] - rhs[0] * rhs[0] / raw[9]
-        fit = QuadraticFit(float(c0), float(c1), float(c2),
-                           tuple(float(v) for v in np.sqrt(np.diag(sandwich))),
-                           1.0 if ss_tot == 0.0 else float(1.0 - sums[10] / ss_tot))
+    if sol:
+        meat = [[pass2[f"g{i + j}"] for j in range(3)] for i in range(3)]
+        ses = (math.sqrt(math.fsum(row[c] * meat[i][j] * col[c] for i, row in enumerate(sol)
+                                   for j, col in enumerate(sol))) for c in (1, 2, 3))
+        ss_tot = pass1["ff"] - pass1["r0"] * pass1["r0"] / pass1["g0"]
+        fit = QuadraticFit(*(math.fsum(u * v for u, v in zip(row, (b0, b1, b2))) for row in back),
+                           tuple(ses), 1.0 if ss_tot == 0.0 else 1.0 - pass2["ff"] / ss_tot)
     return PathEmpirics(
-        covariance=(mean(0), mean(1), mean(2)),
-        slope_forward=Estimate(float(fwd), float(math.sqrt(sums[8]) / sxx)),
-        slope_backward=Estimate(float(bwd), float(math.sqrt(sums[9]) / syy)),
-        lotv=mean(3),
+        covariance=(mean("xx"), mean("xy"), mean("yy")),
+        slope_forward=Estimate(fwd, math.sqrt(pass2["ef"]) / sxx),
+        slope_backward=Estimate(bwd, math.sqrt(pass2["eb"]) / syy),
+        lotv=mean("v"),
         fit=fit,
+        fit_pivot=fit_pivot,
         weights_floored=floored,
         row_blocks=blocks,
     )

@@ -152,15 +152,10 @@ class Ensemble:
         return self.paths[:, j]
 
     def row_blocks(self, s_index: int, t_index: int):
-        """Slices (X_s, X_t) of each block of ROW_BLOCK paths of the two columns,
-        contiguous: views of a column-major ensemble's columns (as
-        ``load_ensemble`` gives), copies of a row-major one's.  np.dot sums a
-        strided slice in another order, so this keeps the results independent
-        of the layout, bit for bit."""
+        """Views (X_s, X_t) of each block of ROW_BLOCK paths of the two columns."""
         xs, xt = self.paths[:, s_index], self.paths[:, t_index]
         for lo in range(0, self.n_paths, ROW_BLOCK):
-            yield (np.ascontiguousarray(xs[lo : lo + ROW_BLOCK]),
-                   np.ascontiguousarray(xt[lo : lo + ROW_BLOCK]))
+            yield xs[lo : lo + ROW_BLOCK], xt[lo : lo + ROW_BLOCK]
 
 
 class _Substreams:
@@ -330,10 +325,10 @@ class Container:
         return load_ensemble(self.path, times=(self.grid[j],)).paths[:, 0]
 
     def row_blocks(self, s_index: int, t_index: int):
-        """(X_s, X_t) of each block of ROW_BLOCK paths, contiguous and
-        finite-checked, as ``Ensemble.row_blocks`` gives them: copied
-        READ_ROWS rows at a time out of one reused read buffer into one
-        reused block, so each pair is overwritten by the next."""
+        """(X_s, X_t) of each block of ROW_BLOCK paths, as ``Ensemble.row_blocks``
+        gives them, finite-checked: copied READ_ROWS rows at a time out of one
+        reused read buffer into one reused block, so each pair is overwritten
+        by the next."""
         self.reads += 1
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size + 8 * self.n_times)

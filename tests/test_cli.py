@@ -488,6 +488,7 @@ class TestSimulateAndVerify:
         assert fields["label_searches"] == str(binned.label_searches) == "0"
         pe = path_empirics(load_ensemble(ens_path), 0, 1)
         assert fields["weights_floored"] == str(pe.weights_floored)
+        assert fields["fit_pivot"] == repr(pe.fit_pivot)
         assert fields["row_blocks"] == str(pe.row_blocks) == "2"
         assert len(json.loads(report.read_text())["results"]["binned"]) == binned.n_bins
 
@@ -824,36 +825,50 @@ class TestStreamedPair:
         assert json.loads(out.read_text())["results"]["s"] == 0.5
 
 
-class TestBinnedAcrossDispatch:
-    """verify sums each display bin in path order, so numpy's SIMD dispatch,
-    which orders argsort's ties differently on each CPU, leaves the artifact
-    of a lattice kind as it is, byte for byte."""
+class TestVerifyAcrossKernels:
+    """verify sums its checks with np.add.reduce, solves its fit in Python
+    floats and sums each display bin in path order, so neither the kernel
+    OpenBLAS picks for the CPU nor numpy's SIMD dispatch, which orders
+    argsort's ties differently on each CPU, changes the artifact of a
+    lattice kind, byte for byte."""
 
-    SETTINGS = (None, "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+    SETTINGS = (("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4"),
+                ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"),
+                ("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Sandybridge"),
+                ("OPENBLAS_CORETYPE", "Prescott"))
 
-    def test_verify_under_disabled_cpu_features(self, tmp_path):
+    @staticmethod
+    def verify(ens, out, env):
+        proc = subprocess.run([sys.executable, "-m", "qharness", "verify", str(ens),
+                               "--s", "0.5", "--t", "1.0", "--bins", "40", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        return out.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        """A 200k-path pascal container, the environment without either
+        setting, and the artifact verify writes under it."""
         import qharness
 
-        ens = tmp_path / "p.qhe"
+        d = tmp_path_factory.mktemp("kernels")
+        ens = d / "p.qhe"
         assert run_cli(["simulate", "--process", "pascal", "--grid", "0.5,1.0",
                         "--paths", "200000", "--seed", "3", "--out", str(ens)]) == 0
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
         env["PYTHONPATH"] = str(Path(qharness.__file__).resolve().parents[1])
-        artifacts = []
-        for i, features in enumerate(self.SETTINGS):
-            if features is not None:
-                env["NPY_DISABLE_CPU_FEATURES"] = features
-                if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
-                                  capture_output=True).returncode != 0:
-                    pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}")
-            out = tmp_path / f"verify-{i}.json"
-            proc = subprocess.run([sys.executable, "-m", "qharness", "verify", str(ens),
-                                   "--s", "0.5", "--t", "1.0", "--bins", "40", "--out", str(out)],
-                                  env=env, capture_output=True, text=True)
-            assert proc.returncode in (0, 1), proc.stderr
-            artifacts.append(out.read_bytes())
-        assert artifacts[1] == artifacts[0]
-        assert artifacts[2] == artifacts[0]
+        return ens, env, self.verify(ens, d / "verify.json", env)
+
+    @pytest.mark.parametrize("name, value", SETTINGS)
+    def test_verify_is_byte_identical(self, tmp_path, reference, name, value):
+        ens, env, want = reference
+        env = {**env, name: value}
+        probe = "import numpy; numpy.dot(numpy.ones(9), numpy.ones(9))"
+        if subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True).returncode != 0:
+            pytest.skip(f"numpy fails under {name}={value!r}")
+        assert self.verify(ens, tmp_path / "verify.json", env) == want
 
 
 class TestInfiniteGridTime:

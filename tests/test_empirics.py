@@ -492,6 +492,40 @@ class TestPathEmpirics:
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
         assert path_empirics(e, 0, 1).fit is None
 
+    def test_three_values_one_rare_give_a_fit(self):
+        # five of 1000 paths hold the third value, which is enough
+        rng = np.random.default_rng(1)
+        xt = np.where(np.arange(1000) < 5, 2.0, rng.integers(0, 2, 1000).astype(float))
+        paths = np.column_stack([xt * 0.5 + rng.standard_normal(1000) * 0.1, xt])
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
+        pe = path_empirics(e, 0, 1)
+        assert pe.fit is not None and pe.fit_pivot > 1e-12
+
+    def test_two_paths_give_no_fit(self):
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]),
+                     np.array([[0.1, 0.3], [-0.2, 1.1]]), seed=0)
+        pe = path_empirics(e, 0, 1)
+        assert pe.fit is None and pe.fit_pivot <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pivot_rule_agrees_with_matrix_rank(self, all_ensembles, kind):
+        # the pivots relative to their diagonal entries are those of the
+        # diagonally scaled Gram matrix, whose rank numpy's SVD takes at tol
+        # 1e-12; the basis is (1, z, z^2), z = X_t less the first block's
+        # weighted mean
+        e = all_ensembles[kind]
+        s, t = float(e.grid[1]), float(e.grid[3])
+        xt = e.paths[:, 3]
+        p = known_params(e.kind)
+        sw = 1.0 / np.maximum(var_backward(p, s, t, xt), WEIGHT_FLOOR * s * (t - s) / (t + p.tau))
+        w = sw[:ROW_BLOCK] ** 2
+        basis = sw[:, None] * (xt - np.sum(w * xt[:ROW_BLOCK]) / np.sum(w))[:, None] ** np.arange(3)
+        gram = basis.T @ basis
+        scaled = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+        pe = path_empirics(e, 1, 3)
+        assert np.linalg.matrix_rank(scaled, tol=1e-12) == 3 and pe.fit is not None
+        assert close(pe.fit_pivot, float(np.min(np.diag(np.linalg.cholesky(scaled)) ** 2)), 1e-9)
+
     def test_constant_column_rejected(self):
         paths = np.column_stack([np.arange(100.0), np.full(100, 2.0)])
         e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), paths, seed=0)
