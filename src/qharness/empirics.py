@@ -18,17 +18,19 @@ configurable by the caller; the predictions come from the same closed-form
 code path the rest of the package uses, never from a re-derivation.
 
 The kernels read a pair only through ``column`` and ``row_blocks``, so they
-take an ``Ensemble`` or a ``simulate.Container`` alike.  Binning holds X_t,
-its sorted copy and a mask for the bin edges, which give the edges, counts
-and mean X_t of each bin; then, with both freed, one narrow label per path
-(uint8 up to 256 bins, uint16 up to 65536): pass 1 over the streamed blocks
-labels each path's bin through a guide table on X_t and sums the squared
-residual and X_s per bin with ``np.bincount``, in path order, and pass 2
-sums their deviations from those means.  On a 1M-path gamma container it
-takes 75-85 ms at 400 or 2,000 bins and 90 ms at 20,000 (warm, 2 vCPU).
-``tail_curve`` holds one column and its sorted |column| at a time, and reads
-the Hill estimate off the sorted |X_t|; ``hill_tail_index`` holds one column
-copy.
+take an ``Ensemble`` or a ``simulate.Container`` alike; ``column`` hands
+over a fresh array on either, which they sort (and take |x| of) in place.
+Binning holds the sorted X_t and a mask for the bin edges, which give the
+edges, counts and mean X_t of each bin; then, with both freed, one narrow
+label per path (uint8 up to 256 bins, uint16 up to 65536): pass 1 over the
+streamed blocks labels each path's bin through a guide table on X_t and sums
+the squared residual and X_s per bin with ``np.bincount``, in path order,
+and pass 2 sums their deviations from those means.  On a 1M-path gamma
+container it takes 75-85 ms at 400 or 2,000 bins and 90 ms at 20,000 (warm,
+2 vCPU).
+``tail_curve`` holds one column at a time, made its sorted |column| in
+place, and reads the Hill estimate off the sorted |X_t|; ``hill_tail_index``
+holds one column copy.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
 
     # the sorted column gives the bins: equal values share one, and sorted
     # positions [starts[b], starts[b+1]) hold exactly bin b's values
-    c = np.sort(e.column(t_index))
+    c = e.column(t_index)  # a fresh array the handle hands over: sort it in place
+    c.sort()
     distinct = np.empty(c.size, dtype=bool)
     distinct[0] = True
     np.not_equal(c[1:], c[:-1], out=distinct[1:])
@@ -591,8 +594,9 @@ def tail_curve(
     _check_pair(e, s_index, t_index)
 
     def sorted_abs(j: int) -> np.ndarray:
-        # np.abs makes a fresh column, so sort it in place
-        col = np.abs(e.column(j))
+        # the handle hands over a fresh column: take |x| and sort in place
+        col = e.column(j)
+        np.abs(col, out=col)
         col.sort()
         return col
 

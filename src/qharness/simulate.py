@@ -25,7 +25,8 @@ is contiguous.  ``read_header`` gives a ``Container``, the handle ``verify``
 and ``tails`` read a pair through: ``column`` reads one column in one pass
 and ``row_blocks`` streams blocks of (X_s, X_t) in another, so they hold at
 most one column of the file at a time.  ``Ensemble`` has the same two
-methods over the path matrix, so the kernels read either.
+methods over the path matrix, so the kernels read either; on both,
+``column`` gives a fresh array that the caller may overwrite.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ class Ensemble:
         return _time_index(self.grid, t)
 
     def column(self, j: int) -> np.ndarray:
-        """Column j of the path matrix: a view."""
-        return self.paths[:, j]
+        """Column j of the path matrix as ``Container.column`` gives it: a
+        fresh, contiguous float64 copy that the caller owns and may
+        overwrite."""
+        return self.paths[:, j].copy()
 
     def row_blocks(self, s_index: int, t_index: int):
         """Views (X_s, X_t) of each block of ROW_BLOCK paths of the two columns."""
@@ -320,7 +323,7 @@ class Container:
 
     def column(self, j: int) -> np.ndarray:
         """Column j, read as ``load_ensemble`` reads it: a fresh, contiguous,
-        finite-checked float64 array."""
+        finite-checked float64 array that the caller owns and may overwrite."""
         self.reads += 1
         return load_ensemble(self.path, times=(self.grid[j],)).paths[:, 0]
 

@@ -752,38 +752,49 @@ class TestTwoColumnHandlers:
 
 
 class TestStreamedPair:
-    """verify and tails read the container through its handle, so beyond
-    what is live before them they hold at most X_t, its sorted copy and a
-    mask (verify, 17 bytes per path) or one column and its |column| (tails,
-    16 bytes per path); a value that is not finite in a column they read
-    still ends them with one line and exit 2."""
+    """verify and tails read the container through its handle, which hands
+    over a fresh column that they sort (and take |x| of) in place, so beyond
+    what is live before them they hold at most the sorted X_t and a mask
+    (verify) or one column (tails); verify is measured at 1M paths, where
+    path_empirics' per-block buffers no longer set its peak.  A value that
+    is not finite in a column they read still ends them with one line and
+    exit 2."""
 
-    N = 300_000
     MIB = 2**20
 
-    @pytest.fixture(scope="class")
-    def containers(self, tmp_path_factory):
+    @staticmethod
+    def sampled(tmp_path_factory, n):
         d = tmp_path_factory.mktemp("streamed")
         out = {}
         for kind in ("gamma", "pascal"):
             out[kind] = d / f"{kind}.qhe"
             assert run_cli(["simulate", "--process", kind, "--grid", "0.25,0.5,0.75,1.0",
-                            "--paths", str(self.N), "--seed", "6", "--out", str(out[kind])]) == 0
-        return out
+                            "--paths", str(n), "--seed", "6", "--out", str(out[kind])]) == 0
+        return n, out
+
+    @pytest.fixture(scope="class")
+    def million(self, tmp_path_factory):
+        return self.sampled(tmp_path_factory, 1_000_000)
+
+    @pytest.fixture(scope="class")
+    def containers(self, tmp_path_factory):
+        return self.sampled(tmp_path_factory, 300_000)
 
     @pytest.mark.parametrize("kind, bins", [("gamma", "400"), ("pascal", "40")])
-    def test_verify_peak(self, tmp_path, containers, kind, bins):
-        argv = ["verify", str(containers[kind]), "--s", "0.5", "--t", "1.0", "--bins", bins,
+    def test_verify_peak(self, tmp_path, million, kind, bins):
+        n, paths = million
+        argv = ["verify", str(paths[kind]), "--s", "0.5", "--t", "1.0", "--bins", bins,
                 "--out", str(tmp_path / "v.json")]
         assert run_cli(argv) in (0, 1)  # first-call allocations
-        assert traced_peak(lambda: run_cli(argv)) <= 17 * self.N + self.MIB
+        assert traced_peak(lambda: run_cli(argv)) <= 10 * n + self.MIB
 
     @pytest.mark.parametrize("kind", ["gamma", "pascal"])
     def test_tails_peak(self, tmp_path, containers, kind):
-        argv = ["tails", str(containers[kind]), "--s", "0.5", "--t", "1.0",
+        n, paths = containers
+        argv = ["tails", str(paths[kind]), "--s", "0.5", "--t", "1.0",
                 "--out", str(tmp_path / "t.json")]
         assert run_cli(argv) == 0
-        assert traced_peak(lambda: run_cli(argv)) <= 16 * self.N + self.MIB
+        assert traced_peak(lambda: run_cli(argv)) <= 10 * n + self.MIB
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):
