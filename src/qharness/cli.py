@@ -420,37 +420,44 @@ def _run_verify(config: RunConfig) -> int:
         raise ValueError(f"need n_bins >= 5, got {n_bins}")
     p = simulate.known_params(head.kind)
 
-    # the kernels read only the columns of s and t, streamed from the file
-    started = time.perf_counter()
-    pe = empirics.path_empirics(head, si, ti)
-    fit = pe.fit
-    if fit is None:
-        raise ValueError("the quadratic fit needs at least 3 distinct values of X_t")
-    checks = [
-        _check(f"covariance({a},{b})", est.value, core.covariance(a, b), est.se, 5.0)
-        for est, (a, b) in zip(pe.covariance, ((s, s), (s, t), (t, t)))
-    ]
-    for direction, est, predicted in (("forward", pe.slope_forward, 1.0),
-                                      ("backward", pe.slope_backward, s / t)):
-        checks.append(_check(f"mean-slope-{direction}", est.value, predicted, est.se, 3.0))
-    for coef, se_c, pred, label in zip(
-        (fit.c0, fit.c1, fit.c2), fit.se, core.var_backward_coeffs(p, s, t), ("c0", "c1", "c2")
-    ):
-        checks.append(_check(f"backward-quadratic-{label}", coef, pred, se_c, 3.0))
-    checks.append(_check("law-of-total-variance-backward", pe.lotv.value, s * (t - s) / t,
-                         pe.lotv.se, 4.0))
+    # the kernels read only the columns of s and t, streamed from the file.
+    # The checks run on this thread while a worker streams the binning's
+    # passes, so checks_s lies inside binning_s; wait_s is this thread's wait
+    # for the passes after the checks
+    done: dict = {}
 
-    checks_s = time.perf_counter() - started
+    def run_checks() -> None:
+        started = time.perf_counter()
+        pe = empirics.path_empirics(head, si, ti)
+        fit = pe.fit
+        if fit is None:
+            raise ValueError("the quadratic fit needs at least 3 distinct values of X_t")
+        checks = [
+            _check(f"covariance({a},{b})", est.value, core.covariance(a, b), est.se, 5.0)
+            for est, (a, b) in zip(pe.covariance, ((s, s), (s, t), (t, t)))
+        ]
+        for direction, est, predicted in (("forward", pe.slope_forward, 1.0),
+                                          ("backward", pe.slope_backward, s / t)):
+            checks.append(_check(f"mean-slope-{direction}", est.value, predicted, est.se, 3.0))
+        for coef, se_c, pred, label in zip(
+            (fit.c0, fit.c1, fit.c2), fit.se, core.var_backward_coeffs(p, s, t), ("c0", "c1", "c2")
+        ):
+            checks.append(_check(f"backward-quadratic-{label}", coef, pred, se_c, 3.0))
+        checks.append(_check("law-of-total-variance-backward", pe.lotv.value, s * (t - s) / t,
+                             pe.lotv.se, 4.0))
+        done.update(pe=pe, fit=fit, checks=checks, checks_s=time.perf_counter() - started)
 
     # the bins are display only: no verdict reads them
     started = time.perf_counter()
-    binned = empirics.estimate_conditional(head, si, ti, n_bins)
+    binned = empirics.estimate_conditional(head, si, ti, n_bins, beside=run_checks)
+    pe, fit, checks = done["pe"], done["fit"], done["checks"]
     config.log_fields.update(bins_requested=n_bins, bins_returned=binned.n_bins,
                              bins_confident=int(binned.confident.sum()),
                              label_searches=binned.label_searches,
                              weights_floored=pe.weights_floored, fit_pivot=pe.fit_pivot,
                              row_blocks=pe.row_blocks, columns_read=2, container_reads=head.reads,
-                             checks_s=checks_s, binning_s=time.perf_counter() - started)
+                             checks_s=done["checks_s"], binning_s=time.perf_counter() - started,
+                             wait_s=binned.wait_s)
 
     all_pass = all(c["pass"] for c in checks)
     bins = binned.rows()

@@ -25,9 +25,14 @@ edges, counts and mean X_t of each bin; then, with both freed, one narrow
 label per path (uint8 up to 256 bins, uint16 up to 65536): pass 1 over the
 streamed blocks labels each path's bin through a guide table on X_t and sums
 the squared residual and X_s per bin with ``np.bincount``, in path order,
-and pass 2 sums their deviations from those means.  On a 1M-path gamma
-container it takes 75-85 ms at 400 or 2,000 bins and 90 ms at 20,000 (warm,
-2 vCPU).
+and pass 2 sums their deviations from those means.  The sort phase, the
+set-up of both passes and the first block's labels run on the calling
+thread, which allocates every buffer the passes write; one worker thread
+streams the passes while the calling thread runs ``beside`` (``verify``'s
+checks), so the worker allocates no block-sized array and calls no public
+function of the package.  On a 1M-path, 4-time container in the page cache
+``verify --bins 400`` of gamma takes about 0.12 s in-process, where it took
+0.14-0.15 s with the passes after the checks (2 vCPU).
 ``tail_curve`` holds one column at a time, made its sorted |column| in
 place, and reads the Hill estimate off the sorted |X_t|; ``hill_tail_index``
 holds one column copy.
@@ -36,7 +41,10 @@ holds one column copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
+from threading import Event, Thread
+from typing import Callable
 
 import numpy as np
 
@@ -88,7 +96,8 @@ class BinnedConditional:
 
     ``confident`` marks bins with at least MIN_BIN_COUNT samples;
     ``label_searches`` counts the paths whose bin the guide table left to a
-    binary search.
+    binary search, and ``wait_s`` is the time the calling thread waited for
+    the streamed passes at the join (a timing, left out of ==).
     """
 
     s: float
@@ -105,6 +114,7 @@ class BinnedConditional:
     pred_var: np.ndarray
     confident: np.ndarray
     label_searches: int
+    wait_s: float = field(compare=False)
 
     @property
     def n_bins(self) -> int:
@@ -167,6 +177,10 @@ def _bin_labeller(edges: np.ndarray):
     reaches the next edge; only a value that also reaches the edge after
     that, in a cell of two or more edges, is binary-searched.  A range whose
     width overflows, or is too small for M cells, is one cell.
+
+    Every block-sized step writes into ``out`` or the function's scratch,
+    which the first call on a block larger than it holds allocates: the
+    thread that labels the largest block first owns it.
     """
     inner, lo = edges[1:-1], edges[0]
     cells = GUIDE_CELLS_PER_BIN * (edges.size - 1)
@@ -175,56 +189,46 @@ def _bin_labeller(edges: np.ndarray):
     if not 0.0 < h < math.inf:
         cells, h = 1, 0.0
 
-    def cell(v: np.ndarray) -> np.ndarray:
+    def cell(v: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         # (x - lo) overflows only where h = 0, and inf * 0 is NaN, which
         # fmin sends to the one cell
         with np.errstate(over="ignore", invalid="ignore"):
-            u = v - lo
+            np.subtract(v, lo, out=u)
             u *= h
         np.fmin(u, cells - 1, out=u)
-        return u.astype(np.intp)
+        np.copyto(out, u, casting="unsafe")  # truncates, as astype does
 
     # base[j], the count of edges in cells below j, steps up after each edge's cell
-    at = cell(inner)
+    at = np.empty(inner.size, dtype=np.intp)
+    cell(inner, np.empty(inner.size), at)
     base = np.repeat(np.arange(edges.size - 1, dtype=np.min_scalar_type(inner.size)),
                      np.diff(at, prepend=-1, append=cells - 1))
     upper = np.append(inner, np.inf)  # the edge above each bin
+    scratch = [np.empty(0), np.empty(0, dtype=base.dtype), np.empty(0, dtype=bool)]
 
     def label(x: np.ndarray, out: np.ndarray) -> int:
-        out[:] = base[cell(x)]
-        out += x >= upper[out]
-        at = np.flatnonzero(x >= upper[out])  # x's cell holds a further edge
+        n = x.size
+        if scratch[0].size < n:
+            scratch[:] = np.empty(n), np.empty(n, dtype=base.dtype), np.empty(n, dtype=bool)
+        u, narrow, hit = (a[:n] for a in scratch)
+        # take in mode "clip" writes straight into its out, where "raise"
+        # would buffer it; every index is in range, so nothing is clipped
+        cell(x, u, out)
+        np.copyto(out, np.take(base, out, out=narrow, mode="clip"))
+        out += np.greater_equal(x, np.take(upper, out, out=u, mode="clip"), out=hit)
+        # the paths whose cell holds a further edge
+        at = np.flatnonzero(np.greater_equal(x, np.take(upper, out, out=u, mode="clip"), out=hit))
         out[at] = np.searchsorted(inner, x[at], side="right")
         return at.size
 
     return label
 
 
-def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
-                         n_bins: int) -> BinnedConditional:
-    """Quantile-bin X_t and estimate the moments of X_s in each bin.
-
-    The conditional variance column is the per-bin mean squared deviation of
-    X_s from its exact conditional mean (s/t) X_t (the one-sided-mean formula
-    is an identity for these processes, so this estimates the conditional
-    variance without the within-bin spread of the conditional mean leaking
-    in).  The predicted columns are the backward closed forms at each bin's
-    mean of X_t, using the parameters the process kind is known to satisfy.
-
-    When X_t takes at most n_bins distinct values (lattice marginals), each
-    value becomes its own bin; otherwise duplicate quantile edges are
-    collapsed, so fewer than n_bins bins may come back.
-    """
-    _check_pair(e, s_index, t_index)
-    s = float(e.grid[s_index])
-    t = float(e.grid[t_index])
-    slope = s / t
-    if n_bins < 5:
-        raise ValueError(f"need n_bins >= 5, got {n_bins}")
-
+def _sorted_bins(c: np.ndarray, n_bins: int):
+    """The sort phase of the binning: sort the fresh column c of X_t in
+    place and return the bin edges, each bin's count and its mean of X_t."""
     # the sorted column gives the bins: equal values share one, and sorted
     # positions [starts[b], starts[b+1]) hold exactly bin b's values
-    c = e.column(t_index)  # a fresh array the handle hands over: sort it in place
     c.sort()
     distinct = np.empty(c.size, dtype=bool)
     distinct[0] = True
@@ -237,70 +241,180 @@ def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
     else:
         edges = np.unique(sorted_quantiles(c, np.linspace(0.0, 1.0, n_bins + 1)))
     del distinct
-    nb = edges.size - 1
     starts = np.searchsorted(c, edges[:-1], side="left")
     count = np.diff(starts, append=c.size)
 
     # reduceat sums each segment up to the next index, and gives a[i] rather
     # than 0 for an empty one, so it runs over the filled bins only
     filled = count > 0
-    x_mean = np.zeros(nb)
+    x_mean = np.zeros(edges.size - 1)
     x_mean[filled] = np.add.reduceat(c, starts[filled]) / count[filled]
-    del c
-    label = _bin_labeller(edges)
+    return edges, count, x_mean
 
-    # pass 1 labels each path's bin from its X_t, keeps the labels, and sums
-    # r^2 = (y - slope*x)^2 and y per bin, each less the bin's first value
-    # (so a bin of equal values sums zeros); pass 2 sums the deviations d
-    # from those means and their squares, and each bin's mean and standard
-    # error come from the corrected two-pass formula, as in ``path_empirics``.
-    # np.bincount adds in path order, so no sort order, and no tie order of
-    # equal values, enters a sum
-    labels = np.empty(e.n_paths, dtype=np.min_scalar_type(nb - 1))
-    idx = np.empty(min(ROW_BLOCK, e.n_paths), dtype=np.intp)
 
-    def blocks():
-        """Each block's paths, its X_t and its r^2 and y."""
-        lo = 0
-        for y, x in e.row_blocks(s_index, t_index):
-            r2 = x * -slope
-            r2 += y
-            r2 *= r2
-            yield slice(lo, lo + y.size), x, (r2, y)
-            lo += y.size
+class _BinPasses:
+    """The binning's two streamed passes over the pair, set up on the
+    calling thread for ``run`` on a worker.
 
-    pivot, seen = np.zeros((2, nb)), ~filled  # an empty bin takes no pivot
-    sums = np.zeros((6, nb))  # r^2, y less the pivot; d of each; d^2 of each
-    searches = 0
-    for paths, x, cols in blocks():
-        i = idx[: x.size]  # the labels as intp, which np.bincount reads
-        searches += label(x, out=i)
-        labels[paths] = i
-        if not seen.all():  # the first path of each bin not seen before
-            fresh = np.flatnonzero(~seen[i])
+    Pass 1 labels each path's bin from its X_t, keeps the labels, and sums
+    r^2 = (y - slope*x)^2 and y per bin, each less the bin's first value (so
+    a bin of equal values sums zeros); pass 2 sums the deviations d from
+    those means and their squares, and each bin's mean and standard error
+    come from the corrected two-pass formula, as in ``path_empirics``.
+    np.bincount adds in path order, so no sort order, and no tie order of
+    equal values, enters a sum.
+
+    The set-up allocates every buffer the passes write, starts both passes'
+    ``row_blocks`` (their buffers and the container's read count are the
+    calling thread's), and labels the first block and takes its pivots.
+    ``run`` then writes with ``out=`` and allocates only per-bin arrays and
+    the paths of bins a block holds first.
+    """
+
+    def __init__(self, e: Ensemble | Container, s_index: int, t_index: int, slope: float,
+                 edges: np.ndarray, count: np.ndarray) -> None:
+        nb, rows = edges.size - 1, min(ROW_BLOCK, e.n_paths)
+        filled = count > 0
+        self.nb, self.slope, self.label = nb, slope, _bin_labeller(edges)
+        self.m = np.where(filled, count, 1)
+        self.labels = np.empty(e.n_paths, dtype=np.min_scalar_type(nb - 1))
+        self.idx = np.empty(rows, dtype=np.intp)  # the labels as intp, which np.bincount reads
+        self.r2, self.d, self.fresh = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+        self.pivot, self.seen = np.zeros((2, nb)), ~filled  # an empty bin takes no pivot
+        self.m1 = np.empty((2, nb))  # the pass-1 means
+        self.sums = np.zeros((6, nb))  # r^2, y less the pivot; d of each; d^2 of each
+        self.searches = 0
+        self.error: BaseException | None = None
+        self.passes = [e.row_blocks(s_index, t_index) for _ in range(2)]
+        self.heads = [next(p) for p in self.passes]
+        self.first = self.label_block(0, *self.heads[0])
+
+    def cols(self, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A block's r^2, written into its buffer, and y."""
+        r2 = np.multiply(x, -self.slope, out=self.r2[: x.size])
+        r2 += y
+        r2 *= r2
+        return r2, y
+
+    def label_block(self, lo: int, y: np.ndarray, x: np.ndarray):
+        """Label the block of paths lo, lo + 1, ... and take the pivots of the
+        bins it holds first: its labels as intp and its columns."""
+        i = self.idx[: x.size]
+        self.searches += self.label(x, out=i)
+        self.labels[lo : lo + x.size] = i
+        cols = self.cols(y, x)
+        if not self.seen.all():  # the first path of each bin not seen before
+            unseen = np.take(self.seen, i, out=self.fresh[: x.size], mode="clip")
+            fresh = np.flatnonzero(np.logical_not(unseen, out=unseen))
             b, at = np.unique(i[fresh], return_index=True)
-            seen[b] = True
+            self.seen[b] = True
             for k, v in enumerate(cols):
-                pivot[k, b] = v[fresh[at]]
-        for k, v in enumerate(cols):
-            sums[k] += np.bincount(i, v - pivot[k][i], nb)
-    m = np.where(filled, count, 1)
-    m1 = pivot + sums[:2] / m  # the pass-1 means
-    for paths, x, cols in blocks():
-        i = idx[: x.size]
-        i[:] = labels[paths]
-        for k, v in enumerate(cols):
-            d = v - m1[k][i]
-            sums[2 + k] += np.bincount(i, d, nb)
-            d *= d
-            sums[4 + k] += np.bincount(i, d, nb)
+                self.pivot[k, b] = v[fresh[at]]
+        return i, cols
+
+    def run(self, stop: Event) -> None:
+        """Both passes, on the worker: stop before the next block once
+        ``stop`` is set; an error is kept in ``error``, and both passes are
+        closed (with their files) at the end."""
+        try:
+            nb, sums, m1 = self.nb, self.sums, self.m1
+            lo = 0
+            for y, x in self._blocks(0, stop):
+                i, cols = self.first if lo == 0 else self.label_block(lo, y, x)
+                for k, v in enumerate(cols):
+                    d = np.take(self.pivot[k], i, out=self.d[: x.size], mode="clip")
+                    sums[k] += np.bincount(i, np.subtract(v, d, out=d), nb)
+                lo += x.size
+            np.divide(sums[:2], self.m, out=m1)
+            m1 += self.pivot
+            lo = 0
+            for y, x in self._blocks(1, stop):
+                i = self.idx[: x.size]
+                np.copyto(i, self.labels[lo : lo + x.size])
+                for k, v in enumerate(self.cols(y, x)):
+                    d = np.take(m1[k], i, out=self.d[: x.size], mode="clip")
+                    sums[2 + k] += np.bincount(i, np.subtract(v, d, out=d), nb)
+                    d *= d
+                    sums[4 + k] += np.bincount(i, d, nb)
+                lo += x.size
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            for blocks in self.passes:
+                blocks.close()
+
+    def _blocks(self, k: int, stop: Event):
+        """Pass k's blocks, its first as started, each read only while
+        ``stop`` is not set (a stopped run's sums are never read)."""
+        block = self.heads[k]
+        while block is not None and not stop.is_set():
+            yield block
+            block = next(self.passes[k], None)
+
+
+def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
+                         n_bins: int, beside: Callable[[], None] | None = None
+                         ) -> BinnedConditional:
+    """Quantile-bin X_t and estimate the moments of X_s in each bin.
+
+    The conditional variance column is the per-bin mean squared deviation of
+    X_s from its exact conditional mean (s/t) X_t (the one-sided-mean formula
+    is an identity for these processes, so this estimates the conditional
+    variance without the within-bin spread of the conditional mean leaking
+    in).  The predicted columns are the backward closed forms at each bin's
+    mean of X_t, using the parameters the process kind is known to satisfy.
+
+    When X_t takes at most n_bins distinct values (lattice marginals), each
+    value becomes its own bin; otherwise duplicate quantile edges are
+    collapsed, so fewer than n_bins bins may come back.
+
+    The sort phase (``_sorted_bins``) and the set-up of the streamed passes
+    (``_BinPasses``) run on the calling thread; then a worker thread streams
+    the passes while the calling thread runs ``beside``, a function of no
+    arguments (``verify`` runs its checks there), and joins the worker.  An
+    error of ``beside`` comes before any of the binning's, whose set-up
+    errors wait for it, and once either side has failed the worker stops
+    before its next block.  The worker calls no public function of this
+    package and no ``core`` evaluator.
+    """
+    _check_pair(e, s_index, t_index)
+    s = float(e.grid[s_index])
+    t = float(e.grid[t_index])
+    if n_bins < 5:
+        raise ValueError(f"need n_bins >= 5, got {n_bins}")
+
+    try:
+        edges, count, x_mean = _sorted_bins(e.column(t_index), n_bins)
+        passes = _BinPasses(e, s_index, t_index, s / t, edges, count)
+    except Exception:
+        if beside is not None:
+            beside()  # its error comes first
+        raise
+    stop = Event()
+    worker = Thread(target=passes.run, args=(stop,), name="qharness-binning")
+    worker.start()
+    try:
+        if beside is not None:
+            beside()
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        joined = time.perf_counter()
+        worker.join()
+        wait_s = time.perf_counter() - joined
+    if passes.error is not None:
+        raise passes.error
+
+    m, sums = passes.m, passes.sums
     sd, ssq = sums[2:4], sums[4:6]
-    var, mean = m1 + sd / m
+    var, mean = passes.m1 + sd / m
     several = count > 1  # an empty or one-path bin keeps standard error 0
     se_var, se_mean = np.where(
         several, np.sqrt(np.maximum(ssq - sd * sd / m, 0.0) / np.maximum(m - 1, 1)) / np.sqrt(m),
         0.0)
 
+    filled = count > 0
     p = known_params(e.kind)
     pred_mean = np.where(filled, core.one_sided_mean("backward", s, t, x_mean), 0.0)
     # at a root of the variance, such as a lattice's lowest value, the
@@ -327,7 +441,8 @@ def estimate_conditional(e: Ensemble | Container, s_index: int, t_index: int,
         pred_mean=pred_mean,
         pred_var=pred_var,
         confident=confident,
-        label_searches=searches,
+        label_searches=passes.searches,
+        wait_s=wait_s,
     )
 
 

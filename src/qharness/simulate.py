@@ -10,11 +10,11 @@ certificate/formula based.
 Randomness is counter-based: each (path block, grid step) pair owns a Philox
 substream keyed by (seed, block << 32 | step) with counter 0, so regenerating
 an ensemble is bit-identical regardless of how many worker threads assemble
-it.  One block loop runs W workers on a pool of W threads; worker w fills
-blocks w, w+W, ... in one reused block buffer and re-keys one Philox per
-substream instead of building a new one, which sets the same state, so the
-stream layout is unchanged; a block that fails stops the other workers
-before their next block.  ``sample_ensemble`` copies each finished block
+it.  One block loop runs W workers, worker 0 on the calling thread and the
+others on a pool of W - 1 threads; worker w fills blocks w, w+W, ... in one
+reused block buffer and re-keys one Philox per substream instead of building
+a new one, which sets the same state, so the stream layout is unchanged; a
+block that fails stops the other workers before their next block.  ``sample_ensemble`` copies each finished block
 into the path matrix; ``sample_to_container`` writes it straight to its
 offset in the container, so no path matrix is ever built.
 
@@ -198,9 +198,9 @@ def _sample_blocks(kind: ProcessKind, grid: np.ndarray, n_paths: int, seed: int,
     """The one block loop: worker w of W fills blocks w, w + W, ... in one
     reused BLOCK_PATHS x n_times buffer and hands each finished block to
     ``put(lo, rows)``, rows being paths lo, lo + 1, ... (on the worker's
-    thread; rows is overwritten by the worker's next block).  A block whose
-    draw or ``put`` raises stops the other workers before their next block,
-    and its error is raised."""
+    thread, worker 0's being the calling thread; rows is overwritten by the
+    worker's next block).  A block whose draw or ``put`` raises stops the
+    other workers before their next block, and its error is raised."""
     dts = np.diff(grid, prepend=0.0)
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     n_workers = min(n_workers, n_blocks)
@@ -235,8 +235,14 @@ def _sample_blocks(kind: ProcessKind, grid: np.ndarray, n_paths: int, seed: int,
             failed.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(work, range(n_workers)))
+    # worker 0 runs on the calling thread and the others on a pool, which
+    # starts a thread per task, so one worker starts none; worker 0's error
+    # is raised first, then the others' in order
+    with ThreadPoolExecutor(max_workers=max(1, n_workers - 1)) as pool:
+        others = [pool.submit(work, w) for w in range(1, n_workers)]
+        work(0)
+        for other in others:
+            other.result()
 
 
 def sample_ensemble(
@@ -331,18 +337,20 @@ class Container:
         """(X_s, X_t) of each block of ROW_BLOCK paths, as ``Ensemble.row_blocks``
         gives them, finite-checked: copied READ_ROWS rows at a time out of one
         reused read buffer into one reused block, so each pair is overwritten
-        by the next."""
+        by the next.  Every buffer is allocated before the first block is
+        yielded."""
         self.reads += 1
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size + 8 * self.n_times)
             pair = np.empty((min(ROW_BLOCK, self.n_paths), 2), dtype=np.float64, order="F")
+            finite = np.empty(pair.shape, dtype=bool, order="F")
             for lo, rows in _read_rows(fh, self.path, self.n_paths, self.n_times):
                 at = lo % ROW_BLOCK  # READ_ROWS divides ROW_BLOCK
                 end = at + rows.shape[0]
                 pair[at:end, 0] = rows[:, s_index]
                 pair[at:end, 1] = rows[:, t_index]
                 if end == pair.shape[0] or lo + rows.shape[0] == self.n_paths:
-                    if not np.isfinite(pair[:end]).all():
+                    if not np.isfinite(pair[:end], out=finite[:end]).all():
                         raise ValueError("path values must be finite")
                     yield pair[:end, 0], pair[:end, 1]
 

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -7,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import traced_peak
 
-from qharness import cli
+from qharness import certificates, cli, core, empirics, moments, simulate
 from qharness.certificates import integrability_constant, make_certificate
 from qharness.cli import main, parse_args
 from qharness.core import KINDS, HarnessParams, _nb_cdf
@@ -689,7 +692,7 @@ class TestTwoColumnHandlers:
     def test_container_reads_and_stage_times(self, tmp_path, ensemble):
         # verify: two streamed passes for the checks, then X_t and two more
         # streamed passes for the bins; tails: one pass per column
-        for command, reads, stages in (("verify", "5", ("checks_s", "binning_s")),
+        for command, reads, stages in (("verify", "5", ("checks_s", "binning_s", "wait_s")),
                                        ("tails", "2", ("curve_s",))):
             out = tmp_path / f"{command}.json"
             assert run_cli([command, str(ensemble), "--s", "0.5", "--t", "1.0",
@@ -834,6 +837,108 @@ class TestStreamedPair:
         assert run_cli([command, str(path), "--s", "0.5", "--t", "1.0",
                         "--out", str(out)]) in (0, 1)
         assert json.loads(out.read_text())["results"]["s"] == 0.5
+
+
+class TestVerifyOnTwoThreads:
+    """verify runs its checks on the calling thread while a worker streams
+    the binning's passes: its errors are those of one thread, in the same
+    order, each one line and exit 2 with the worker joined; every public
+    function of the traced modules runs on the calling thread; and neither
+    the artifact nor the container's read count follows how the threads
+    interleave."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """A gamma ensemble of 3 ROW_BLOCK + 7 paths on (0.5, 1): the worker
+        streams 4 blocks of each pass."""
+        return sample_ensemble(ProcessKind("gamma"), [0.5, 1.0], 3 * ROW_BLOCK + 7, seed=2)
+
+    @staticmethod
+    def container(tmp_path, e, paths):
+        path = tmp_path / "in" / "e.qhe"
+        path.parent.mkdir()
+        path.write_bytes(simulate._header(e.kind, e.seed, paths.shape[0], e.grid)
+                         + paths.astype("<f8").tobytes())
+        return path
+
+    def assert_error(self, tmp_path, capsys, path, message):
+        before = threading.active_count()
+        out = tmp_path / "out" / "v.json"
+        capsys.readouterr()
+        code = run_cli(["verify", str(path), "--s", "0.5", "--t", "1.0", "--out", str(out)])
+        assert code == 2 and not out.parent.exists()
+        assert capsys.readouterr().err == f"qharness verify: error: {message}\n"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("case, message", [
+        # the sort phase fails (degenerate), then path_empirics, whose error is raised
+        ("constant X_t", "X_s or X_t is constant across paths"),
+        ("two-valued X_t", "the quadratic fit needs at least 3 distinct values of X_t"),
+        # path_empirics and the worker both fail in block 1
+        ("non-finite X_s", "path values must be finite"),
+        # the sort phase's read of X_t fails, then path_empirics in block 2
+        ("non-finite X_t", "path values must be finite"),
+    ])
+    def test_errors(self, tmp_path, capsys, base, case, message):
+        paths = base.paths.copy()
+        if case == "constant X_t":
+            paths[:, 1] = 1.5
+        elif case == "two-valued X_t":
+            paths[:, 1] = np.where(paths[:, 1] > 0.0, 1.0, -1.0)
+        elif case == "non-finite X_s":
+            paths[ROW_BLOCK + 3, 0] = np.nan
+        else:
+            paths[2 * ROW_BLOCK + 3, 1] = np.inf
+        self.assert_error(tmp_path, capsys, self.container(tmp_path, base, paths), message)
+
+    def test_injected_path_empirics_failure(self, tmp_path, capsys, monkeypatch, base):
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(empirics, "path_empirics", fail)
+        path = self.container(tmp_path, base, base.paths)
+        self.assert_error(tmp_path, capsys, path, "RuntimeError: injected")
+
+    def test_public_functions_run_on_the_calling_thread(self, tmp_path, monkeypatch, base):
+        # wrapped as the bench's tracer wraps them, which is single-threaded
+        calls = []
+
+        def recorded(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (simulate, empirics, moments, certificates, core):
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    monkeypatch.setattr(module, name, recorded(f"{module.__name__}.{name}", fn))
+        path = self.container(tmp_path, base, base.paths)
+        assert run_cli(["verify", str(path), "--s", "0.5", "--t", "1.0", "--bins", "400",
+                        "--out", str(tmp_path / "v.json")]) in (0, 1)
+        names = {name for name, _ in calls}
+        assert {"qharness.empirics.estimate_conditional", "qharness.empirics.path_empirics",
+                "qharness.core.var_backward", "qharness.simulate.load_ensemble"} <= names
+        assert [name for name, ident in calls if ident != threading.get_ident()] == []
+
+    @pytest.mark.parametrize("bins", ["5", "400"])
+    def test_artifact_and_reads_under_fast_switching(self, tmp_path, base, bins):
+        path = self.container(tmp_path, base, base.paths)
+        outs = [tmp_path / "plain.json", tmp_path / "fast.json"]
+        argv = ["verify", str(path), "--s", "0.5", "--t", "1.0", "--bins", bins, "--out"]
+        assert run_cli(argv + [str(outs[0])]) in (0, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_cli(argv + [str(outs[1])]) in (0, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        for out in outs:
+            assert sidecar_fields(out)["container_reads"] == "5"
 
 
 class TestVerifyAcrossKernels:

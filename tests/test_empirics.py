@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qharness import core
+from qharness import core, empirics
 from qharness.certificates import make_certificate
 from qharness.core import KINDS, var_backward
 from qharness.empirics import (
@@ -26,6 +28,7 @@ from qharness.empirics import (
 )
 from qharness.simulate import (
     BLOCK_PATHS,
+    _header,
     Ensemble,
     ProcessKind,
     known_params,
@@ -56,8 +59,8 @@ def reference_edges(cond, n_bins):
 
 
 def masked_reference(e, s_index, t_index, n_bins):
-    """Per-bin boolean-mask estimate of X_s given X_t with one scalar
-    closed-form call per bin."""
+    """Per-bin boolean-mask estimate of X_s given X_t, the largest |value|
+    each statistic column sums, and the parameters of the closed forms."""
     s, t = float(e.grid[s_index]), float(e.grid[t_index])
     cond, target = e.paths[:, t_index], e.paths[:, s_index]
     edges = reference_edges(cond, n_bins)
@@ -65,8 +68,7 @@ def masked_reference(e, s_index, t_index, n_bins):
     resid_sq = (target - (s / t) * cond) ** 2
     p = known_params(e.kind)
     nb = edges.size - 1
-    cols = {k: np.zeros(nb) for k in
-            ("x_mean", "mean", "var", "se_mean", "se_var", "pred_mean", "pred_var")}
+    cols = {k: np.zeros(nb) for k in ("x_mean", "mean", "var", "se_mean", "se_var")}
     top = {k: np.zeros(nb) for k in ("y", "r2")}
     count = np.zeros(nb, dtype=np.int64)
     for b in range(nb):
@@ -83,11 +85,8 @@ def masked_reference(e, s_index, t_index, n_bins):
         if n > 1:
             cols["se_mean"][b] = y.std(ddof=1) / math.sqrt(n)
             cols["se_var"][b] = r2.std(ddof=1) / math.sqrt(n)
-        x = float(cols["x_mean"][b])
-        cols["pred_mean"][b] = core.one_sided_mean("backward", s, t, x)
-        cols["pred_var"][b] = display_var(p, s, t, x, core.var_backward(p, s, t, x))
     return dict(cols, bin_lo=edges[:-1], bin_hi=edges[1:], count=count,
-                confident=count >= MIN_BIN_COUNT), top
+                confident=count >= MIN_BIN_COUNT), top, p
 
 
 # the bins, counts and confidence flags are exact; the per-bin sums run in
@@ -100,7 +99,7 @@ STATISTICS = {"mean": "y", "se_mean": "y", "var": "r2", "se_var": "r2"}
 
 
 def assert_matches_reference(b, reference):
-    ref, top = reference
+    ref, top, p = reference
     for name, expected in ref.items():
         got = getattr(b, name)
         if name in EXACT_COLUMNS:
@@ -113,6 +112,15 @@ def assert_matches_reference(b, reference):
             assert np.all(np.abs(got - expected) <= bound), name
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, err_msg=name)
+    # the predictions are the closed forms at the program's own x_mean, one
+    # scalar call per filled bin, bit for bit (an empty bin predicts +0.0)
+    pred_mean, pred_var = np.zeros((2, b.n_bins))
+    for i in np.flatnonzero(b.count):
+        x = float(b.x_mean[i])
+        pred_mean[i] = core.one_sided_mean("backward", b.s, b.t, x)
+        pred_var[i] = display_var(p, b.s, b.t, x, core.var_backward(p, b.s, b.t, x))
+    assert b.pred_mean.tobytes() == pred_mean.tobytes()
+    assert b.pred_var.tobytes() == pred_var.tobytes()
 
 
 class TestEstimateConditional:
@@ -168,11 +176,11 @@ class TestEstimateConditional:
         assert_matches_reference(b, masked_reference(e, 1, 3, n_bins))
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n_bins", [5, 300, 400])
+    @pytest.mark.parametrize("n_bins", [5, 300, 400, 2000])
     def test_narrow_labels_match_masked_reference(self, all_ensembles, kind, n_bins):
-        # 5 bins keep uint8 labels, 300 and 400 quantile bins uint16; at 5
-        # bins the poisson lattice has more values than bins, so duplicate
-        # quantile edges collapse
+        # 5 bins keep uint8 labels, 300, 400 and 2,000 quantile bins uint16;
+        # at 5 bins the poisson lattice has more values than bins, so
+        # duplicate quantile edges collapse
         e = all_ensembles[kind]
         b = estimate_conditional(e, 1, 3, n_bins)
         if kind == "poisson" and n_bins == 5:
@@ -404,6 +412,130 @@ def block_ensembles():
     just past a block boundary."""
     n = 3 * ROW_BLOCK + 7
     return {name: sample_ensemble(kind_of(name), GRID, n, seed=SEED) for name in KINDS}
+
+
+@contextmanager
+def fast_switching():
+    """The interpreter switches threads every microsecond inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class Gated:
+    """An ensemble's handle whose ``row_blocks`` count the blocks each pass
+    yields and hold each pass's second block: they set ``waiting``, then wait
+    for ``release``."""
+
+    def __init__(self, e):
+        self.e, self.kind, self.grid, self.n_paths, self.n_times = (
+            e, e.kind, e.grid, e.n_paths, e.n_times)
+        self.waiting, self.release, self.read = threading.Event(), threading.Event(), []
+
+    def column(self, j):
+        return self.e.column(j)
+
+    def row_blocks(self, s_index, t_index):
+        k = len(self.read)
+        self.read.append(0)
+        for n, block in enumerate(self.e.row_blocks(s_index, t_index)):
+            if n == 1:
+                self.waiting.set()
+                assert self.release.wait(30)
+            self.read[k] += 1
+            yield block
+
+
+class TestThreadedBinning:
+    """The binning's streamed passes run on a worker thread while the calling
+    thread runs ``beside``: the bins are bit for bit those of a call without
+    it, also under fast thread switching; an error of ``beside`` comes before
+    the binning's, and the worker stops before its next block and is joined
+    before the error leaves."""
+
+    @pytest.fixture(scope="class")
+    def handles(self, block_ensembles, tmp_path_factory):
+        """Each kind's ensemble row-major, column-major and as a container."""
+        d = tmp_path_factory.mktemp("threaded")
+        out = {}
+        for name, e in block_ensembles.items():
+            save_ensemble(e, d / f"{name}.qhe")
+            f = Ensemble(e.kind, e.grid, np.asfortranarray(e.paths), seed=e.seed)
+            out[name] = (e, f, read_header(d / f"{name}.qhe"))
+        return out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_bins", [5, 40, 400, 2000])
+    def test_same_bins_beside_checks(self, handles, kind, n_bins):
+        want = estimate_conditional(handles[kind][0], 1, 3, n_bins)
+        for h in handles[kind]:
+            def checks():
+                path_empirics(h, 1, 3)
+
+            assert_same(estimate_conditional(h, 1, 3, n_bins), want)
+            assert_same(estimate_conditional(h, 1, 3, n_bins, beside=checks), want)
+            with fast_switching():
+                assert_same(estimate_conditional(h, 1, 3, n_bins), want)
+                assert_same(estimate_conditional(h, 1, 3, n_bins, beside=checks), want)
+
+    def test_beside_error_stops_the_worker_before_its_next_block(self, monkeypatch,
+                                                                 block_ensembles):
+        # both passes start on the calling thread (one block each); the worker
+        # asks for pass 1's second block, beside fails, and the block is let
+        # through once the failure is recorded: the worker sums that block
+        # and reads no further one of either pass
+        g = Gated(block_ensembles["gamma"])
+
+        class Recording(threading.Event):
+            def set(self):
+                super().set()
+                g.release.set()
+
+        def fail():
+            assert g.waiting.wait(30)
+            raise RuntimeError("beside fails")
+
+        monkeypatch.setattr(empirics, "Event", Recording)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="beside fails"):
+            estimate_conditional(g, 1, 3, 40, beside=fail)
+        assert threading.active_count() == before
+        assert g.read == [2, 1]
+
+    def test_set_up_error_waits_for_beside(self):
+        # a constant X_t fails the sort phase: beside still runs, and its
+        # error comes first
+        e = Ensemble(ProcessKind("wiener"), np.array([0.5, 1.0]), np.tile([[1.0, 2.0]], (100, 1)),
+                     seed=0)
+        ran = []
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_conditional(e, 0, 1, 10, beside=lambda: ran.append(True))
+        assert ran == [True]
+
+        def fail():
+            raise RuntimeError("beside fails")
+
+        with pytest.raises(RuntimeError, match="beside fails"):
+            estimate_conditional(e, 0, 1, 10, beside=fail)
+
+    @pytest.mark.parametrize("row", [3, ROW_BLOCK + 3, 3 * ROW_BLOCK + 6])
+    def test_worker_error_after_beside(self, tmp_path, block_ensembles, row):
+        # a NaN X_s in the first block fails the set-up, in a later one the
+        # worker: either is raised after beside has run, and the worker is joined
+        e = block_ensembles["gamma"]
+        paths = e.paths.copy()
+        paths[row, 1] = np.nan
+        head = _header(e.kind, e.seed, e.n_paths, e.grid)
+        (tmp_path / "nan.qhe").write_bytes(head + paths.astype("<f8").tobytes())
+        c = read_header(tmp_path / "nan.qhe")
+        before = threading.active_count()
+        ran = []
+        with pytest.raises(ValueError, match="path values must be finite"):
+            estimate_conditional(c, 1, 3, 40, beside=lambda: ran.append(True))
+        assert ran == [True] and threading.active_count() == before
 
 
 class TestPathEmpirics:
@@ -918,13 +1050,15 @@ class TestMemoryContract:
 
 
 def assert_same(got, want, where=""):
-    """Equal field by field: arrays bit for bit, everything else by ==."""
+    """Equal field by field: arrays bit for bit, everything else by ==; a
+    dataclass field left out of == (a timing) is left out here too."""
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.shape == want.shape, where
         assert got.tobytes() == want.tobytes(), where
     elif dataclasses.is_dataclass(want):
         for f in dataclasses.fields(want):
-            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+            if f.compare:
+                assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
     elif isinstance(want, tuple):
         assert len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):

@@ -397,10 +397,11 @@ class TestPascalInversion:
 
 class TestFailedBlock:
     def test_other_workers_stop_at_their_next_block(self, monkeypatch):
-        # block 1, worker 1's first, raises; worker 0 waits inside block 0
-        # until the block loop has recorded the failure, then hands block 0
-        # over and must hand over nothing more (it would go on to 2 and 4)
-        recorded = threading.Event()
+        # block 1, worker 1's first, raises once worker 0 is inside block 0;
+        # worker 0 waits there until the block loop has recorded the failure,
+        # then hands block 0 over and must hand over nothing more (it would
+        # go on to 2 and 4)
+        entered, recorded = threading.Event(), threading.Event()
 
         class Recording(threading.Event):
             def set(self):
@@ -411,8 +412,10 @@ class TestFailedBlock:
             def draw(rng, n):
                 block = int(rng.bit_generator.state["state"]["key"][1]) >> 32
                 if block == 1:
+                    assert entered.wait(30)
                     raise RuntimeError("block 1 fails")
                 if block == 0:
+                    entered.set()
                     assert recorded.wait(30)
                 return np.zeros(n)
 
@@ -427,6 +430,67 @@ class TestFailedBlock:
             _sample_blocks(kind_of("wiener"), np.array(GRID), 6 * BLOCK_PATHS, 0, 2,
                            lambda lo, rows: handed.append(lo))
         assert handed == [0]
+
+
+class TestCallingThreadWorker:
+    """Worker 0 runs on the calling thread and the others on a pool of W - 1
+    threads, so one worker starts no thread."""
+
+    def test_one_worker_puts_on_the_main_thread(self):
+        before = threading.active_count()
+        seen = []
+
+        def put(lo, rows):
+            seen.append((lo, threading.current_thread() is threading.main_thread(),
+                         threading.active_count()))
+
+        _sample_blocks(kind_of("wiener"), np.array(GRID), 3 * BLOCK_PATHS + 1, 0, 1, put)
+        assert seen == [(b * BLOCK_PATHS, True, before) for b in range(4)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_zero_puts_on_the_calling_thread(self, workers):
+        caller = threading.current_thread()
+        here = {}
+
+        def put(lo, rows):
+            here[lo // BLOCK_PATHS] = threading.current_thread() is caller
+
+        _sample_blocks(kind_of("wiener"), np.array(GRID), 7 * BLOCK_PATHS, 0, workers, put)
+        assert sorted(here) == list(range(7))
+        assert [b for b in range(7) if here[b]] == list(range(0, 7, workers))
+
+    def test_worker_zero_error_is_raised_first(self, monkeypatch):
+        # block 1, worker 1's first, fails once worker 0 is inside block 0,
+        # which fails once that failure is recorded: worker 0's error is
+        # raised, as the first in worker order
+        entered, recorded = threading.Event(), threading.Event()
+
+        class Recording(threading.Event):
+            def set(self):
+                super().set()
+                recorded.set()
+
+        def sampler(dt, q):
+            def draw(rng, n):
+                block = int(rng.bit_generator.state["state"]["key"][1]) >> 32
+                if block == 1:
+                    assert entered.wait(30)
+                    raise RuntimeError("block 1 fails")
+                entered.set()
+                assert recorded.wait(30)
+                raise RuntimeError("block 0 fails")
+
+            return draw
+
+        monkeypatch.setattr(core, "PROCESS_KINDS", tuple(
+            dataclasses.replace(r, sampler=sampler) if r.name == "wiener" else r
+            for r in core.PROCESS_KINDS))
+        monkeypatch.setattr(simulate, "Event", Recording)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 0 fails"):
+            _sample_blocks(kind_of("wiener"), np.array(GRID), 4 * BLOCK_PATHS, 0, 2,
+                           lambda lo, rows: None)
+        assert threading.active_count() == before
 
 
 class TestStatistics:
